@@ -20,6 +20,12 @@ from .levels import PowerLevel
 
 GROUP_SIZE = 10
 
+# Stress levels are rounded to this many decimals of a percent, so the last
+# bits of the demand sum cannot move a level that is exactly 100 * gap (such
+# as 40) to one ulp below it, where it would flip the policies' integer
+# comparisons against it.
+STRESS_DECIMALS = 9
+
 
 @dataclass(frozen=True)
 class FeederGroup:
@@ -174,7 +180,8 @@ def served_demand(topology: Topology) -> float:
 
 
 def stress_level(demand_w: float, supply_w: float) -> float:
-    """Percent of actual demand not met, floored at zero."""
+    """Percent of actual demand not met, floored at zero and rounded to
+    STRESS_DECIMALS decimals."""
     if demand_w <= 0:
         raise ValueError("demand must be positive")
-    return max(0.0, 100.0 * (demand_w - supply_w) / demand_w)
+    return max(0.0, round(100.0 * (demand_w - supply_w) / demand_w, STRESS_DECIMALS))

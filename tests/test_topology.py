@@ -143,6 +143,11 @@ class TestStressLevel:
         assert stress_level(100.0, 100.0) == 0.0
         assert stress_level(100.0, 120.0) == 0.0
 
+    def test_exact_gap_not_moved_by_rounding_noise(self):
+        # 100 * (d - 0.6 d) / d evaluates to 39.99999999999999 for this d
+        d = 471352.968650048
+        assert stress_level(d, 0.6 * d) == 40.0
+
     def test_zero_demand_rejected(self):
         with pytest.raises(ValueError, match="demand must be positive"):
             stress_level(0.0, 10.0)
