@@ -155,7 +155,10 @@ class CommandChannel:
         self.rng = rng
         self.sent = 0
         self.lost = 0
-        self._p = None if link is None else link.delivery_probability(distance_m)
+        p = None if link is None else link.delivery_probability(distance_m)
+        # A link that always delivers draws no random number, so emulating
+        # it leaves the shared stream, and every result, as without it.
+        self._p = p if p is not None and p < 1.0 else None
 
     def apply(self, home, level) -> bool:
         self.sent += 1

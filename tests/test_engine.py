@@ -172,6 +172,12 @@ class TestProtocolIntegration:
         assert log.commands_lost == 0
         assert all(rec.converged for rec in log.hours)
 
+    def test_perfect_link_matches_no_emulation(self):
+        for policy in ("distributed", "centralized"):
+            linked = run(cfg(policy=policy, protocol_emulation=True, protocol_distance_m=10.0))
+            assert linked.commands_sent > 0
+            assert linked.hours == run(cfg(policy=policy)).hours
+
     def test_lossy_link_loses_commands(self):
         log = run(cfg(protocol_emulation=True, protocol_distance_m=50.0, horizon_hours=2))
         assert log.commands_lost > 0
