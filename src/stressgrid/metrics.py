@@ -136,8 +136,10 @@ def _ap_token(ap: float) -> str:
     return f"{100.0 * ap:g}"
 
 
-def _cell_key(log: MetricsLog) -> tuple[str, float, float]:
-    return (log.policy, log.gap_percent, log.ap)
+def _cell_key(log: MetricsLog) -> tuple[str, str, float]:
+    # keyed on the gap token: the NaN gap of fixed_capacity runs never
+    # equals itself, so a float key would split every run into its own cell
+    return (log.policy, _gap_token(log.gap_percent), log.ap)
 
 
 HOURLY_FIELDS = [
@@ -212,14 +214,14 @@ def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
     runs_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    cells: dict[tuple[str, float, float], list[MetricsLog]] = {}
+    cells: dict[tuple[str, str, float], list[MetricsLog]] = {}
     for lg in logs:
         cells.setdefault(_cell_key(lg), []).append(lg)
     for key in cells:
         cells[key].sort(key=lambda lg: lg.seed)
 
-    for (policy, gap, ap), cell_logs in sorted(cells.items()):
-        gt, at = _gap_token(gap), _ap_token(ap)
+    for (policy, gt, ap), cell_logs in sorted(cells.items()):
+        at = _ap_token(ap)
         for lg in cell_logs:
             p = runs_dir / f"run_{policy}_{gt}_{at}_s{lg.seed}.csv"
             write_run_csv(lg, p)
@@ -229,7 +231,7 @@ def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
         written.append(p)
 
     policies = sorted({k[0] for k in cells} - {"baseline"})
-    gaps = sorted({k[1] for k in cells})
+    gaps = sorted({k[1] for k in cells}, key=float)
     aps = sorted({k[2] for k in cells if k[0] != "baseline"})
     for policy in policies:
         tables = {"dec_l1": {}, "dec_l5": {}, "sci": {}, "ulw_day_wh": {}}
@@ -261,7 +263,7 @@ def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
                 w = csv.writer(fh)
                 w.writerow(["gap_percent"] + [_ap_token(ap) for ap in aps])
                 for gap in gaps:
-                    row = [_gap_token(gap)]
+                    row = [gap]
                     for ap in aps:
                         row.append(_fmt(table.get((gap, ap), float("nan"))))
                     w.writerow(row)

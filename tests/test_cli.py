@@ -175,6 +175,24 @@ class TestMain:
         matrices = sorted(q.name for q in out.glob("matrix_*.csv"))
         assert len(matrices) == 8  # 2 non-baseline policies x 4 metrics
 
+    def test_fixed_capacity_runs_share_their_cell(self, tmp_path):
+        text = TINY.replace("gaps = 20", "mode = fixed_capacity\ncapacity_w = 5000")
+        out = tmp_path / "results"
+        assert main(["--config", str(write_config(tmp_path, text)), "--out", str(out), "--quiet"]) == 0
+        assert len(list((out / "runs").glob("*.csv"))) == 3 * 2
+        summaries = sorted(out.glob("summary_*.csv"))
+        assert [q.name for q in summaries] == [
+            "summary_baseline_nan_90.csv",
+            "summary_centralized_nan_90.csv",
+            "summary_distributed_nan_90.csv",
+        ]
+        for q in summaries:
+            with q.open(newline="") as fh:
+                assert {row["runs"] for row in csv.DictReader(fh)} == {"2"}
+        with (out / "matrix_distributed_sci.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] and [r[0] for r in rows[1:]] == ["nan"]
+
     def test_single_cell_reproduces_sweep_files(self, tmp_path):
         p = write_config(tmp_path, TINY)
         full, single = tmp_path / "full", tmp_path / "single"
