@@ -1,0 +1,67 @@
+"""Golden fingerprints: small fixed runs must reproduce recorded outcomes.
+
+Integer outcomes (level counts, convergence seconds, flags, repeat-shed
+homes, command counters) must match exactly. Watt totals and mean utility
+are compared to FLOAT_REL_TOL relative: summing appliance draws in another
+order moves them by about 1e-13 W without changing any decision.
+
+Re-record after a deliberate change of behaviour, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from stressgrid.engine import SimConfig, run
+from stressgrid.topology import SupplyModel
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+FLOAT_REL_TOL = 1e-9
+
+_SMALL = dict(horizon_hours=24, n_homes=400, n_feeders=20, group_size=5, ap=0.6, seed=5)
+CONFIGS = {
+    "baseline": dict(_SMALL, policy="baseline", supply=SupplyModel(gap_fraction=0.3)),
+    "distributed": dict(_SMALL, policy="distributed", supply=SupplyModel(gap_fraction=0.3)),
+    "centralized": dict(_SMALL, policy="centralized", supply=SupplyModel(gap_fraction=0.3)),
+    "lossy_distributed": dict(
+        _SMALL, policy="distributed", ap=0.9, supply=SupplyModel(gap_fraction=0.4),
+        protocol_emulation=True, protocol_distance_m=50.0,
+    ),
+}
+INT_FIELDS = (
+    "level_counts", "smart_level_counts", "convergence_seconds",
+    "converged", "emergency", "repeat_shed_homes",
+)
+FLOAT_FIELDS = ("demand_w", "served_w", "ulw_w", "mean_utility")
+
+
+def fingerprint(name: str) -> dict:
+    log = run(SimConfig(**CONFIGS[name]))
+    return {
+        "commands": [log.commands_sent, log.commands_lost],
+        "ints": [[list(v) if isinstance(v, tuple) else v for v in
+                  (getattr(rec, f) for f in INT_FIELDS)] for rec in log.hours],
+        "floats": [[getattr(rec, f) for f in FLOAT_FIELDS] for rec in log.hours],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_matches_golden(name):
+    want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    got = fingerprint(name)
+    assert got["commands"] == want["commands"]
+    assert got["ints"] == want["ints"]
+    for hour, (g, w) in enumerate(zip(got["floats"], want["floats"])):
+        assert g == pytest.approx(w, rel=FLOAT_REL_TOL, abs=0.0), (hour, FLOAT_FIELDS)
+
+
+if __name__ == "__main__":
+    for name in sorted(CONFIGS):
+        path = GOLDEN_DIR / f"{name}.json"
+        path.write_text(json.dumps(fingerprint(name), indent=1) + "\n")
+        print(f"wrote {path}")
