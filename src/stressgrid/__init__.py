@@ -9,13 +9,12 @@ from .consumption import (
     sample_inverse,
 )
 from .engine import SimConfig, run
-from .homes import HOME_CLASSES, DisconnectivityMatrix, Home, build_dm, consumption
+from .homes import HOME_CLASSES, DisconnectivityMatrix, Fleet, Home, build_dm
 from .levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
 from .metrics import EdgeFractions, MetricsLog, level_distribution, mean_utility, sci, ulw
 from .policies import (
     DistributionProfile,
-    StressSignal,
-    alg1_home_decision,
+    alg1_decisions,
     alg2_step,
     baseline_step,
     eligible_lower_levels,

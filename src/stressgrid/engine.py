@@ -21,7 +21,7 @@ import numpy as np
 
 from . import corpus
 from .consumption import load_corpus, sample_inverse
-from .homes import ClassModel, build_class_model, consumption, set_hour_draws
+from .homes import ClassModel, build_class_model, set_hour_draws
 from .levels import PowerLevel, UtilityParams, utility
 from .metrics import HourRecord, MetricsLog, TraceEvent
 from .policies import POLICIES, DistributionProfile, reset_hourly
@@ -80,8 +80,6 @@ class SimState:
     channel: CommandChannel
     capacity_w: float = 0.0
     emergency: bool = False
-    hour: int = 0
-    second: int = 0
 
 
 _MODEL_CACHE: dict[str, dict[str, ClassModel]] = {}
@@ -107,17 +105,14 @@ def converged(topology: Topology, capacity_w: float) -> bool:
 
 def _refresh_draws(topology: Topology, rng: np.random.Generator) -> None:
     """Redraw every appliance for the hour, class by class in home order."""
-    for label in sorted(topology.homes_by_class):
-        homes = topology.homes_by_class[label]
-        if not homes:
+    fleet = topology.fleet
+    for c, model in enumerate(fleet.models):
+        homes = np.flatnonzero(fleet.cls == c)
+        if not homes.size:
             continue
-        model = homes[0].model
-        u = rng.random((len(homes), model.n_appliances))
-        draws = np.empty_like(u)
-        for j, cdf in enumerate(model.cdfs):
-            draws[:, j] = sample_inverse(cdf, u[:, j])
-        for i, h in enumerate(homes):
-            set_hour_draws(h, draws[i])
+        u = rng.random((homes.size, model.n_appliances))
+        draws = [sample_inverse(cdf, u[:, j]) for j, cdf in enumerate(model.cdfs)]
+        set_hour_draws(fleet, homes, np.column_stack(draws))
 
 
 def run(config: SimConfig) -> MetricsLog:
@@ -154,9 +149,8 @@ def run(config: SimConfig) -> MetricsLog:
     max_rounds = policy.max_rounds(topo)
 
     for hour in range(config.horizon_hours):
-        state.hour = hour
         state.emergency = False
-        reset_hourly(topo.homes)
+        reset_hourly(topo.fleet)
         _refresh_draws(topo, rng)
         demand_w = served_demand(topo)  # everyone is at L5
         capacity_w = config.supply.capacity_for(demand_w)
@@ -170,7 +164,6 @@ def run(config: SimConfig) -> MetricsLog:
         if not is_converged:
             log.trace.append(TraceEvent(hour, 0, "gap_detected"))
         while not is_converged and rounds < max_rounds:
-            state.second = rounds
             was_emergency = state.emergency
             policy.step(state)
             rounds += 1
@@ -184,16 +177,11 @@ def run(config: SimConfig) -> MetricsLog:
         )
 
         served_w = served_demand(topo)
-        levels = [h.current_level for h in topo.homes]
-        counts = [0, 0, 0, 0, 0]
-        smart_counts = [0, 0, 0, 0, 0]
-        repeat_shed = 0
-        for h in topo.homes:
-            counts[h.current_level - 1] += 1
-            if h.smart:
-                smart_counts[h.current_level - 1] += 1
-            if h.ls_lh and h.current_level < PowerLevel.L5 and not state.emergency:
-                repeat_shed += 1
+        level = topo.fleet.level
+        counts = np.bincount(level, minlength=6)[1:].tolist()
+        smart_counts = np.bincount(level[topo.fleet.smart], minlength=6)[1:].tolist()
+        shed_again = topo.fleet.ls_lh & (level < PowerLevel.L5)
+        repeat_shed = 0 if state.emergency else int(np.count_nonzero(shed_again))
         log.hours.append(
             HourRecord(
                 hour=hour,
@@ -203,8 +191,9 @@ def run(config: SimConfig) -> MetricsLog:
                 ulw_w=max(0.0, capacity_w - served_w) if is_converged else 0.0,
                 level_counts=tuple(counts),
                 smart_level_counts=tuple(smart_counts),
-                mean_utility=sum(utility(lv, config.utility) for lv in levels)
-                / len(levels),
+                mean_utility=sum(
+                    utility(lv, config.utility) * counts[lv - 1] for lv in PowerLevel
+                ) / len(level),
                 convergence_seconds=rounds,
                 converged=is_converged,
                 emergency=state.emergency,

@@ -1,4 +1,4 @@
-"""Home model: classes, disconnectivity matrices and per-home state.
+"""Home model: classes, disconnectivity matrices and the fleet of homes.
 
 A home class fixes the meter rating and appliance count. The class's
 disconnectivity matrix (DM) records which appliances are switched off at
@@ -123,50 +123,78 @@ def build_class_model(
     )
 
 
-@dataclass
-class Home:
-    """One home: placement, control capability and within-hour state.
+@dataclass(eq=False)
+class Fleet:
+    """State of every home, one array entry per home id.
 
-    `smart` marks homes equipped with the in-home multi-level controller;
-    the rest can only be switched off wholesale at the meter. ls_lh,
-    dlc_done and sl_init belong to the distributed backoff scheme.
+    `models[cls[i]]` is home i's class model (None for a class no home
+    has). `smart` marks homes equipped with the in-home multi-level
+    controller; the rest can only be switched off wholesale at the meter.
+    `group` is the home's feeder group. `level` is its current power state
+    and `level_watts[i, k]` what it draws this hour at state L(k+1) (NaN
+    until the hour's draws are set). ls_lh, dlc_done and sl_init (NaN for
+    unset) belong to the distributed backoff scheme.
     """
 
+    models: tuple[ClassModel | None, ...]
+    cls: np.ndarray
+    smart: np.ndarray
+    group: np.ndarray
+    level: np.ndarray = field(init=False)
+    level_watts: np.ndarray = field(init=False, repr=False)
+    ls_lh: np.ndarray = field(init=False)
+    dlc_done: np.ndarray = field(init=False)
+    sl_init: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.cls)
+        self.level = np.full(n, PowerLevel.L5, dtype=np.int8)
+        self.level_watts = np.full((n, len(PowerLevel)), np.nan)
+        self.ls_lh = np.zeros(n, dtype=bool)
+        self.dlc_done = np.zeros(n, dtype=bool)
+        self.sl_init = np.full(n, np.nan)
+
+    def __len__(self) -> int:
+        return len(self.cls)
+
+    def watts(self, homes) -> np.ndarray:
+        """What `homes` draw at their current states."""
+        return self.level_watts[homes, self.level[homes] - 1]
+
+
+@dataclass(slots=True)
+class Home:
+    """Handle on one home of a fleet: what a power-state command addresses."""
+
+    fleet: Fleet
     id: int
-    model: ClassModel
-    smart: bool
-    transformer_id: int
-    feeder_id: int
-    current_level: PowerLevel = PowerLevel.L5
-    hour_draws: np.ndarray | None = None
-    level_watts: np.ndarray | None = field(default=None, repr=False)
-    ls_lh: bool = False
-    dlc_done: bool = False
-    sl_init: float | None = None
 
     @property
-    def rating_w(self) -> float:
-        return self.model.home_class.rating_w
+    def current_level(self) -> PowerLevel:
+        return PowerLevel(int(self.fleet.level[self.id]))
+
+    @current_level.setter
+    def current_level(self, level: PowerLevel) -> None:
+        self.fleet.level[self.id] = level
 
 
-def set_hour_draws(home: Home, draws) -> None:
-    """Install this hour's appliance draws.
+def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
+    """Install this hour's appliance draws of `homes`, which share a class;
+    row j of `draws` belongs to homes[j]. Returns the installed draws.
 
     Draws are clamped at each appliance's rated value (the rating is what
     the state caps are guaranteed against) and scaled down in proportion if
-    the total would exceed the meter rating.
+    the total would exceed the meter rating. The watts at each state are
+    summed appliance by appliance in index order.
     """
-    draws = np.minimum(np.asarray(draws, dtype=float), home.model.rated_draws)
-    total = draws.sum()
-    rating = home.rating_w
-    if total > rating:
-        draws = draws * (rating / total)
-    home.hour_draws = draws
-    home.level_watts = draws @ home.model.conn_matrix
-
-
-def consumption(home: Home, level: PowerLevel) -> float:
-    """Watts the home draws while held at `level` this hour."""
-    if home.level_watts is None:
-        raise RuntimeError("hour draws not set")
-    return float(home.level_watts[level - 1])
+    model = fleet.models[fleet.cls[homes[0]]]
+    draws = np.minimum(np.asarray(draws, dtype=float), model.rated_draws)
+    total = draws.sum(axis=1)
+    rating = model.home_class.rating_w
+    over = total > rating
+    draws[over] *= (rating / total[over])[:, None]
+    watts = np.zeros((len(draws), len(PowerLevel)))
+    for column, connected in zip(draws.T, model.conn_matrix):
+        watts += column[:, None] * connected
+    fleet.level_watts[homes] = watts
+    return draws

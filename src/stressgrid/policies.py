@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homes import Home, consumption
+from .homes import Fleet, Home
 from .levels import PowerLevel
 from .protocol import CommandChannel
 from .topology import Topology, served_demand
@@ -47,15 +47,27 @@ class DistributionProfile:
 
 
 @dataclass
-class StressSignal:
-    sl: float
-    emergency: bool = False
-
-
-@dataclass
 class BaselineRotation:
     next_group_index: int = 0
     blacked_out: set[int] = field(default_factory=set)
+
+
+def _switch_off(fleet: Fleet, homes: np.ndarray, left_w: float, channel: CommandChannel) -> float:
+    """Command each of `homes`, in id order, to L1; returns `left_w` less
+    the watts of every home whose command was delivered."""
+    for i, watts in zip(homes.tolist(), fleet.watts(homes).tolist()):
+        if channel.apply(Home(fleet, i), PowerLevel.L1):
+            left_w -= watts
+    return left_w
+
+
+def _cuttable(fleet: Fleet, homes: np.ndarray, emergency: bool) -> np.ndarray:
+    """The non-smart homes among `homes` not yet off, less those shed last
+    hour unless an emergency is in force."""
+    keep = ~fleet.smart[homes] & (fleet.level[homes] != PowerLevel.L1)
+    if not emergency:
+        keep &= ~fleet.ls_lh[homes]
+    return homes[keep]
 
 
 def baseline_step(
@@ -64,7 +76,7 @@ def baseline_step(
     capacity_w: float,
     channel: CommandChannel,
     advance: bool = True,
-) -> dict[int, PowerLevel]:
+) -> None:
     """Cyclic blackout: cut whole groups, starting at the rotation index,
     until served demand fits under capacity. The index advances by one per
     hour so the burden rotates."""
@@ -76,60 +88,56 @@ def baseline_step(
         if served <= capacity_w:
             break
         gi = (idx + k) % len(groups)
-        for h in topology.homes_by_group[gi]:
-            before = consumption(h, h.current_level)
-            if channel.apply(h, PowerLevel.L1):
-                served -= before
+        served = _switch_off(topology.fleet, topology.group_members[gi], served, channel)
         blacked.add(gi)
     rotation.blacked_out = blacked
     if advance:
         rotation.next_group_index = (idx + 1) % len(groups)
-    return {h.id: h.current_level for h in topology.homes}
 
 
-def alg1_home_decision(
-    home: Home,
+def alg1_decisions(
+    fleet: Fleet,
+    homes: np.ndarray,
     sl: float,
     dp: DistributionProfile,
     emergency: bool,
-    r: int,
-) -> PowerLevel | None:
-    """One smart home's backoff decision against stress level `sl`.
+    r: np.ndarray,
+) -> np.ndarray:
+    """Backoff decisions of the smart `homes` against stress level `sl`.
 
-    r is the home's fresh random integer in [1, 100]. Returns the state the
-    home decides to move to, or None to stay put. The first evaluation in an
-    hour clamps sl to at least MIN_STRESS and every evaluation before the
-    home has backed off stores the stress it used (sl_init), which later
-    rounds reuse as the step-down threshold. Once backed off, the home
-    steps down one state per successful draw, never below L2; an emergency
-    voids the last-hour exemption, forces the step and allows L2 -> L1.
+    r[j] is homes[j]'s fresh random integer in [1, 100]. Returns the state
+    each home decides to move to, or 0 to stay put. A home's first
+    evaluation in an hour clamps sl to at least MIN_STRESS and every
+    evaluation before the home has backed off stores the stress it used
+    (sl_init), which later rounds reuse as the step-down threshold. Once
+    backed off, the home steps down one state per successful draw, never
+    below L2; an emergency voids the last-hour exemption, forces the step
+    and allows L2 -> L1.
     """
-    if not home.smart:
+    if not fleet.smart[homes].all():
         raise ValueError("only smart homes run the backoff scheme")
-    if not 1 <= r <= 100:
+    if np.any((r < 1) | (r > 100)):
         raise ValueError("r must lie in [1, 100]")
-    if home.ls_lh and not emergency:
-        return None
-    if not home.dlc_done:
-        eff = sl
-        if home.sl_init is None and eff < MIN_STRESS:
-            eff = MIN_STRESS
-        home.sl_init = eff
-        if r < eff:
-            home.dlc_done = True
-            if r > (1.0 - dp.alpha_l4) * eff:
-                return PowerLevel.L4
-            if dp.alpha_l2 * eff < r < (dp.alpha_l3 + dp.alpha_l2) * eff:
-                return PowerLevel.L3
-            return PowerLevel.L2
-        return None
-    threshold = home.sl_init
-    level = home.current_level
-    if level is PowerLevel.L1:
-        return None
-    if (r < threshold or emergency) and (level is not PowerLevel.L2 or emergency):
-        return PowerLevel(level - 1)
-    return None
+    level = fleet.level[homes]
+    sl_init = fleet.sl_init[homes]
+    done = fleet.dlc_done[homes]
+    active = np.full(len(homes), True) if emergency else ~fleet.ls_lh[homes]
+
+    fresh = active & ~done
+    eff = np.where(np.isnan(sl_init) & (sl < MIN_STRESS), MIN_STRESS, sl)
+    backs = fresh & (r < eff)
+    l3 = (dp.alpha_l2 * eff < r) & (r < (dp.alpha_l3 + dp.alpha_l2) * eff)
+    target = np.where(r > (1.0 - dp.alpha_l4) * eff, PowerLevel.L4, np.where(l3, PowerLevel.L3, PowerLevel.L2))
+    target[~backs] = 0
+
+    steps = active & done & (level != PowerLevel.L1) & (emergency | (r < sl_init))
+    if not emergency:
+        steps &= level != PowerLevel.L2
+    target[steps] = level[steps] - 1
+
+    fleet.sl_init[homes[fresh]] = eff[fresh]
+    fleet.dlc_done[homes[backs]] = True
+    return target
 
 
 def cut_nonsmart_groups(
@@ -143,6 +151,7 @@ def cut_nonsmart_groups(
     every group has been tried. Homes shed last hour are skipped unless an
     emergency is in force. The rotation pointer moves past tried groups."""
     served = served_demand(topology)
+    fleet = topology.fleet
     groups = topology.groups
     idx = rotation.next_group_index
     tried = 0
@@ -151,14 +160,8 @@ def cut_nonsmart_groups(
             break
         gi = (idx + k) % len(groups)
         tried += 1
-        for h in topology.homes_by_group[gi]:
-            if h.smart or h.current_level is PowerLevel.L1:
-                continue
-            if h.ls_lh and not emergency:
-                continue
-            before = consumption(h, h.current_level)
-            if channel.apply(h, PowerLevel.L1):
-                served -= before
+        homes = _cuttable(fleet, topology.group_members[gi], emergency)
+        served = _switch_off(fleet, homes, served, channel)
     rotation.next_group_index = (idx + tried) % len(groups)
 
 
@@ -180,22 +183,22 @@ def alg1_round(
     Round 2: the utility cuts non-smart groups while the gap persists.
     Rounds >= 3: backed-off homes step down against their stored stress;
     holdouts re-draw at the reduced stress reduction_factor * sl.
+    Commands go out in home-id order, only to homes that change state.
     """
     if round_index == 2:
         cut_nonsmart_groups(topology, rotation, capacity_w, emergency, channel)
         return
-    smart = topology.smart_homes
-    if not smart:
+    fleet = topology.fleet
+    smart = np.flatnonzero(fleet.smart)
+    if not smart.size:
         return
-    rs = rng.integers(1, 101, size=len(smart))
-    late = round_index >= 3
-    for home, r in zip(smart, rs):
-        eff = sl
-        if late and not home.dlc_done:
-            eff = reduction_factor * sl
-        new = alg1_home_decision(home, eff, dp, emergency, int(r))
-        if new is not None:
-            channel.apply(home, new)
+    r = rng.integers(1, 101, size=smart.size)
+    if round_index >= 3:
+        sl = reduction_factor * sl  # backed-off homes use their sl_init
+    target = alg1_decisions(fleet, smart, sl, dp, emergency, r)
+    moving = np.flatnonzero(target)
+    for i, level in zip(smart[moving].tolist(), target[moving].tolist()):
+        channel.apply(Home(fleet, i), PowerLevel(level))
 
 
 def eligible_lower_levels(
@@ -226,6 +229,7 @@ def alg2_step(
     states. Homes shed last hour are skipped unless emergency. The rotation
     pointer advances past every group visited.
     """
+    fleet = topology.fleet
     gap = delta_gap_w
     groups = topology.groups
     idx = rotation.next_group_index
@@ -235,45 +239,39 @@ def alg2_step(
             break
         gi = (idx + k) % len(groups)
         visited += 1
-        members = topology.homes_by_group[gi]
-        for h in members:
-            if h.smart or h.current_level is PowerLevel.L1:
-                continue
-            if h.ls_lh and not emergency:
-                continue
-            saving = consumption(h, h.current_level)
-            if channel.apply(h, PowerLevel.L1):
-                gap -= saving
+        members = topology.group_members[gi]
+        gap = _switch_off(fleet, _cuttable(fleet, members, emergency), gap, channel)
         if gap <= 0:
             break
-        candidates = [
-            h for h in members if h.smart and (emergency or not h.ls_lh)
-        ]
-        candidates.sort(key=lambda h: (-consumption(h, h.current_level), h.id))
-        for h in candidates:
+        candidates = members[fleet.smart[members] & (emergency | ~fleet.ls_lh[members])]
+        watts = fleet.watts(candidates)
+        order = np.lexsort((candidates, -watts))
+        candidates = candidates[order]
+        for i, current, level, c in zip(
+            candidates.tolist(), watts[order].tolist(),
+            fleet.level[candidates].tolist(), fleet.cls[candidates].tolist(),
+        ):
             if gap <= 0:
                 break
-            current = consumption(h, h.current_level)
-            eligible = eligible_lower_levels(current / h.rating_w, emergency)
-            eligible = [lv for lv in eligible if lv < h.current_level]
+            rating = fleet.models[c].home_class.rating_w
+            eligible = eligible_lower_levels(current / rating, emergency)
+            eligible = [lv for lv in eligible if lv < level]
             if not eligible:
                 continue
             new = eligible[int(rng.integers(0, len(eligible)))]
-            saving = current - consumption(h, new)
-            if channel.apply(h, new):
-                gap -= saving
+            if channel.apply(Home(fleet, i), new):
+                gap -= current - float(fleet.level_watts[i, new - 1])
     rotation.next_group_index = (idx + visited) % len(groups)
     return gap <= 0
 
 
-def reset_hourly(homes: list[Home]) -> None:
+def reset_hourly(fleet: Fleet) -> None:
     """Hour boundary: remember who was shed, restore everyone to L5 and
     clear the backoff state."""
-    for h in homes:
-        h.ls_lh = h.current_level < PowerLevel.L5
-        h.current_level = PowerLevel.L5
-        h.dlc_done = False
-        h.sl_init = None
+    fleet.ls_lh[:] = fleet.level < PowerLevel.L5
+    fleet.level[:] = PowerLevel.L5
+    fleet.dlc_done[:] = False
+    fleet.sl_init[:] = np.nan
 
 
 class BaselinePolicy:

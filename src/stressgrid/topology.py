@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homes import HOME_CLASSES, ClassModel, Home, consumption
+from .homes import HOME_CLASSES, ClassModel, Fleet
 from .levels import PowerLevel
 
 GROUP_SIZE = 10
@@ -61,40 +61,39 @@ class SupplyModel:
 
 @dataclass
 class Topology:
-    homes: list[Home]
+    fleet: Fleet
     feeder_of_transformer: list[int]
     station_of_feeder: list[int]
     groups: list[FeederGroup]
-    homes_by_group: list[list[Home]] = field(default_factory=list, repr=False)
-    homes_by_class: dict[str, list[Home]] = field(default_factory=dict, repr=False)
-    smart_homes: list[Home] = field(default_factory=list, repr=False)
+    group_members: list[np.ndarray] = field(init=False, repr=False)  # ids per group
 
-    def finalize(self) -> None:
-        feeder_group = {}
-        for g in self.groups:
-            for f in g.feeder_ids:
-                feeder_group[f] = g.id
-        self.homes_by_group = [[] for _ in self.groups]
-        for h in self.homes:
-            self.homes_by_group[feeder_group[h.feeder_id]].append(h)
-        self.homes_by_class = {label: [] for label in HOME_CLASSES}
-        for h in self.homes:
-            self.homes_by_class[h.model.home_class.label].append(h)
-        self.smart_homes = [h for h in self.homes if h.smart]
+    def __post_init__(self) -> None:
+        group = self.fleet.group
+        by_group = np.argsort(group, kind="stable")
+        ends = np.cumsum(np.bincount(group, minlength=len(self.groups)))
+        self.group_members = np.split(by_group, ends[:-1])
 
 
-def _class_stream(n_homes: int, class_mix: tuple[float, ...]) -> list[str]:
-    """Deterministic interleaved class labels honoring the mix quotas."""
-    labels = sorted(HOME_CLASSES)
-    counts = {c: 0 for c in labels}
-    out = []
+def _class_stream(n_homes: int, class_mix: tuple[float, ...]) -> np.ndarray:
+    """Deterministic interleaved class indices honoring the mix quotas: each
+    home takes the class furthest below its quota so far, ties going to the
+    lower label."""
+    mix_a, mix_b, mix_c = class_mix
+    n_a = n_b = n_c = 0
+    out = bytearray(n_homes)
     for i in range(n_homes):
-        deficits = [(class_mix[j] * (i + 1) - counts[c], c) for j, c in enumerate(labels)]
-        deficits.sort(key=lambda t: (-t[0], t[1]))
-        pick = deficits[0][1]
-        counts[pick] += 1
-        out.append(pick)
-    return out
+        d_a = mix_a * (i + 1) - n_a
+        d_b = mix_b * (i + 1) - n_b
+        d_c = mix_c * (i + 1) - n_c
+        if d_a >= d_b and d_a >= d_c:
+            n_a += 1
+        elif d_b >= d_c:
+            n_b += 1
+            out[i] = 1
+        else:
+            n_c += 1
+            out[i] = 2
+    return np.frombuffer(out, dtype=np.uint8).astype(np.intp)
 
 
 def build_topology(
@@ -122,61 +121,35 @@ def build_topology(
     feeder_of_transformer = [t % n_feeders for t in range(n_transformers)]
     station_of_feeder = [f % max(1, n_grid_stations) for f in range(n_feeders)]
 
-    labels = _class_stream(n_homes, class_mix)
-    n_smart = round(ap * n_homes)
-    smart_ids = set(int(i) for i in rng.permutation(n_homes)[:n_smart])
+    labels = sorted(HOME_CLASSES)
+    cls = _class_stream(n_homes, class_mix)
+    missing = {labels[c] for c in np.unique(cls)} - set(class_models)
+    if missing:
+        raise ValueError(f"no class model for class {', '.join(sorted(missing))}")
+    smart = np.zeros(n_homes, dtype=bool)
+    smart[rng.permutation(n_homes)[: round(ap * n_homes)]] = True
+    feeder = np.arange(n_homes) % n_transformers % n_feeders
 
-    homes = []
-    for i in range(n_homes):
-        t = i % n_transformers
-        homes.append(
-            Home(
-                id=i,
-                model=class_models[labels[i]],
-                smart=i in smart_ids,
-                transformer_id=t,
-                feeder_id=feeder_of_transformer[t],
-            )
-        )
-
-    groups = []
-    for gi, start in enumerate(range(0, n_feeders, group_size)):
-        fids = tuple(range(start, min(start + group_size, n_feeders)))
-        groups.append(FeederGroup(gi, fids))
-
-    topo = Topology(
-        homes=homes,
-        feeder_of_transformer=feeder_of_transformer,
-        station_of_feeder=station_of_feeder,
-        groups=groups,
-    )
-    topo.finalize()
-    return topo
+    groups = [
+        FeederGroup(gi, tuple(range(start, min(start + group_size, n_feeders))))
+        for gi, start in enumerate(range(0, n_feeders, group_size))
+    ]
+    models = tuple(class_models.get(label) for label in labels)
+    fleet = Fleet(models, cls, smart, group=feeder // group_size)
+    return Topology(fleet, feeder_of_transformer, station_of_feeder, groups)
 
 
-def assignment(topology: Topology) -> dict[int, PowerLevel]:
-    """Snapshot of every home's current power state."""
-    return {h.id: h.current_level for h in topology.homes}
-
-
-def demand(topology: Topology, levels: dict[int, PowerLevel] | None = None):
-    """(unconstrained demand, served demand) in watts.
-
-    Unconstrained demand is what all homes would draw at L5; served demand
-    honors the given assignment (default: the homes' current states).
-    """
-    unconstrained = 0.0
-    served = 0.0
-    for h in topology.homes:
-        unconstrained += consumption(h, PowerLevel.L5)
-        level = levels[h.id] if levels is not None else h.current_level
-        served += consumption(h, level)
-    return unconstrained, served
+def demand(topology: Topology) -> tuple[float, float]:
+    """(unconstrained demand, served demand) in watts: what all homes would
+    draw at L5, and what they draw at their current states."""
+    unconstrained = topology.fleet.level_watts[:, PowerLevel.L5 - 1].sum()
+    return float(unconstrained), served_demand(topology)
 
 
 def served_demand(topology: Topology) -> float:
     """Served demand at the homes' current states."""
-    return sum(h.level_watts[h.current_level - 1] for h in topology.homes)
+    fleet = topology.fleet
+    return float(fleet.watts(np.arange(len(fleet))).sum())
 
 
 def stress_level(demand_w: float, supply_w: float) -> float:

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import helpers
 from stressgrid.engine import load_models
-from stressgrid.homes import set_hour_draws
 from stressgrid.topology import build_topology
 
 
@@ -34,8 +34,7 @@ def small_topology(class_models):
             group_size=group_size,
             class_mix=class_mix if class_mix is not None else (1 / 3, 1 / 3, 1 / 3),
         )
-        for h in topo.homes:
-            set_hour_draws(h, h.model.rated_draws * 0.8)
+        helpers.fill_draws(topo.fleet, 0.8)
         return topo
 
     return build

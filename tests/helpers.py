@@ -1,13 +1,100 @@
-"""Checkers shared between the unit suite and the acceptance suite."""
+"""Checkers and reference implementations shared between the unit suite
+and the acceptance suite."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
-from stressgrid.homes import Home
+import numpy as np
+
+from stressgrid.homes import HOME_CLASSES, Fleet, set_hour_draws
 from stressgrid.levels import PowerLevel
-from stressgrid.policies import DistributionProfile, alg1_home_decision
+from stressgrid.policies import MIN_STRESS, DistributionProfile, alg1_decisions
 from stressgrid.protocol import decode, encode
+
+
+def make_fleet(model, n: int = 1, smart: bool = True) -> Fleet:
+    """n homes of one class, all in feeder group 0, draws not yet set."""
+    zeros = np.zeros(n, dtype=np.intp)
+    return Fleet((model,), zeros, np.full(n, smart), zeros.copy())
+
+
+def fill_draws(fleet: Fleet, scale: float) -> None:
+    """Give every home `scale` times its appliances' rated draws."""
+    for c, model in enumerate(fleet.models):
+        homes = np.flatnonzero(fleet.cls == c)
+        if homes.size:
+            set_hour_draws(fleet, homes, np.tile(model.rated_draws * scale, (homes.size, 1)))
+
+
+def decide(fleet: Fleet, sl: float, dp: DistributionProfile, emergency: bool, r: int):
+    """Home 0's backoff decision as a PowerLevel, or None to stay put."""
+    (target,) = alg1_decisions(fleet, np.array([0]), sl, dp, emergency, np.array([r]))
+    return PowerLevel(int(target)) if target else None
+
+
+@dataclass
+class ScalarHome:
+    """The backoff state of one home, for the scalar reference below."""
+
+    smart: bool = True
+    current_level: PowerLevel = PowerLevel.L5
+    ls_lh: bool = False
+    dlc_done: bool = False
+    sl_init: float | None = None
+
+
+def alg1_home_decision(
+    home: ScalarHome,
+    sl: float,
+    dp: DistributionProfile,
+    emergency: bool,
+    r: int,
+) -> PowerLevel | None:
+    """Scalar reference of one smart home's backoff decision, which
+    `policies.alg1_decisions` computes for many homes at once."""
+    if not home.smart:
+        raise ValueError("only smart homes run the backoff scheme")
+    if not 1 <= r <= 100:
+        raise ValueError("r must lie in [1, 100]")
+    if home.ls_lh and not emergency:
+        return None
+    if not home.dlc_done:
+        eff = sl
+        if home.sl_init is None and eff < MIN_STRESS:
+            eff = MIN_STRESS
+        home.sl_init = eff
+        if r < eff:
+            home.dlc_done = True
+            if r > (1.0 - dp.alpha_l4) * eff:
+                return PowerLevel.L4
+            if dp.alpha_l2 * eff < r < (dp.alpha_l3 + dp.alpha_l2) * eff:
+                return PowerLevel.L3
+            return PowerLevel.L2
+        return None
+    threshold = home.sl_init
+    level = home.current_level
+    if level is PowerLevel.L1:
+        return None
+    if (r < threshold or emergency) and (level is not PowerLevel.L2 or emergency):
+        return PowerLevel(level - 1)
+    return None
+
+
+def class_stream_reference(n_homes: int, class_mix) -> list[str]:
+    """Sort-based reference of the topology's class stream: each home takes
+    the label with the largest quota deficit, ties to the lower label."""
+    labels = sorted(HOME_CLASSES)
+    counts = {c: 0 for c in labels}
+    out = []
+    for i in range(n_homes):
+        deficits = [(class_mix[j] * (i + 1) - counts[c], c) for j, c in enumerate(labels)]
+        deficits.sort(key=lambda t: (-t[0], t[1]))
+        pick = deficits[0][1]
+        counts[pick] += 1
+        out.append(pick)
+    return out
 
 
 def alpha_grid(step: float = 0.1):
@@ -29,23 +116,18 @@ def check_branch_partition(model, sl_values) -> int:
     Returns the number of triples checked; raises AssertionError on any
     violation.
     """
-    home = Home(id=0, model=model, smart=True, transformer_id=0, feeder_id=0)
-    backoff_levels = {PowerLevel.L4, PowerLevel.L3, PowerLevel.L2}
+    r = np.arange(1, 101)
+    homes = np.arange(r.size)
     checked = 0
     for alphas in alpha_grid():
         dp = DistributionProfile(*alphas)
         for sl in sl_values:
-            for r in range(1, 101):
-                home.dlc_done = False
-                home.sl_init = None
-                home.ls_lh = False
-                home.current_level = PowerLevel.L5
-                got = alg1_home_decision(home, float(sl), dp, False, r)
-                if r < sl:
-                    assert got in backoff_levels, (alphas, sl, r, got)
-                else:
-                    assert got is None, (alphas, sl, r, got)
-                checked += 1
+            fleet = make_fleet(model, r.size)
+            got = alg1_decisions(fleet, homes, float(sl), dp, False, r)
+            backs = r < sl
+            assert np.isin(got[backs], [PowerLevel.L4, PowerLevel.L3, PowerLevel.L2]).all(), (alphas, sl)
+            assert (got[~backs] == 0).all(), (alphas, sl)
+            checked += r.size
     return checked
 
 

@@ -7,13 +7,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from helpers import make_fleet
 from stressgrid.homes import (
     HOME_CLASSES,
     Home,
     HomeClass,
     build_class_model,
     build_dm,
-    consumption,
     set_hour_draws,
 )
 from stressgrid.levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
@@ -80,59 +80,80 @@ class TestBuildDm:
             build_dm(HOME_CLASSES["A"], [100.0] * 3)
 
 
-def make_home(model, hid=0, smart=True):
-    return Home(id=hid, model=model, smart=smart, transformer_id=0, feeder_id=0)
+def install(model, draws):
+    """A fleet of one home per row of `draws`, with those draws installed;
+    returns the fleet and the draws as installed."""
+    draws = np.atleast_2d(draws)
+    fleet = make_fleet(model, len(draws))
+    return fleet, set_hour_draws(fleet, np.arange(len(draws)), draws)
 
 
 class TestConsumption:
     def test_l1_is_zero_and_l5_is_total(self, class_models):
-        home = make_home(class_models["A"])
         draws = class_models["A"].rated_draws * 0.5
-        set_hour_draws(home, draws)
-        assert consumption(home, PowerLevel.L1) == 0.0
-        assert consumption(home, PowerLevel.L5) == pytest.approx(draws.sum())
+        fleet, _ = install(class_models["A"], draws)
+        assert fleet.level_watts[0, PowerLevel.L1 - 1] == 0.0
+        assert fleet.level_watts[0, PowerLevel.L5 - 1] == pytest.approx(draws.sum())
 
     def test_class_a_l3_under_half_rating(self, class_models):
-        home = make_home(class_models["A"])
-        set_hour_draws(home, class_models["A"].rated_draws)
-        assert consumption(home, PowerLevel.L3) <= 0.5 * 500.0 + 1e-9
+        fleet, _ = install(class_models["A"], class_models["A"].rated_draws)
+        assert fleet.level_watts[0, PowerLevel.L3 - 1] <= 0.5 * 500.0 + 1e-9
 
     def test_caps_hold_under_random_draws(self, class_models):
         rng = np.random.default_rng(12)
         for label, model in class_models.items():
-            home = make_home(model)
-            for _ in range(20):
-                set_hour_draws(home, rng.uniform(0, 200, model.n_appliances))
-                for level in PowerLevel:
-                    cap = CAP_FRACTION[level] * model.home_class.rating_w
-                    assert consumption(home, level) <= cap + 1e-9
+            fleet, _ = install(model, rng.uniform(0, 200, (20, model.n_appliances)))
+            for level in PowerLevel:
+                cap = CAP_FRACTION[level] * model.home_class.rating_w
+                assert (fleet.level_watts[:, level - 1] <= cap + 1e-9).all()
 
     def test_unset_draws_rejected(self, class_models):
-        with pytest.raises(RuntimeError, match="hour draws not set"):
-            consumption(make_home(class_models["A"]), PowerLevel.L5)
+        # before the hour's draws are set a home's watts are NaN, so no
+        # served-demand comparison can pass on them
+        fleet = make_fleet(class_models["A"])
+        assert np.isnan(fleet.watts(np.array([0]))).all()
+        assert not fleet.watts(np.array([0])).sum() <= 1e12
+
+    def test_current_level_reads_and_writes_the_fleet(self, class_models):
+        fleet = make_fleet(class_models["A"], 2)
+        home = Home(fleet, 1)
+        assert home.current_level is PowerLevel.L5
+        home.current_level = PowerLevel.L2
+        assert fleet.level.tolist() == [PowerLevel.L5, PowerLevel.L2]
+        assert home.current_level is PowerLevel.L2
 
 
 class TestSetHourDraws:
     def test_clamped_at_rated(self, class_models):
         model = class_models["A"]
-        home = make_home(model)
-        set_hour_draws(home, model.rated_draws * 10)
-        assert np.all(home.hour_draws <= model.rated_draws + 1e-12)
+        _, draws = install(model, model.rated_draws * 10)
+        assert np.all(draws <= model.rated_draws + 1e-12)
 
     def test_total_never_exceeds_rating(self, class_models):
         for model in class_models.values():
-            home = make_home(model)
-            set_hour_draws(home, model.rated_draws)
-            assert home.hour_draws.sum() <= model.home_class.rating_w + 1e-9
+            _, draws = install(model, model.rated_draws)
+            assert draws.sum() <= model.home_class.rating_w + 1e-9
 
     def test_level_watts_match_masks(self, class_models):
         model = class_models["B"]
-        home = make_home(model)
         rng = np.random.default_rng(13)
-        set_hour_draws(home, rng.uniform(0, 100, model.n_appliances))
+        fleet, draws = install(model, rng.uniform(0, 100, (5, model.n_appliances)))
         for level in PowerLevel:
             mask = model.dm.connected_mask(level, model.n_appliances)
-            assert consumption(home, level) == pytest.approx(home.hour_draws[mask].sum())
+            want = draws[:, mask].sum(axis=1)
+            assert fleet.level_watts[:, level - 1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_rows_match_one_home_at_a_time(self, class_models):
+        model = class_models["C"]
+        rng = np.random.default_rng(14)
+        raw = rng.uniform(0, 300, (50, model.n_appliances))
+        batch, _ = install(model, raw)
+        for i, row in enumerate(raw):
+            single, installed = install(model, row)
+            assert batch.level_watts[i] == pytest.approx(
+                installed[0] @ model.conn_matrix, rel=1e-12, abs=1e-12
+            )
+            assert (batch.level_watts[i] == single.level_watts[0]).all()
 
 
 class TestClassModels:

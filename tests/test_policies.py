@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
-from stressgrid.homes import Home, set_hour_draws
+from helpers import ScalarHome, alg1_home_decision, decide
+from stressgrid.homes import set_hour_draws
 from stressgrid.levels import PowerLevel
 from stressgrid.policies import (
     MIN_STRESS,
     BaselineRotation,
     DistributionProfile,
-    alg1_home_decision,
     alg1_round,
     alg2_step,
     baseline_step,
@@ -30,10 +32,12 @@ from stressgrid.topology import build_topology, demand, served_demand
 DP_THIRDS = DistributionProfile(1 / 3, 1 / 3, 1 / 3)
 
 
-def fresh_home(model, smart=True, hid=0):
-    home = Home(id=hid, model=model, smart=smart, transformer_id=0, feeder_id=0)
-    set_hour_draws(home, model.rated_draws * 0.8)
-    return home
+def fresh_home(model, smart=True, n=1):
+    """A fleet of `n` homes at L5 drawing 80% of rated; home 0 is the one
+    the decision tests drive."""
+    fleet = helpers.make_fleet(model, n, smart)
+    helpers.fill_draws(fleet, 0.8)
+    return fleet
 
 
 def equal_draw_topology(class_models, n_homes, n_feeders, ap, group_size, seed=0):
@@ -43,9 +47,7 @@ def equal_draw_topology(class_models, n_homes, n_feeders, ap, group_size, seed=0
         rng=np.random.default_rng(seed), group_size=group_size,
         class_mix=(1.0, 0.0, 0.0),
     )
-    draws = class_models["A"].rated_draws * 0.5
-    for h in topo.homes:
-        set_hour_draws(h, draws)
+    helpers.fill_draws(topo.fleet, 0.5)
     return topo
 
 
@@ -65,116 +67,116 @@ class TestDistributionProfile:
 
 class TestHomeDecision:
     def test_low_stress_clamped_to_floor(self, class_models):
-        home = fresh_home(class_models["A"])
-        got = alg1_home_decision(home, 0.0, DP_THIRDS, False, 50)
+        fleet = fresh_home(class_models["A"])
+        got = decide(fleet, 0.0, DP_THIRDS, False, 50)
         assert got is None
-        assert home.sl_init == MIN_STRESS
+        assert fleet.sl_init[0] == MIN_STRESS
 
     def test_backoff_below_floor_possible(self, class_models):
         # with the clamp in force, r in 1..4 still lands under sl=5
-        home = fresh_home(class_models["A"])
-        got = alg1_home_decision(home, 0.0, DP_THIRDS, False, 4)
+        fleet = fresh_home(class_models["A"])
+        got = decide(fleet, 0.0, DP_THIRDS, False, 4)
         assert got is not None
-        assert home.dlc_done
+        assert fleet.dlc_done[0]
 
     def test_l4_window(self, class_models):
         # dp=(1,0,0): threshold (1-1)*20 = 0, so r=10 > 0 lands in L4
-        home = fresh_home(class_models["A"])
-        got = alg1_home_decision(home, 20.0, DistributionProfile(1.0, 0.0, 0.0), False, 10)
+        fleet = fresh_home(class_models["A"])
+        got = decide(fleet, 20.0, DistributionProfile(1.0, 0.0, 0.0), False, 10)
         assert got is PowerLevel.L4
 
     def test_l3_window(self, class_models):
         # dp=(0,1,0): 0*20 < 10 < 1*20
-        home = fresh_home(class_models["A"])
-        got = alg1_home_decision(home, 20.0, DistributionProfile(0.0, 1.0, 0.0), False, 10)
+        fleet = fresh_home(class_models["A"])
+        got = decide(fleet, 20.0, DistributionProfile(0.0, 1.0, 0.0), False, 10)
         assert got is PowerLevel.L3
 
     def test_l2_else_branch(self, class_models):
         # dp=(0,0,1): L4 window needs r > 20, L3 window is empty
-        home = fresh_home(class_models["A"])
-        got = alg1_home_decision(home, 20.0, DistributionProfile(0.0, 0.0, 1.0), False, 10)
+        fleet = fresh_home(class_models["A"])
+        got = decide(fleet, 20.0, DistributionProfile(0.0, 0.0, 1.0), False, 10)
         assert got is PowerLevel.L2
 
     def test_no_backoff_at_or_above_sl(self, class_models):
-        home = fresh_home(class_models["A"])
-        assert alg1_home_decision(home, 20.0, DP_THIRDS, False, 20) is None
-        assert not home.dlc_done
+        fleet = fresh_home(class_models["A"])
+        assert decide(fleet, 20.0, DP_THIRDS, False, 20) is None
+        assert not fleet.dlc_done[0]
 
     def test_shed_last_hour_exempt(self, class_models):
-        home = fresh_home(class_models["A"])
-        home.ls_lh = True
+        fleet = fresh_home(class_models["A"])
+        fleet.ls_lh[0] = True
         for r in (1, 50, 99):
-            assert alg1_home_decision(home, 90.0, DP_THIRDS, False, r) is None
-        assert home.sl_init is None
+            assert decide(fleet, 90.0, DP_THIRDS, False, r) is None
+        assert np.isnan(fleet.sl_init[0])
 
     def test_emergency_voids_exemption(self, class_models):
-        home = fresh_home(class_models["A"])
-        home.ls_lh = True
-        got = alg1_home_decision(home, 90.0, DP_THIRDS, True, 10)
+        fleet = fresh_home(class_models["A"])
+        fleet.ls_lh[0] = True
+        got = decide(fleet, 90.0, DP_THIRDS, True, 10)
         assert got is not None
 
     def test_done_home_steps_down_one(self, class_models):
-        home = fresh_home(class_models["A"])
-        home.dlc_done = True
-        home.sl_init = 50.0
-        home.current_level = PowerLevel.L3
-        assert alg1_home_decision(home, 50.0, DP_THIRDS, False, 10) is PowerLevel.L2
+        fleet = fresh_home(class_models["A"])
+        fleet.dlc_done[0] = True
+        fleet.sl_init[0] = 50.0
+        fleet.level[0] = PowerLevel.L3
+        assert decide(fleet, 50.0, DP_THIRDS, False, 10) is PowerLevel.L2
 
     def test_done_home_holds_on_high_r(self, class_models):
-        home = fresh_home(class_models["A"])
-        home.dlc_done = True
-        home.sl_init = 50.0
-        home.current_level = PowerLevel.L3
-        assert alg1_home_decision(home, 50.0, DP_THIRDS, False, 60) is None
+        fleet = fresh_home(class_models["A"])
+        fleet.dlc_done[0] = True
+        fleet.sl_init[0] = 50.0
+        fleet.level[0] = PowerLevel.L3
+        assert decide(fleet, 50.0, DP_THIRDS, False, 60) is None
 
     def test_l2_floor_without_emergency(self, class_models):
-        home = fresh_home(class_models["A"])
-        home.dlc_done = True
-        home.sl_init = 90.0
-        home.current_level = PowerLevel.L2
-        assert alg1_home_decision(home, 90.0, DP_THIRDS, False, 5) is None
+        fleet = fresh_home(class_models["A"])
+        fleet.dlc_done[0] = True
+        fleet.sl_init[0] = 90.0
+        fleet.level[0] = PowerLevel.L2
+        assert decide(fleet, 90.0, DP_THIRDS, False, 5) is None
 
     def test_emergency_unlocks_l1(self, class_models):
-        home = fresh_home(class_models["A"])
-        home.dlc_done = True
-        home.sl_init = 90.0
-        home.current_level = PowerLevel.L2
-        assert alg1_home_decision(home, 90.0, DP_THIRDS, True, 99) is PowerLevel.L1
+        fleet = fresh_home(class_models["A"])
+        fleet.dlc_done[0] = True
+        fleet.sl_init[0] = 90.0
+        fleet.level[0] = PowerLevel.L2
+        assert decide(fleet, 90.0, DP_THIRDS, True, 99) is PowerLevel.L1
 
     def test_emergency_forces_step_regardless_of_r(self, class_models):
-        home = fresh_home(class_models["A"])
-        home.dlc_done = True
-        home.sl_init = 10.0
-        home.current_level = PowerLevel.L4
-        assert alg1_home_decision(home, 10.0, DP_THIRDS, True, 95) is PowerLevel.L3
+        fleet = fresh_home(class_models["A"])
+        fleet.dlc_done[0] = True
+        fleet.sl_init[0] = 10.0
+        fleet.level[0] = PowerLevel.L4
+        assert decide(fleet, 10.0, DP_THIRDS, True, 95) is PowerLevel.L3
 
     def test_done_home_at_l1_stays(self, class_models):
-        home = fresh_home(class_models["A"])
-        home.dlc_done = True
-        home.sl_init = 90.0
-        home.current_level = PowerLevel.L1
-        assert alg1_home_decision(home, 90.0, DP_THIRDS, True, 1) is None
+        fleet = fresh_home(class_models["A"])
+        fleet.dlc_done[0] = True
+        fleet.sl_init[0] = 90.0
+        fleet.level[0] = PowerLevel.L1
+        assert decide(fleet, 90.0, DP_THIRDS, True, 1) is None
 
     def test_clamp_applies_only_once_per_hour(self, class_models):
-        home = fresh_home(class_models["A"])
-        alg1_home_decision(home, 2.0, DP_THIRDS, False, 50)
-        assert home.sl_init == MIN_STRESS
+        fleet = fresh_home(class_models["A"])
+        decide(fleet, 2.0, DP_THIRDS, False, 50)
+        assert fleet.sl_init[0] == MIN_STRESS
         # second evaluation at sl=4: were the clamp re-applied, r=4 would
         # land under 5 and trigger a backoff
-        got = alg1_home_decision(home, 4.0, DP_THIRDS, False, 4)
+        got = decide(fleet, 4.0, DP_THIRDS, False, 4)
         assert got is None
-        assert home.sl_init == 4.0
+        assert fleet.sl_init[0] == 4.0
 
     def test_non_smart_rejected(self, class_models):
-        home = fresh_home(class_models["A"], smart=False)
+        fleet = fresh_home(class_models["A"], smart=False)
         with pytest.raises(ValueError, match="smart"):
-            alg1_home_decision(home, 50.0, DP_THIRDS, False, 10)
+            decide(fleet, 50.0, DP_THIRDS, False, 10)
 
     def test_r_out_of_range_rejected(self, class_models):
-        home = fresh_home(class_models["A"])
+        fleet = fresh_home(class_models["A"])
         for r in (0, 101):
             with pytest.raises(ValueError, match="r must"):
-                alg1_home_decision(home, 50.0, DP_THIRDS, False, r)
+                decide(fleet, 50.0, DP_THIRDS, False, r)
 
 
 def test_branch_partition_on_coarse_sl_grid(class_models):
@@ -189,14 +191,14 @@ class TestBaselineStep:
         rotation = BaselineRotation()
         baseline_step(rotation, topo, capacity_w=1e12, channel=CommandChannel())
         assert rotation.blacked_out == set()
-        assert all(h.current_level is PowerLevel.L5 for h in topo.homes)
+        assert (topo.fleet.level == PowerLevel.L5).all()
 
     def test_zero_capacity_blacks_all(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         rotation = BaselineRotation()
         baseline_step(rotation, topo, capacity_w=0.0, channel=CommandChannel())
         assert rotation.blacked_out == {0, 1, 2, 3, 4}
-        assert all(h.current_level is PowerLevel.L1 for h in topo.homes)
+        assert (topo.fleet.level == PowerLevel.L1).all()
 
     def test_exactly_one_group_for_twenty_percent_gap(self, class_models):
         # Brute-force oracle: with five equal-demand groups, m blackouts
@@ -218,7 +220,7 @@ class TestBaselineStep:
         baseline_step(rotation, topo, 0.8 * D, CommandChannel())
         assert rotation.blacked_out == {0}
         assert rotation.next_group_index == 1
-        reset_hourly(topo.homes)
+        reset_hourly(topo.fleet)
         baseline_step(rotation, topo, 0.8 * D, CommandChannel())
         assert rotation.blacked_out == {1}
 
@@ -236,14 +238,16 @@ class TestAlg1Round:
     def test_converged_round_changes_nothing(self, class_models):
         topo = equal_draw_topology(class_models, 40, 4, 1.0, 2)
         D, _ = demand(topo)
-        before = [h.current_level for h in topo.homes]
+        before = topo.fleet.level.copy()
+        channel = CommandChannel()
         alg1_round(
             topo, 1, DP_THIRDS, 0.0, D, BaselineRotation(), False,
-            np.random.default_rng(0), CommandChannel(),
+            np.random.default_rng(0), channel,
         )
         # sl=0 clamps to 5; only r in 1..4 backs off, so a handful may move
-        moved = sum(1 for h, b in zip(topo.homes, before) if h.current_level != b)
-        assert moved <= len(topo.homes) * 0.15
+        moved = np.count_nonzero(topo.fleet.level != before)
+        assert moved <= len(topo.fleet) * 0.15
+        assert channel.sent == moved  # commands go only to homes that move
 
     def test_round_one_mass_backoff_to_l2(self, class_models):
         # dp=(0,0,1), sl=100: every home drawing r < 100 lands in L2
@@ -253,12 +257,12 @@ class TestAlg1Round:
             topo, 1, DistributionProfile(0.0, 0.0, 1.0), 100.0, 0.0,
             BaselineRotation(), False, np.random.default_rng(1), CommandChannel(),
         )
-        levels = {h.current_level for h in topo.homes}
-        assert levels <= {PowerLevel.L2, PowerLevel.L5}
-        stragglers = [h for h in topo.homes if h.current_level is PowerLevel.L5]
+        fleet = topo.fleet
+        assert set(fleet.level.tolist()) <= {PowerLevel.L2, PowerLevel.L5}
+        stragglers = fleet.level == PowerLevel.L5
         # r == 100 has probability 1/100 per home
-        assert len(stragglers) <= 12
-        straggler_draw = sum(h.hour_draws.sum() for h in stragglers)
+        assert stragglers.sum() <= 12
+        straggler_draw = fleet.level_watts[stragglers, PowerLevel.L5 - 1].sum()
         _, served = demand(topo)
         assert served <= 0.25 * D + straggler_draw
 
@@ -266,7 +270,7 @@ class TestAlg1Round:
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         rng = np.random.default_rng(2)
         alg1_round(topo, 1, DP_THIRDS, 80.0, 0.0, BaselineRotation(), False, rng, CommandChannel())
-        assert all(h.current_level is PowerLevel.L5 for h in topo.homes)
+        assert (topo.fleet.level == PowerLevel.L5).all()
 
     def test_round_two_matches_baseline_cutoffs(self, class_models):
         # with no smart homes the second round is the baseline group cut
@@ -279,9 +283,7 @@ class TestAlg1Round:
             np.random.default_rng(3), CommandChannel(),
         )
         baseline_step(BaselineRotation(), topo_b, capacity, CommandChannel())
-        got = [h.current_level for h in topo_a.homes]
-        want = [h.current_level for h in topo_b.homes]
-        assert got == want
+        assert topo_a.fleet.level.tolist() == topo_b.fleet.level.tolist()
 
     def test_late_rounds_step_down_done_homes(self, class_models):
         # one group, so a pass is 2 + 1 + 5 rounds; the contract is
@@ -307,28 +309,87 @@ class TestAlg1Round:
         assert converged_at is not None
         assert served_demand(topo) < after_round_2  # late rounds made progress
         if converged_at <= pass_rounds:
-            assert all(h.current_level >= PowerLevel.L2 for h in topo.homes if h.smart)
+            assert (topo.fleet.level[topo.fleet.smart] >= PowerLevel.L2).all()
+
+
+STRESS = st.floats(0.0, 100.0)
+FRESH_HOME = st.tuples(
+    st.sampled_from(list(PowerLevel)), st.booleans(), st.just(False), st.none() | STRESS
+)
+BACKED_OFF_HOME = st.tuples(st.sampled_from(list(PowerLevel)), st.booleans(), st.just(True), STRESS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_masked_round_matches_scalar_reference(class_models, data):
+    """alg1_round decides for every smart home at once; home by home it must
+    agree with the scalar decision rule, state and commands alike."""
+    topo = build_topology(
+        class_models, n_homes=data.draw(st.integers(1, 40)), n_feeders=2,
+        ap=data.draw(st.sampled_from([0.5, 1.0])), rng=np.random.default_rng(0),
+        group_size=1,
+    )
+    fleet = topo.fleet
+    for i, (level, ls_lh, dlc_done, sl_init) in enumerate(
+        data.draw(st.lists(FRESH_HOME | BACKED_OFF_HOME, min_size=len(fleet), max_size=len(fleet)))
+    ):
+        fleet.level[i], fleet.ls_lh[i], fleet.dlc_done[i] = level, ls_lh, dlc_done
+        fleet.sl_init[i] = np.nan if sl_init is None else sl_init
+    sl = data.draw(STRESS)
+    dp = DistributionProfile(*data.draw(st.sampled_from(helpers.alpha_grid())))
+    emergency = data.draw(st.booleans())
+    round_index = data.draw(st.sampled_from([1, 3, 9]))
+    reduction_factor = data.draw(st.floats(0.05, 1.0))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    smart = np.flatnonzero(fleet.smart).tolist()
+    ref = {
+        i: ScalarHome(
+            current_level=PowerLevel(int(fleet.level[i])), ls_lh=bool(fleet.ls_lh[i]),
+            dlc_done=bool(fleet.dlc_done[i]),
+            sl_init=None if np.isnan(fleet.sl_init[i]) else float(fleet.sl_init[i]),
+        )
+        for i in smart
+    }
+    rs = np.random.default_rng(seed).integers(1, 101, size=len(smart))
+    commands = 0
+    for i, r in zip(smart, rs.tolist()):
+        home = ref[i]
+        eff = reduction_factor * sl if round_index >= 3 and not home.dlc_done else sl
+        new = alg1_home_decision(home, eff, dp, emergency, r)
+        if new is not None:
+            home.current_level = new
+            commands += 1
+    before = fleet.level.copy()
+
+    channel = CommandChannel()
+    alg1_round(
+        topo, round_index, dp, sl, 0.0, BaselineRotation(), emergency,
+        np.random.default_rng(seed), channel, reduction_factor,
+    )
+    for i, home in ref.items():
+        assert fleet.level[i] == home.current_level, i
+        assert fleet.dlc_done[i] == home.dlc_done, i
+        want = np.nan if home.sl_init is None else home.sl_init
+        assert fleet.sl_init[i] == want or np.isnan(fleet.sl_init[i]) and np.isnan(want), i
+    assert (fleet.level[~fleet.smart] == before[~fleet.smart]).all()
+    assert channel.sent == commands
 
 
 class TestCutNonSmartGroups:
     def test_respects_last_hour_exemption(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
-        for h in topo.homes_by_group[0]:
-            h.ls_lh = True
+        level, members = topo.fleet.level, topo.group_members
+        topo.fleet.ls_lh[members[0]] = True
         cut_nonsmart_groups(topo, BaselineRotation(), 0.0, False, CommandChannel())
-        assert all(h.current_level is PowerLevel.L5 for h in topo.homes_by_group[0])
-        assert all(
-            h.current_level is PowerLevel.L1
-            for gi in (1, 2, 3, 4)
-            for h in topo.homes_by_group[gi]
-        )
+        assert (level[members[0]] == PowerLevel.L5).all()
+        assert all((level[members[gi]] == PowerLevel.L1).all() for gi in (1, 2, 3, 4))
 
     def test_emergency_overrides_exemption(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
-        for h in topo.homes:
-            h.ls_lh = True
+        topo.fleet.ls_lh[:] = True
         cut_nonsmart_groups(topo, BaselineRotation(), 0.0, True, CommandChannel())
-        assert all(h.current_level is PowerLevel.L1 for h in topo.homes)
+        assert (topo.fleet.level == PowerLevel.L1).all()
 
 
 class TestEligibleLowerLevels:
@@ -352,40 +413,40 @@ class TestAlg2Step:
             class_models, n_homes=1, n_feeders=1, ap=1.0,
             rng=np.random.default_rng(5), class_mix=(1.0, 0.0, 0.0),
         )
-        home = topo.homes[0]
-        set_hour_draws(home, home.model.rated_draws)  # ~87% of rating
-        return topo, home
+        rated = class_models["A"].rated_draws
+        set_hour_draws(topo.fleet, np.array([0]), rated[None])  # ~87% of rating
+        return topo, topo.fleet
 
     def test_nonpositive_gap_is_inert(self, class_models):
-        topo, home = self.one_home_topology(class_models)
+        topo, fleet = self.one_home_topology(class_models)
         rotation = BaselineRotation()
         closed = alg2_step(topo, -1.0, rotation, np.random.default_rng(6), CommandChannel())
         assert closed
-        assert home.current_level is PowerLevel.L5
+        assert fleet.level[0] == PowerLevel.L5
         assert rotation.next_group_index == 0
 
     def test_non_smart_group_cut_first(self, class_models):
         topo = equal_draw_topology(class_models, 50, 10, 0.0, 5)  # 2 groups
-        group0_demand = sum(h.hour_draws.sum() for h in topo.homes_by_group[0])
+        group0_demand = topo.fleet.level_watts[topo.group_members[0], PowerLevel.L5 - 1].sum()
         rotation = BaselineRotation()
         closed = alg2_step(
             topo, group0_demand / 2, rotation, np.random.default_rng(7), CommandChannel(),
         )
         assert closed
-        assert all(h.current_level is PowerLevel.L1 for h in topo.homes_by_group[0])
-        assert all(h.current_level is PowerLevel.L5 for h in topo.homes_by_group[1])
+        assert (topo.fleet.level[topo.group_members[0]] == PowerLevel.L1).all()
+        assert (topo.fleet.level[topo.group_members[1]] == PowerLevel.L5).all()
         assert rotation.next_group_index == 1
 
     def test_uniform_choice_over_eligible_levels(self, class_models):
         # one smart home above 75% of rating: L4/L3/L2 equally likely
-        topo, home = self.one_home_topology(class_models)
+        topo, fleet = self.one_home_topology(class_models)
         counts = {PowerLevel.L4: 0, PowerLevel.L3: 0, PowerLevel.L2: 0}
         reps = 3000
         for k in range(reps):
-            home.current_level = PowerLevel.L5
-            home.ls_lh = False
+            fleet.level[0] = PowerLevel.L5
+            fleet.ls_lh[0] = False
             alg2_step(topo, 1.0, BaselineRotation(), np.random.default_rng(k), CommandChannel())
-            counts[home.current_level] += 1
+            counts[PowerLevel(fleet.level[0])] += 1
         for level, n in counts.items():
             assert abs(n / reps - 1 / 3) < 0.034, (level, n)
 
@@ -395,60 +456,58 @@ class TestAlg2Step:
             rng=np.random.default_rng(8), class_mix=(1.0, 0.0, 0.0),
         )
         rated = class_models["A"].rated_draws
-        set_hour_draws(topo.homes[0], rated * 0.85)
-        set_hour_draws(topo.homes[1], rated)  # biggest consumer
-        set_hour_draws(topo.homes[2], rated * 0.80)
+        # home 1 is the biggest consumer
+        set_hour_draws(topo.fleet, np.arange(3), np.array([rated * 0.85, rated, rated * 0.80]))
         alg2_step(topo, 1.0, BaselineRotation(), np.random.default_rng(9), CommandChannel())
-        assert topo.homes[1].current_level < PowerLevel.L5
-        assert topo.homes[0].current_level is PowerLevel.L5
-        assert topo.homes[2].current_level is PowerLevel.L5
+        level = topo.fleet.level
+        assert level[1] < PowerLevel.L5
+        assert level[0] == PowerLevel.L5
+        assert level[2] == PowerLevel.L5
 
     def test_consumption_tie_breaks_to_lower_id(self, class_models):
         topo = build_topology(
             class_models, n_homes=2, n_feeders=1, ap=1.0,
             rng=np.random.default_rng(10), class_mix=(1.0, 0.0, 0.0),
         )
-        for h in topo.homes:
-            set_hour_draws(h, h.model.rated_draws)
+        helpers.fill_draws(topo.fleet, 1.0)
         alg2_step(topo, 1.0, BaselineRotation(), np.random.default_rng(11), CommandChannel())
-        assert topo.homes[0].current_level < PowerLevel.L5
-        assert topo.homes[1].current_level is PowerLevel.L5
+        assert topo.fleet.level[0] < PowerLevel.L5
+        assert topo.fleet.level[1] == PowerLevel.L5
 
     def test_shed_last_hour_skipped_without_emergency(self, class_models):
-        topo, home = self.one_home_topology(class_models)
-        home.ls_lh = True
+        topo, fleet = self.one_home_topology(class_models)
+        fleet.ls_lh[0] = True
         closed = alg2_step(topo, 1.0, BaselineRotation(), np.random.default_rng(12), CommandChannel())
         assert not closed
-        assert home.current_level is PowerLevel.L5
+        assert fleet.level[0] == PowerLevel.L5
 
     def test_emergency_reaches_exempt_homes(self, class_models):
-        topo, home = self.one_home_topology(class_models)
-        home.ls_lh = True
+        topo, fleet = self.one_home_topology(class_models)
+        fleet.ls_lh[0] = True
         closed = alg2_step(
             topo, 1.0, BaselineRotation(), np.random.default_rng(13), CommandChannel(),
             emergency=True,
         )
         assert closed
-        assert home.current_level < PowerLevel.L5
+        assert fleet.level[0] < PowerLevel.L5
 
 
 class TestResetHourly:
     def test_restores_and_marks(self, class_models):
-        shed = fresh_home(class_models["A"], hid=0)
-        shed.current_level = PowerLevel.L3
-        shed.dlc_done = True
-        shed.sl_init = 44.0
-        untouched = fresh_home(class_models["A"], hid=1)
-        reset_hourly([shed, untouched])
-        assert shed.current_level is PowerLevel.L5
-        assert shed.ls_lh and not untouched.ls_lh
-        assert not shed.dlc_done
-        assert shed.sl_init is None
+        fleet = fresh_home(class_models["A"], n=2)  # home 0 shed, home 1 untouched
+        fleet.level[0] = PowerLevel.L3
+        fleet.dlc_done[0] = True
+        fleet.sl_init[0] = 44.0
+        reset_hourly(fleet)
+        assert (fleet.level == PowerLevel.L5).all()
+        assert fleet.ls_lh.tolist() == [True, False]
+        assert not fleet.dlc_done.any()
+        assert np.isnan(fleet.sl_init).all()
 
     def test_exemption_expires_after_one_hour(self, class_models):
-        home = fresh_home(class_models["A"])
-        home.current_level = PowerLevel.L2
-        reset_hourly([home])
-        assert home.ls_lh
-        reset_hourly([home])  # ended the second hour unshed
-        assert not home.ls_lh
+        fleet = fresh_home(class_models["A"])
+        fleet.level[0] = PowerLevel.L2
+        reset_hourly(fleet)
+        assert fleet.ls_lh[0]
+        reset_hourly(fleet)  # ended the second hour unshed
+        assert not fleet.ls_lh[0]

@@ -155,9 +155,7 @@ class TestOverheadPower:
 
 class TestCommandChannel:
     def make_home(self, class_models):
-        return Home(
-            id=0, model=class_models["A"], smart=True, transformer_id=0, feeder_id=0,
-        )
+        return Home(helpers.make_fleet(class_models["A"]), 0)
 
     def test_perfect_by_default(self, class_models):
         home = self.make_home(class_models)

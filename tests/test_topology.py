@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stressgrid.homes import set_hour_draws
+import helpers
 from stressgrid.levels import PowerLevel
 from stressgrid.topology import (
     SupplyModel,
+    _class_stream,
     build_topology,
     demand,
     served_demand,
@@ -38,7 +39,7 @@ class TestBuild:
             class_models, n_homes=1000, n_feeders=50, ap=0.9,
             rng=np.random.default_rng(123),
         )
-        assert sum(1 for h in topo.homes if h.smart) == 900
+        assert topo.fleet.smart.sum() == 900
 
     def test_group_partition(self, class_models):
         topo = build_topology(
@@ -47,8 +48,11 @@ class TestBuild:
         )
         seen = [f for g in topo.groups for f in g.feeder_ids]
         assert sorted(seen) == list(range(12))
-        by_group = sum(len(hs) for hs in topo.homes_by_group)
-        assert by_group == 120
+        members = np.concatenate(topo.group_members)
+        assert sorted(members) == list(range(120))
+        for gi, homes in enumerate(topo.group_members):
+            assert (topo.fleet.group[homes] == gi).all()
+            assert list(homes) == sorted(homes)
 
     def test_uneven_last_group(self, class_models):
         topo = build_topology(
@@ -63,22 +67,31 @@ class TestBuild:
             class_models, n_homes=300, n_feeders=10, ap=0.5,
             rng=np.random.default_rng(3),
         )
-        counts = {label: len(hs) for label, hs in topo.homes_by_class.items()}
-        assert counts == {"A": 100, "B": 100, "C": 100}
+        assert np.bincount(topo.fleet.cls).tolist() == [100, 100, 100]
 
     def test_single_class_mix(self, class_models):
         topo = build_topology(
             class_models, n_homes=30, n_feeders=3, ap=1.0,
             rng=np.random.default_rng(4), class_mix=(1.0, 0.0, 0.0),
         )
-        assert all(h.model.home_class.label == "A" for h in topo.homes)
+        assert all(topo.fleet.models[c].home_class.label == "A" for c in topo.fleet.cls)
 
     def test_deterministic_given_seed(self, class_models):
         kwargs = dict(n_homes=200, n_feeders=10, ap=0.6)
         a = build_topology(class_models, rng=np.random.default_rng(9), **kwargs)
         b = build_topology(class_models, rng=np.random.default_rng(9), **kwargs)
-        assert [h.smart for h in a.homes] == [h.smart for h in b.homes]
-        assert [h.feeder_id for h in a.homes] == [h.feeder_id for h in b.homes]
+        assert (a.fleet.smart == b.fleet.smart).all()
+        assert (a.fleet.cls == b.fleet.cls).all()
+        assert (a.fleet.group == b.fleet.group).all()
+
+    def test_class_stream_matches_sorted_deficits(self):
+        labels = "ABC"
+        for mix in [
+            (1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.5, 0.3, 0.2),
+            (0.2, 0.2, 0.6), (0.1, 0.45, 0.45), (0.25, 0.5, 0.25),
+        ]:
+            got = [labels[c] for c in _class_stream(3000, mix)]
+            assert got == helpers.class_stream_reference(3000, mix), mix
 
     def test_invalid_inputs(self, class_models):
         rng = np.random.default_rng(0)
@@ -101,38 +114,33 @@ class TestDemand:
             class_models, n_homes=40, n_feeders=4, ap=1.0,
             rng=np.random.default_rng(5), class_mix=(1.0, 0.0, 0.0),
         )
-        fixed = class_models["A"].rated_draws * 0.5
-        for h in topo.homes:
-            set_hour_draws(h, fixed)
+        helpers.fill_draws(topo.fleet, 0.5)
+        level = topo.fleet.level
 
-        levels_l1 = {h.id: PowerLevel.L1 for h in topo.homes}
-        unconstrained, served = demand(topo, levels_l1)
+        level[:] = PowerLevel.L1
+        unconstrained, served = demand(topo)
         assert served == 0.0
 
-        levels_l5 = {h.id: PowerLevel.L5 for h in topo.homes}
-        _, served = demand(topo, levels_l5)
+        level[:] = PowerLevel.L5
+        _, served = demand(topo)
         assert served == pytest.approx(unconstrained)
 
-        half = {
-            h.id: (PowerLevel.L1 if i < 20 else PowerLevel.L5)
-            for i, h in enumerate(topo.homes)
-        }
-        _, served = demand(topo, half)
+        level[:20] = PowerLevel.L1
+        _, served = demand(topo)
         assert served == pytest.approx(unconstrained / 2)
 
     def test_served_tracks_current_levels(self, small_topology):
         topo = small_topology()
         _, served_before = demand(topo)
         assert served_demand(topo) == pytest.approx(served_before)
-        topo.homes[0].current_level = PowerLevel.L1
+        topo.fleet.level[0] = PowerLevel.L1
         drop = demand(topo)[1]
         assert drop < served_before
 
     def test_served_never_exceeds_unconstrained(self, small_topology):
         topo = small_topology()
         rng = np.random.default_rng(6)
-        for h in topo.homes:
-            h.current_level = PowerLevel(int(rng.integers(1, 6)))
+        topo.fleet.level[:] = rng.integers(1, 6, len(topo.fleet))
         unconstrained, served = demand(topo)
         assert served <= unconstrained + 1e-9
 
