@@ -22,4 +22,4 @@ from .policies import (
 )
 from .topology import SupplyModel, Topology, build_topology, demand, stress_level
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
