@@ -134,11 +134,8 @@ def run(config: SimConfig) -> MetricsLog:
     channel = CommandChannel(link, config.protocol_distance_m, rng)
     policy = POLICIES[config.policy](topo, config)
     state = SimState(topology=topo, rng=rng, channel=channel)
-    gap_pct = (
-        100.0 * config.supply.gap_fraction
-        if config.supply.mode == "fractional_gap"
-        else float("nan")
-    )
+    supply = config.supply
+    gap_pct = 100.0 * supply.gap_fraction if supply.mode == "fractional_gap" else float("nan")
     log = MetricsLog(
         policy=config.policy,
         seed=config.seed,

@@ -147,9 +147,11 @@ def demand(topology: Topology) -> tuple[float, float]:
 
 
 def served_demand(topology: Topology) -> float:
-    """Served demand at the homes' current states."""
-    fleet = topology.fleet
-    return float(fleet.watts(np.arange(len(fleet))).sum())
+    """Served demand at the homes' current states; raises while draws are unset."""
+    total = float(topology.fleet.watts(np.arange(len(topology.fleet))).sum())
+    if math.isnan(total):
+        raise RuntimeError("hour draws not set")
+    return total
 
 
 def stress_level(demand_w: float, supply_w: float) -> float:

@@ -17,6 +17,7 @@ from stressgrid.homes import (
     set_hour_draws,
 )
 from stressgrid.levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
+from stressgrid.topology import build_topology, demand, served_demand
 
 
 class TestBuildDm:
@@ -108,11 +109,13 @@ class TestConsumption:
                 assert (fleet.level_watts[:, level - 1] <= cap + 1e-9).all()
 
     def test_unset_draws_rejected(self, class_models):
-        # before the hour's draws are set a home's watts are NaN, so no
-        # served-demand comparison can pass on them
-        fleet = make_fleet(class_models["A"])
-        assert np.isnan(fleet.watts(np.array([0]))).all()
-        assert not fleet.watts(np.array([0])).sum() <= 1e12
+        topo = build_topology(
+            class_models, n_homes=10, n_feeders=2, ap=0.5, rng=np.random.default_rng(3)
+        )
+        with pytest.raises(RuntimeError, match="hour draws not set"):
+            served_demand(topo)
+        with pytest.raises(RuntimeError, match="hour draws not set"):
+            demand(topo)
 
     def test_current_level_reads_and_writes_the_fleet(self, class_models):
         fleet = make_fleet(class_models["A"], 2)
