@@ -5,13 +5,12 @@ from .consumption import (
     EmpiricalCdf,
     filter_outliers,
     fit_cdf,
-    hourly_draw,
     sample_inverse,
 )
 from .engine import SimConfig, run
 from .homes import HOME_CLASSES, DisconnectivityMatrix, Fleet, Home, build_dm
 from .levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
-from .metrics import EdgeFractions, MetricsLog, level_distribution, mean_utility, sci, ulw
+from .metrics import EdgeFractions, MetricsLog, sci, ulw
 from .policies import (
     DistributionProfile,
     alg1_decisions,

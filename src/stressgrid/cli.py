@@ -15,7 +15,9 @@ import argparse
 import configparser
 import os
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -53,6 +55,9 @@ def derive_seed(base_seed: int, policy: str, gap_percent: float, ap: float, run_
 
 @dataclass
 class ExperimentSpec:
+    """A sweep: `base` holds the settings every run shares; each run's config
+    takes its policy, AP, supply gap and seed from its cell (`cell_config`)."""
+
     base: SimConfig
     policies: list[str] = field(default_factory=lambda: ["baseline", "distributed", "centralized"])
     gaps_percent: list[float] = field(default_factory=lambda: [10.0, 20.0, 30.0, 40.0])
@@ -67,6 +72,36 @@ class ExperimentSpec:
             for gap in self.gaps_percent
             for ap in self.aps
         ]
+
+    def configs(self) -> list[SimConfig]:
+        """Every run's config, cell by cell, runs innermost."""
+        return [
+            cell_config(self, policy, gap, ap, j)
+            for (policy, gap, ap) in self.cells()
+            for j in range(self.runs)
+        ]
+
+
+@contextmanager
+def _config_errors() -> Iterator[None]:
+    """Report a value type's ValueError as a ConfigError. The value types
+    (`SimConfig`, `SupplyModel`, `DistributionProfile`, `UtilityParams`)
+    are the one place where a range is checked."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
+    """Every run's config of `spec`; raises ConfigError if any is invalid."""
+    if spec.runs < 1:
+        raise ConfigError("runs must be at least 1")
+    for key, values in (("policies", spec.policies), ("gaps", spec.gaps_percent), ("aps", spec.aps)):
+        if not values:
+            raise ConfigError(f"{key} must list at least one value")
+    with _config_errors():
+        return spec.configs()
 
 
 def _parse_float_list(raw: str, key: str) -> list[float]:
@@ -93,7 +128,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "feeders": "50",
         "group_size": "10",
         "homes_per_transformer": "5",
-        "grid_stations": "5",
         "class_mix": "",
         "data_dir": "builtin",
     },
@@ -125,10 +159,11 @@ def _read_ini(path: Path) -> dict[str, dict[str, str]]:
 
 
 def parse_config(path: Path | str | None) -> ExperimentSpec:
-    """Parse and validate a config file into an ExperimentSpec.
+    """Parse a config file into an ExperimentSpec and check every run it
+    describes.
 
     With no path every documented default applies. Raises ConfigError on
-    unknown keys, malformed values or invalid combinations.
+    unknown keys, malformed values or out-of-range settings.
     """
     values: dict[str, dict[str, str]] = {}
     if path is not None:
@@ -137,15 +172,12 @@ def parse_config(path: Path | str | None) -> ExperimentSpec:
     def get(section: str, key: str) -> str:
         return values.get(section, {}).get(key, _SCHEMA[section][key])
 
-    def get_int(section: str, key: str, minimum: int = 1) -> int:
+    def get_int(section: str, key: str) -> int:
         raw = get(section, key)
         try:
-            v = int(raw)
+            return int(raw)
         except ValueError:
             raise ConfigError(f"bad integer for {key}: {raw!r}") from None
-        if v < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}")
-        return v
 
     def get_float(section: str, key: str) -> float:
         raw = get(section, key)
@@ -155,96 +187,53 @@ def parse_config(path: Path | str | None) -> ExperimentSpec:
             raise ConfigError(f"bad number for {key}: {raw!r}") from None
 
     mode = get("supply", "mode")
-    if mode not in ("fixed_capacity", "fractional_gap"):
-        raise ConfigError(f"unknown supply mode {mode!r}")
-    capacity_raw = get("supply", "capacity_w")
+    capacity_w, gaps = 0.0, [float("nan")]
     if mode == "fixed_capacity":
-        if not capacity_raw:
+        if not get("supply", "capacity_w"):
             raise ConfigError("missing required key 'capacity_w' for fixed_capacity supply")
-        supply = SupplyModel(mode="fixed_capacity", capacity_w=float(capacity_raw))
-        gaps = [float("nan")]
+        capacity_w = get_float("supply", "capacity_w")
     else:
         gaps = _parse_float_list(get("supply", "gaps"), "gaps")
-        if not gaps:
-            raise ConfigError("gaps must list at least one value")
-        for g in gaps:
-            if not 0.0 <= g < 100.0:
-                raise ConfigError(f"gap {g:g} outside [0, 100) percent")
-        supply = SupplyModel(mode="fractional_gap", gap_fraction=gaps[0] / 100.0)
 
     mix_raw = get("topology", "class_mix")
-    if mix_raw:
-        mix = tuple(_parse_float_list(mix_raw, "class_mix"))
-        if len(mix) != 3:
-            raise ConfigError("class_mix needs three fractions (A,B,C)")
-        if abs(sum(mix) - 1.0) > 1e-6:
-            raise ConfigError("class mix must sum to 1")
-    else:
-        mix = (1 / 3, 1 / 3, 1 / 3)
+    mix = tuple(_parse_float_list(mix_raw, "class_mix")) if mix_raw else (1 / 3, 1 / 3, 1 / 3)
 
     dp_raw = get("policy", "dp")
-    if dp_raw:
-        alphas = _parse_float_list(dp_raw, "dp")
-        if len(alphas) != 3:
-            raise ConfigError("dp needs three fractions (L4,L3,L2)")
-        try:
-            dp = DistributionProfile(*alphas)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    else:
-        dp = DistributionProfile(0.4, 0.3, 0.3)
+    alphas = _parse_float_list(dp_raw, "dp") if dp_raw else [0.4, 0.3, 0.3]
+    if len(alphas) != 3:
+        raise ConfigError("dp needs three fractions (L4,L3,L2)")
 
-    policies = [p.strip() for p in get("policy", "policies").split(",") if p.strip()]
-    if not policies:
-        raise ConfigError("policies must list at least one policy")
-    for p in policies:
-        if p not in POLICIES:
-            raise ConfigError(f"unknown policy {p!r}")
-
-    aps = _parse_float_list(get("sweep", "aps"), "aps")
-    if not aps:
-        raise ConfigError("aps must list at least one value")
-    for a in aps:
-        if not 0.0 <= a <= 1.0:
-            raise ConfigError(f"ap {a:g} outside [0, 1]")
-
-    try:
-        utility = UtilityParams(
-            u_max=get_float("utility", "u_max"),
-            th_u=get_float("utility", "th_u"),
-            th_l=get_float("utility", "th_l"),
-        )
+    with _config_errors():
         base = SimConfig(
             horizon_hours=get_int("simulation", "horizon_hours"),
             n_homes=get_int("topology", "homes"),
             n_feeders=get_int("topology", "feeders"),
             group_size=get_int("topology", "group_size"),
             homes_per_transformer=get_int("topology", "homes_per_transformer"),
-            n_grid_stations=get_int("topology", "grid_stations"),
             class_mix=mix,
             data_dir=get("topology", "data_dir"),
-            ap=aps[0],
-            supply=supply,
-            policy=policies[0],
-            dp=dp,
+            supply=SupplyModel(mode=mode, capacity_w=capacity_w),
+            dp=DistributionProfile(*alphas),
             reduction_factor=get_float("policy", "reduction_factor"),
-            utility=utility,
+            utility=UtilityParams(
+                u_max=get_float("utility", "u_max"),
+                th_u=get_float("utility", "th_u"),
+                th_l=get_float("utility", "th_l"),
+            ),
             protocol_emulation=_parse_bool(get("protocol", "emulate"), "emulate"),
             protocol_distance_m=get_float("protocol", "distance_m"),
-            seed=get_int("simulation", "seed", minimum=0),
-            runs=get_int("simulation", "runs"),
+            seed=get_int("simulation", "seed"),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         base=base,
-        policies=policies,
+        policies=[p.strip() for p in get("policy", "policies").split(",") if p.strip()],
         gaps_percent=gaps,
-        aps=aps,
+        aps=_parse_float_list(get("sweep", "aps"), "aps"),
         runs=get_int("simulation", "runs"),
         out_dir=get("output", "out_dir"),
     )
+    checked_configs(spec)
+    return spec
 
 
 def cell_config(spec: ExperimentSpec, policy: str, gap_percent: float, ap: float, run_index: int) -> SimConfig:
@@ -254,8 +243,9 @@ def cell_config(spec: ExperimentSpec, policy: str, gap_percent: float, ap: float
     else:
         supply = spec.base.supply
         gap_percent = 0.0  # fixed-capacity runs key their seeds on gap 0
-    seed = derive_seed(spec.base.seed, policy, gap_percent, ap, run_index)
-    return replace(spec.base, policy=policy, ap=ap, supply=supply, seed=seed)
+    # checked before the seed is derived, which needs a known policy
+    config = replace(spec.base, policy=policy, ap=ap, supply=supply)
+    return replace(config, seed=derive_seed(spec.base.seed, policy, gap_percent, ap, run_index))
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -271,11 +261,7 @@ def _worker_count(n_jobs: int) -> int:
 
 def run_sweep(spec: ExperimentSpec, quiet: bool = False) -> list[MetricsLog]:
     """Run every cell of the sweep; order-independent and deterministic."""
-    configs = [
-        cell_config(spec, policy, gap, ap, j)
-        for (policy, gap, ap) in spec.cells()
-        for j in range(spec.runs)
-    ]
+    configs = spec.configs()
     workers = _worker_count(len(configs))
     logs: list[MetricsLog]
     if workers <= 1:
@@ -311,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ap", type=float, default=None,
                         help="cell smart-home penetration in [0,1] (with --single)")
     parser.add_argument("--validate", action="store_true",
-                        help="parse and validate the config, then exit")
+                        help="check every run the other flags select, then exit")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
@@ -321,28 +307,22 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         spec = parse_config(args.config)
         if args.seed is not None:
-            spec.base = replace(spec.base, seed=args.seed)
+            with _config_errors():
+                spec = replace(spec, base=replace(spec.base, seed=args.seed))
         if args.runs is not None:
-            if args.runs < 1:
-                raise ConfigError("runs must be at least 1")
-            spec.runs = args.runs
+            spec = replace(spec, runs=args.runs)
         if args.out is not None:
-            spec.out_dir = str(args.out)
+            spec = replace(spec, out_dir=str(args.out))
         if args.single:
-            spec.policies = [args.policy or spec.policies[0]]
-            spec.gaps_percent = [args.gap if args.gap is not None else spec.gaps_percent[0]]
-            spec.aps = [args.ap if args.ap is not None else spec.aps[0]]
-            if spec.base.supply.mode == "fractional_gap":
-                for g in spec.gaps_percent:
-                    if not 0.0 <= g < 100.0:
-                        raise ConfigError(f"gap {g:g} outside [0, 100) percent")
-            for a in spec.aps:
-                if not 0.0 <= a <= 1.0:
-                    raise ConfigError(f"ap {a:g} outside [0, 1]")
-
-        n_cells = len(spec.cells())
+            spec = replace(
+                spec,
+                policies=[args.policy or spec.policies[0]],
+                gaps_percent=[args.gap if args.gap is not None else spec.gaps_percent[0]],
+                aps=[args.ap if args.ap is not None else spec.aps[0]],
+            )
+        checked_configs(spec)
         if args.validate:
-            print(f"config ok: {n_cells} cells x {spec.runs} runs")
+            print(f"config ok: {len(spec.cells())} cells x {spec.runs} runs")
             return 0
 
         logs = run_sweep(spec, quiet=args.quiet)

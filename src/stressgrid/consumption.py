@@ -63,17 +63,14 @@ def filter_outliers(samples: ApplianceSamples) -> ApplianceSamples:
 
     Only the upper tail is filtered: transient spikes inflate the corpus but
     low readings are legitimate idle states. Mean and deviation are computed
-    on the raw input. The result keeps the original ordering and is never
-    empty (the minimum can never exceed mean + 3 sigma).
+    on the raw input. The result keeps the original ordering and, for finite
+    readings, is never empty (the minimum can never exceed mean + 3 sigma).
     """
     values = samples.samples
     if values.size == 0:
         raise ValueError("no samples")
     threshold = values.mean() + 3.0 * values.std()
-    kept = values[values <= threshold]
-    if kept.size == 0:  # unreachable, kept as a guard
-        return ApplianceSamples(samples.appliance_name, values.copy())
-    return ApplianceSamples(samples.appliance_name, kept)
+    return ApplianceSamples(samples.appliance_name, values[values <= threshold])
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -140,33 +137,21 @@ def sample_inverse(cdf: EmpiricalCdf, u):
     Accepts a scalar or an array of quantiles in [0, 1).
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
+    if not np.all((u_arr >= 0.0) & (u_arr < 1.0)):
         raise ValueError("u must lie in [0, 1)")
-    idx = np.searchsorted(cdf.grid_f, u_arr, side="left")
-    idx = np.clip(idx, 0, cdf.grid_f.size - 1)
+    u_1d = np.atleast_1d(u_arr)
+    # grid_f ends at 1 > u, so every index is on the grid
+    idx = np.searchsorted(cdf.grid_f, u_1d, side="left")
+    out = cdf.grid_x[idx]  # u = 0 (index 0) maps to the grid start
     # linear interpolation between the bracketing grid points
-    if u_arr.ndim == 0:
-        i = int(idx)
-        if i == 0:
-            return float(cdf.grid_x[0])
-        f_lo, f_hi = cdf.grid_f[i - 1], cdf.grid_f[i]
-        x_lo, x_hi = cdf.grid_x[i - 1], cdf.grid_x[i]
-        return float(x_lo + (float(u_arr) - f_lo) / (f_hi - f_lo) * (x_hi - x_lo))
-    out = np.array(cdf.grid_x[idx], dtype=float)
     mask = idx > 0
     i = idx[mask]
     f_lo = cdf.grid_f[i - 1]
     f_hi = cdf.grid_f[i]
     x_lo = cdf.grid_x[i - 1]
     x_hi = cdf.grid_x[i]
-    out[mask] = x_lo + (u_arr[mask] - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
-    out[~mask] = cdf.grid_x[0]
-    return out
-
-
-def hourly_draw(cdf: EmpiricalCdf, rng: np.random.Generator) -> float:
-    """One hourly average draw in watts by inverse transform sampling."""
-    return float(sample_inverse(cdf, rng.random()))
+    out[mask] = x_lo + (u_1d[mask] - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
+    return out if u_arr.ndim else float(out[0])
 
 
 def read_samples_file(path: Path | str) -> ApplianceSamples:
@@ -179,10 +164,12 @@ def read_samples_file(path: Path | str) -> ApplianceSamples:
     if not name:
         raise ValueError(f"{path}: empty appliance name")
     try:
-        values = [float(s) for s in lines[1:] if s.strip()]
+        values = np.array([float(s) for s in lines[1:] if s.strip()])
     except ValueError as exc:
         raise ValueError(f"{path}: bad reading ({exc})") from None
-    return ApplianceSamples(name, np.asarray(values))
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: non-finite reading")
+    return ApplianceSamples(name, values)
 
 
 def load_class_samples(class_dir: Path | str) -> tuple[str, list[ApplianceSamples]]:

@@ -23,7 +23,7 @@ from . import corpus
 from .consumption import load_corpus, sample_inverse
 from .homes import ClassModel, build_class_model, set_hour_draws
 from .levels import PowerLevel, UtilityParams, utility
-from .metrics import HourRecord, MetricsLog, TraceEvent
+from .metrics import HourRecord, MetricsLog, TraceEvent, ulw
 from .policies import POLICIES, DistributionProfile, reset_hourly
 from .protocol import CommandChannel, LinkModel
 from .topology import SupplyModel, Topology, build_topology, served_demand, stress_level
@@ -38,7 +38,6 @@ class SimConfig:
     n_feeders: int = 50
     group_size: int = 10
     homes_per_transformer: int = 5
-    n_grid_stations: int = 5
     class_mix: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
     data_dir: str = "builtin"
     ap: float = 0.9
@@ -52,19 +51,25 @@ class SimConfig:
     protocol_emulation: bool = False
     protocol_distance_m: float = 10.0
     seed: int = 0
-    runs: int = 1
 
     def __post_init__(self) -> None:
-        if self.horizon_hours < 1:
-            raise ValueError("horizon_hours must be at least 1")
+        for name in ("horizon_hours", "n_homes", "n_feeders", "group_size", "homes_per_transformer"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
         if not 0.0 <= self.ap <= 1.0:
-            raise ValueError("ap must lie in [0, 1]")
+            raise ValueError(f"ap {self.ap:g} outside [0, 1]")
         if not 0.0 < self.reduction_factor <= 1.0:
-            raise ValueError("reduction_factor must lie in (0, 1]")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
+            raise ValueError(f"reduction_factor {self.reduction_factor:g} outside (0, 1]")
+        if len(self.class_mix) != 3:
+            raise ValueError("class_mix needs three fractions (A,B,C)")
+        if min(self.class_mix) < 0 or not abs(sum(self.class_mix) - 1.0) <= 1e-6:
+            raise ValueError("class mix must sum to 1 with no negative fraction")
+        if not self.protocol_distance_m >= 0:
+            raise ValueError(f"protocol_distance_m {self.protocol_distance_m:g} outside [0, inf)")
 
     def config_hash(self) -> str:
         parts = []
@@ -126,7 +131,6 @@ def run(config: SimConfig) -> MetricsLog:
         ap=config.ap,
         rng=rng,
         homes_per_transformer=config.homes_per_transformer,
-        n_grid_stations=config.n_grid_stations,
         group_size=config.group_size,
         class_mix=config.class_mix,
     )
@@ -185,7 +189,7 @@ def run(config: SimConfig) -> MetricsLog:
                 demand_w=demand_w,
                 capacity_w=capacity_w,
                 served_w=served_w,
-                ulw_w=max(0.0, capacity_w - served_w) if is_converged else 0.0,
+                ulw_w=ulw(capacity_w, served_w) if is_converged else 0.0,
                 level_counts=tuple(counts),
                 smart_level_counts=tuple(smart_counts),
                 mean_utility=sum(

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .levels import PowerLevel, UtilityParams, utility
+from .levels import PowerLevel
 
 LEVELS = list(PowerLevel)
 
@@ -56,23 +56,6 @@ class MetricsLog:
 def ulw(capacity_w: float, served_w: float) -> float:
     """Under-load wastage: supply left unused at the converged state."""
     return max(0.0, capacity_w - served_w)
-
-
-def level_distribution(levels: list[PowerLevel]) -> dict[PowerLevel, float]:
-    """Fraction of homes at each state; fractions sum to 1."""
-    if not levels:
-        raise ValueError("empty assignment")
-    n = len(levels)
-    counts = {lv: 0 for lv in LEVELS}
-    for lv in levels:
-        counts[lv] += 1
-    return {lv: counts[lv] / n for lv in LEVELS}
-
-
-def mean_utility(levels: list[PowerLevel], params: UtilityParams) -> float:
-    if not levels:
-        raise ValueError("empty assignment")
-    return sum(utility(lv, params) for lv in levels) / len(levels)
 
 
 @dataclass(frozen=True)

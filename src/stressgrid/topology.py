@@ -1,11 +1,11 @@
 """Distribution-grid topology and the supply model.
 
-The tree is grid stations -> feeders -> transformers -> homes, built
-deterministically: homes are placed round-robin onto transformers (and
-transformers onto feeders, feeders onto stations), classes are assigned by
-a largest-deficit quota stream, and smart-controller flags are dealt to an
-exact quota of homes chosen by a seeded shuffle. Feeders are grouped in
-consecutive chunks; shedding policies act on those groups.
+The tree is feeders -> transformers -> homes, built deterministically:
+homes are placed round-robin onto transformers and transformers onto
+feeders, classes are assigned by a largest-deficit quota stream, and
+smart-controller flags are dealt to an exact quota of homes chosen by a
+seeded shuffle. Feeders are grouped in consecutive chunks; shedding
+policies act on those groups.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ class SupplyModel:
     def __post_init__(self) -> None:
         if self.mode not in ("fixed_capacity", "fractional_gap"):
             raise ValueError(f"unknown supply mode {self.mode!r}")
-        if self.mode == "fixed_capacity" and self.capacity_w < 0:
-            raise ValueError("capacity_w must be non-negative")
+        if self.mode == "fixed_capacity" and not self.capacity_w >= 0:
+            raise ValueError(f"capacity_w {self.capacity_w:g} outside [0, inf)")
         if not 0.0 <= self.gap_fraction < 1.0:
-            raise ValueError("gap_fraction must lie in [0, 1)")
+            raise ValueError(f"gap_fraction {self.gap_fraction:g} outside [0, 1)")
 
     def capacity_for(self, demand_w: float) -> float:
         if self.mode == "fixed_capacity":
@@ -62,8 +62,6 @@ class SupplyModel:
 @dataclass
 class Topology:
     fleet: Fleet
-    feeder_of_transformer: list[int]
-    station_of_feeder: list[int]
     groups: list[FeederGroup]
     group_members: list[np.ndarray] = field(init=False, repr=False)  # ids per group
 
@@ -103,23 +101,12 @@ def build_topology(
     ap: float,
     rng: np.random.Generator,
     homes_per_transformer: int = 5,
-    n_grid_stations: int = 5,
     group_size: int = GROUP_SIZE,
     class_mix: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3),
 ) -> Topology:
-    """Build the tree; `ap` is the fraction of homes given smart control."""
-    if n_homes <= 0:
-        raise ValueError("need at least one home")
-    if n_feeders <= 0:
-        raise ValueError("need at least one feeder")
-    if not 0.0 <= ap <= 1.0:
-        raise ValueError("ap must lie in [0, 1]")
-    if abs(sum(class_mix) - 1.0) > 1e-6:
-        raise ValueError("class mix must sum to 1")
-
+    """Build the tree; `ap` is the fraction of homes given smart control.
+    The arguments are taken as checked, as `SimConfig` checks them."""
     n_transformers = math.ceil(n_homes / homes_per_transformer)
-    feeder_of_transformer = [t % n_feeders for t in range(n_transformers)]
-    station_of_feeder = [f % max(1, n_grid_stations) for f in range(n_feeders)]
 
     labels = sorted(HOME_CLASSES)
     cls = _class_stream(n_homes, class_mix)
@@ -136,7 +123,7 @@ def build_topology(
     ]
     models = tuple(class_models.get(label) for label in labels)
     fleet = Fleet(models, cls, smart, group=feeder // group_size)
-    return Topology(fleet, feeder_of_transformer, station_of_feeder, groups)
+    return Topology(fleet, groups)
 
 
 def demand(topology: Topology) -> tuple[float, float]:

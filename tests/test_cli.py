@@ -212,6 +212,26 @@ class TestMain:
         code = main(["--config", str(p), "--single", "--gap", "150", "--validate"])
         assert code == 1
 
+    @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["run", "validate"])
+    @pytest.mark.parametrize("ini, args", [
+        pytest.param("[supply]\nmode = fixed_capacity\ncapacity_w = -5\n", [], id="capacity-negative"),
+        pytest.param("[supply]\nmode = fixed_capacity\ncapacity_w = lots\n", [], id="capacity-word"),
+        pytest.param("[topology]\ngrid_stations = 5\n", [], id="grid-stations-key"),
+        pytest.param("[simulation]\nruns = 0\n", [], id="runs-zero-ini"),
+        pytest.param("[sweep]\naps =\n", [], id="aps-empty"),
+        pytest.param("", ["--seed", "-1"], id="seed-negative"),
+        pytest.param(TINY, ["--runs", "0"], id="runs-zero"),
+        pytest.param(TINY, ["--single", "--gap", "150"], id="single-gap"),
+        pytest.param(TINY, ["--single", "--ap", "1.5"], id="single-ap"),
+    ])
+    def test_bad_settings_are_config_errors(self, tmp_path, capsys, ini, args, validate):
+        p = write_config(tmp_path, ini)
+        out = tmp_path / "results"
+        assert main(["--config", str(p), "--out", str(out), "--quiet", *args, *validate]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRunSweep:
     def test_logs_cover_every_cell_and_run(self, tmp_path):

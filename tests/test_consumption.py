@@ -17,13 +17,13 @@ from stressgrid.consumption import (
     EmpiricalCdf,
     filter_outliers,
     fit_cdf,
-    hourly_draw,
     load_class_samples,
     load_corpus,
     read_samples_file,
     sample_inverse,
     silverman_bandwidth,
 )
+from stressgrid.corpus import write_synthetic_corpus
 
 
 def make(values, name="x"):
@@ -163,9 +163,9 @@ class TestHourlyDraw:
     def test_deterministic_given_seed(self):
         cdf = fit_cdf(make(np.random.default_rng(4).normal(80, 10, 2000)))
         rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-        seq1 = [hourly_draw(cdf, rng1) for _ in range(10)]
-        seq2 = [hourly_draw(cdf, rng2) for _ in range(10)]
-        assert seq1 == seq2
+        seq1 = sample_inverse(cdf, rng1.random(10))
+        seq2 = sample_inverse(cdf, rng2.random(10))
+        assert seq1.tolist() == seq2.tolist()
 
     def test_mean_tracks_source(self):
         # Oracle: the mean of the (already inlier) input samples.
@@ -232,6 +232,13 @@ class TestFileFormat:
 
     def test_empty_corpus_root(self, tmp_path):
         with pytest.raises(ValueError, match="no class manifests"):
+            load_corpus(tmp_path)
+
+    def test_non_finite_reading_names_file(self, tmp_path):
+        # one nan would make the appliance's CDF all-NaN, and every draw with it
+        path = write_synthetic_corpus(tmp_path) / "class_b" / "refrigerator.txt"
+        path.write_text(path.read_text() + "nan\n")
+        with pytest.raises(ValueError, match=f"{path.name}: non-finite reading"):
             load_corpus(tmp_path)
 
 

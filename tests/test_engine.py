@@ -199,8 +199,15 @@ class TestConfig:
             cfg(ap=1.2)
         with pytest.raises(ValueError, match="reduction_factor"):
             cfg(reduction_factor=0.0)
-        with pytest.raises(ValueError, match="runs"):
-            cfg(runs=0)
+        with pytest.raises(ValueError, match="seed"):
+            cfg(seed=-1)
+        for mix in ((float("nan"), 0.5, 0.5), (-0.5, 1.0, 0.5)):
+            with pytest.raises(ValueError, match="class mix"):
+                cfg(class_mix=mix)
+        # a NaN distance would give a NaN delivery probability, which the
+        # channel runs as a perfect link
+        with pytest.raises(ValueError, match="protocol_distance_m"):
+            cfg(protocol_distance_m=float("nan"))
 
     def test_hash_tracks_fields(self):
         assert cfg().config_hash() == cfg().config_hash()

@@ -1,4 +1,4 @@
-"""Metric formulas and report files, on hand-built logs."""
+"""Metric formulas and report files, on hand-built logs and small runs."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import csv
 
 import pytest
 
-from stressgrid.levels import PowerLevel, UtilityParams
+from stressgrid.engine import SimConfig, run
+from stressgrid.levels import PowerLevel, UtilityParams, utility
 from stressgrid.metrics import (
     EdgeFractions,
     HourRecord,
@@ -15,13 +16,12 @@ from stressgrid.metrics import (
     day_mean_utility,
     day_ulw_wh,
     fractional_decrease,
-    level_distribution,
-    mean_utility,
     sci,
     ulw,
     write_report,
     write_run_csv,
 )
+from stressgrid.topology import SupplyModel
 
 
 def hour(h, counts, *, ulw_w=0.0, util=1.0, emergency=False):
@@ -50,28 +50,37 @@ class TestFormulas:
         assert ulw(100.0, 120.0) == 0.0  # pre-convergence floor
 
     def test_level_distribution(self):
-        dist = level_distribution([PowerLevel.L5] * 4)
-        assert dist[PowerLevel.L5] == 1.0
-        half = level_distribution([PowerLevel.L1, PowerLevel.L5])
+        all_l5 = day_fractions(make_log(hours=[hour(0, (0, 0, 0, 0, 4))]))
+        assert all_l5[PowerLevel.L5] == 1.0
+        half = day_fractions(make_log(hours=[hour(0, (1, 0, 0, 0, 1))]))
         assert half[PowerLevel.L1] == 0.5
         assert half[PowerLevel.L5] == 0.5
         assert sum(half.values()) == pytest.approx(1.0)
 
     def test_level_distribution_permutation_invariant(self):
-        levels = [PowerLevel.L1, PowerLevel.L3, PowerLevel.L5, PowerLevel.L3]
-        assert level_distribution(levels) == level_distribution(levels[::-1])
-
-    def test_level_distribution_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            level_distribution([])
+        hours = [hour(0, (1, 0, 2, 0, 1)), hour(1, (0, 1, 0, 3, 0)), hour(2, (2, 0, 0, 0, 2))]
+        assert day_fractions(make_log(hours=hours)) == day_fractions(make_log(hours=hours[::-1]))
 
     def test_mean_utility_points(self):
+        # an hour's mean utility is its utility-weighted level counts per home
         p = UtilityParams(1.0, 0.6, 0.4)
-        assert mean_utility([PowerLevel.L5] * 3, p) == 1.0
-        assert mean_utility([PowerLevel.L1] * 3, p) == 0.0
-        assert mean_utility([PowerLevel.L5, PowerLevel.L1], p) == 0.5
-        with pytest.raises(ValueError, match="empty"):
-            mean_utility([], p)
+        shared = dict(horizon_hours=2, n_homes=40, n_feeders=4, group_size=2, utility=p, seed=3)
+
+        def hourly(policy, supply):
+            log = run(SimConfig(policy=policy, supply=supply, **shared))
+            return [(rec.mean_utility, rec.level_counts) for rec in log.hours]
+
+        calm = hourly("baseline", SupplyModel(mode="fractional_gap", gap_fraction=0.0))
+        assert [u for u, _ in calm] == [1.0, 1.0]
+        dark = hourly("baseline", SupplyModel(mode="fixed_capacity", capacity_w=0.0))
+        assert [u for u, _ in dark] == [0.0, 0.0]
+        # baseline only cuts homes to L1, so utility is the L5 share
+        for u, counts in hourly("baseline", SupplyModel(mode="fractional_gap", gap_fraction=0.3)):
+            assert 0 < counts[0] < 40
+            assert u == pytest.approx(counts[4] / 40)
+        for u, counts in hourly("distributed", SupplyModel(mode="fractional_gap", gap_fraction=0.3)):
+            weighted = sum(utility(lv, p) * counts[lv - 1] for lv in PowerLevel)
+            assert u == pytest.approx(weighted / 40)
 
     def test_fractional_decrease(self):
         assert fractional_decrease(0.2, 0.03) == pytest.approx(85.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+from stressgrid.engine import SimConfig
 from stressgrid.levels import PowerLevel
 from stressgrid.topology import (
     SupplyModel,
@@ -93,19 +94,20 @@ class TestBuild:
             got = [labels[c] for c in _class_stream(3000, mix)]
             assert got == helpers.class_stream_reference(3000, mix), mix
 
-    def test_invalid_inputs(self, class_models):
-        rng = np.random.default_rng(0)
+    def test_invalid_inputs(self):
+        # build_topology takes its inputs as checked: SimConfig checks them
         with pytest.raises(ValueError, match="home"):
-            build_topology(class_models, n_homes=0, n_feeders=5, ap=0.5, rng=rng)
+            SimConfig(n_homes=0)
         with pytest.raises(ValueError, match="feeder"):
-            build_topology(class_models, n_homes=10, n_feeders=0, ap=0.5, rng=rng)
+            SimConfig(n_feeders=0)
         with pytest.raises(ValueError, match="ap"):
-            build_topology(class_models, n_homes=10, n_feeders=5, ap=1.5, rng=rng)
+            SimConfig(ap=1.5)
         with pytest.raises(ValueError, match="mix"):
-            build_topology(
-                class_models, n_homes=10, n_feeders=5, ap=0.5, rng=rng,
-                class_mix=(0.5, 0.5, 0.5),
-            )
+            SimConfig(class_mix=(0.5, 0.5, 0.5))
+        with pytest.raises(ValueError, match="group_size"):
+            SimConfig(group_size=0)
+        with pytest.raises(ValueError, match="homes_per_transformer"):
+            SimConfig(homes_per_transformer=0)
 
 
 class TestDemand:
