@@ -16,7 +16,6 @@ from .policies import (
     alg1_decisions,
     alg2_step,
     baseline_step,
-    eligible_lower_levels,
     reset_hourly,
 )
 from .topology import SupplyModel, Topology, build_topology, demand, stress_level

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .consumption import MANIFEST_NAME
 from .engine import SimConfig, run
 from .levels import UtilityParams
 from .metrics import MetricsLog, write_report
@@ -100,6 +101,9 @@ def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
     for key, values in (("policies", spec.policies), ("gaps", spec.gaps_percent), ("aps", spec.aps)):
         if not values:
             raise ConfigError(f"{key} must list at least one value")
+    data_dir = spec.base.data_dir
+    if data_dir != "builtin" and not any(Path(data_dir).glob(f"*/{MANIFEST_NAME}")):
+        raise ConfigError(f"data_dir {data_dir!r} is neither 'builtin' nor a directory of class manifests")
     with _config_errors():
         return spec.configs()
 
@@ -191,6 +195,8 @@ def parse_config(path: Path | str | None) -> ExperimentSpec:
     if mode == "fixed_capacity":
         if not get("supply", "capacity_w"):
             raise ConfigError("missing required key 'capacity_w' for fixed_capacity supply")
+        if "gaps" in values.get("supply", {}):
+            raise ConfigError("key 'gaps' does not apply to fixed_capacity supply")
         capacity_w = get_float("supply", "capacity_w")
     else:
         gaps = _parse_float_list(get("supply", "gaps"), "gaps")
@@ -314,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             spec = replace(spec, out_dir=str(args.out))
         if args.single:
+            if args.gap is not None and spec.base.supply.mode == "fixed_capacity":
+                raise ConfigError("--gap does not apply to fixed_capacity supply")
             spec = replace(
                 spec,
                 policies=[args.policy or spec.policies[0]],

@@ -22,6 +22,12 @@ from scipy.special import ndtr
 GRID_POINTS = 512
 MANIFEST_NAME = "manifest.txt"
 
+# Buckets of a guide table. A power of two, so int(u * GUIDE_BUCKETS) is
+# exactly the bucket of u.
+GUIDE_BUCKETS = 4096
+# Rows of quantiles inverted at a time, which bounds the temporaries.
+BLOCK_ROWS = 2048
+
 # Bandwidth used when the rule of thumb degenerates (all samples equal).
 _DEGENERATE_BANDWIDTH = 1e-2
 
@@ -131,27 +137,88 @@ def fit_cdf(
     return EmpiricalCdf(grid_x=grid, grid_f=f, bandwidth=h)
 
 
-def sample_inverse(cdf: EmpiricalCdf, u):
-    """Generalized inverse: smallest grid x with F(x) >= u, interpolated.
+@dataclass(frozen=True, eq=False)
+class CdfTable:
+    """Several CDFs' grids stacked, one row per CDF, with a guide table
+    (Chen & Asau 1974) for inverting them.
 
-    Accepts a scalar or an array of quantiles in [0, 1).
+    guide[j, b] is the index of the first point of CDF j whose F reaches
+    b / GUIDE_BUCKETS, for b = 0 .. GUIDE_BUCKETS, stored in the smallest
+    unsigned type that holds it. The first point with F >= u therefore
+    lies between the entries of u's bucket and of the next bucket.
+    """
+
+    grid_x: np.ndarray
+    grid_f: np.ndarray
+    guide: np.ndarray
+
+    @classmethod
+    def stack(cls, cdfs: list[EmpiricalCdf]) -> CdfTable:
+        grid_x = np.stack([c.grid_x for c in cdfs])
+        grid_f = np.stack([c.grid_f for c in cdfs])
+        edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+        guide = np.stack([np.searchsorted(f, edges, side="left") for f in grid_f])
+        return cls(grid_x, grid_f, guide.astype(np.min_scalar_type(grid_f.shape[1])))
+
+
+def sample_inverse(cdf: EmpiricalCdf | CdfTable, u):
+    """Generalized inverse: smallest grid x with F(x) >= u, interpolated
+    linearly from the grid point before it. If that is the grid start (as
+    for u = 0), the result is the grid start.
+
+    With an EmpiricalCdf, `u` is a scalar or an array of quantiles in
+    [0, 1) and the result has its shape. With a CdfTable, `u` is a
+    (rows, CDFs) block whose column j is inverted through CDF j.
     """
     u_arr = np.asarray(u, dtype=float)
-    if not np.all((u_arr >= 0.0) & (u_arr < 1.0)):
-        raise ValueError("u must lie in [0, 1)")
-    u_1d = np.atleast_1d(u_arr)
-    # grid_f ends at 1 > u, so every index is on the grid
-    idx = np.searchsorted(cdf.grid_f, u_1d, side="left")
-    out = cdf.grid_x[idx]  # u = 0 (index 0) maps to the grid start
-    # linear interpolation between the bracketing grid points
-    mask = idx > 0
-    i = idx[mask]
-    f_lo = cdf.grid_f[i - 1]
-    f_hi = cdf.grid_f[i]
-    x_lo = cdf.grid_x[i - 1]
-    x_hi = cdf.grid_x[i]
-    out[mask] = x_lo + (u_1d[mask] - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
-    return out if u_arr.ndim else float(out[0])
+    if isinstance(cdf, CdfTable):
+        if u_arr.ndim != 2 or u_arr.shape[1] != len(cdf.grid_f):
+            raise ValueError(f"u must be a (rows, {len(cdf.grid_f)}) block")
+        return _invert(cdf, u_arr)
+    out = _invert(CdfTable.stack([cdf]), u_arr.reshape(-1, 1))
+    return out.reshape(u_arr.shape) if u_arr.ndim else float(out[0, 0])
+
+
+def _invert(table: CdfTable, u: np.ndarray) -> np.ndarray:
+    """`sample_inverse` of a (rows, CDFs) block, BLOCK_ROWS rows at a time.
+
+    Each u starts at its bucket's guide entry, which is the answer for
+    most draws, and steps once while F there is below u; the few draws in
+    buckets holding two or more grid points bisect up to the next entry.
+    """
+    n, points = table.grid_f.shape
+    flat_x, flat_f, guide = table.grid_x.ravel(), table.grid_f.ravel(), table.guide.ravel()
+    guide_row = np.arange(n) * (GUIDE_BUCKETS + 1)
+    starts = np.arange(n) * points
+    start_f = table.grid_f[:, 0].max()
+    out = np.empty(u.shape)
+    for first in range(0, len(u), BLOCK_ROWS):
+        block = u[first : first + BLOCK_ROWS]
+        least = block.min()
+        if not (least >= 0.0 and block.max() < 1.0):
+            raise ValueError("u must lie in [0, 1)")
+        # exact: GUIDE_BUCKETS is a power of two
+        key = (block * GUIDE_BUCKETS).astype(np.intp) + guide_row
+        idx = guide[key] + starts
+        idx += flat_f[idx] < block
+        f_hi = flat_f[idx]
+        lag = np.flatnonzero(f_hi < block)
+        if lag.size:
+            # F[lo] < u <= F[hi] throughout
+            lo, u_lag = idx.ravel()[lag], block.ravel()[lag]
+            hi = guide[key.ravel()[lag] + 1] + starts[lag % n]
+            while np.any(hi - lo > 1):
+                mid = (lo + hi) >> 1
+                below = flat_f[mid] < u_lag
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            idx.ravel()[lag] = hi
+            f_hi.ravel()[lag] = flat_f[hi]
+        # the point before a grid start is another CDF's; fixed below
+        f_lo, x_lo, x_hi = flat_f[idx - 1], flat_x[idx - 1], flat_x[idx]
+        out[first : first + BLOCK_ROWS] = x_lo + (block - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
+        if least <= start_f:
+            np.copyto(out[first : first + BLOCK_ROWS], x_hi, where=idx == starts)
+    return out
 
 
 def read_samples_file(path: Path | str) -> ApplianceSamples:

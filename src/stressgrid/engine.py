@@ -116,8 +116,7 @@ def _refresh_draws(topology: Topology, rng: np.random.Generator) -> None:
         if not homes.size:
             continue
         u = rng.random((homes.size, model.n_appliances))
-        draws = [sample_inverse(cdf, u[:, j]) for j, cdf in enumerate(model.cdfs)]
-        set_hour_draws(fleet, homes, np.column_stack(draws))
+        set_hour_draws(fleet, homes, sample_inverse(model.table, u))
 
 
 def run(config: SimConfig) -> MetricsLog:

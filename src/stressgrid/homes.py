@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consumption import ApplianceSamples, EmpiricalCdf, filter_outliers, fit_cdf, sample_inverse
+from .consumption import ApplianceSamples, CdfTable, EmpiricalCdf, filter_outliers, fit_cdf, sample_inverse
 from .levels import CAP_FRACTION, PowerLevel
 
 RATED_QUANTILE = 0.95
@@ -85,6 +85,7 @@ class ClassModel:
     home_class: HomeClass
     appliance_names: list[str]
     cdfs: list[EmpiricalCdf]
+    table: CdfTable  # the cdfs stacked, for drawing every appliance at once
     rated_draws: np.ndarray
     dm: DisconnectivityMatrix
     conn_matrix: np.ndarray  # (n_appliances, 5) 0/1, column per level
@@ -108,7 +109,8 @@ def build_class_model(
         )
     filtered = [filter_outliers(s) for s in samples]
     cdfs = [fit_cdf(s, bandwidth=bandwidth) for s in filtered]
-    rated = np.array([sample_inverse(c, RATED_QUANTILE) for c in cdfs])
+    table = CdfTable.stack(cdfs)
+    rated = sample_inverse(table, np.full((1, len(cdfs)), RATED_QUANTILE))[0]
     dm = build_dm(home_class, rated)
     conn = np.zeros((home_class.appliance_count, 5))
     for level in PowerLevel:
@@ -117,6 +119,7 @@ def build_class_model(
         home_class=home_class,
         appliance_names=[s.appliance_name for s in filtered],
         cdfs=cdfs,
+        table=table,
         rated_draws=rated,
         dm=dm,
         conn_matrix=conn,
@@ -185,7 +188,7 @@ def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
     Draws are clamped at each appliance's rated value (the rating is what
     the state caps are guaranteed against) and scaled down in proportion if
     the total would exceed the meter rating. The watts at each state are
-    summed appliance by appliance in index order.
+    the connected appliances' draws summed in index order.
     """
     model = fleet.models[fleet.cls[homes[0]]]
     draws = np.minimum(np.asarray(draws, dtype=float), model.rated_draws)
@@ -193,8 +196,10 @@ def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
     rating = model.home_class.rating_w
     over = total > rating
     draws[over] *= (rating / total[over])[:, None]
-    watts = np.zeros((len(draws), len(PowerLevel)))
-    for column, connected in zip(draws.T, model.conn_matrix):
-        watts += column[:, None] * connected
-    fleet.level_watts[homes] = watts
+    columns = np.ascontiguousarray(draws.T)
+    watts = np.zeros((len(PowerLevel), len(draws)))
+    for row, connected in zip(watts, model.conn_matrix.T):
+        for a in np.flatnonzero(connected):
+            row += columns[a]
+    fleet.level_watts[homes] = watts.T
     return draws

@@ -21,13 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .homes import Fleet, Home
-from .levels import PowerLevel
+from .levels import CAP_FRACTION, PowerLevel
 from .protocol import CommandChannel
 from .topology import Topology, served_demand
 
 MIN_STRESS = 5.0
 REDUCTION_FACTOR = 0.5
 LATE_ROUNDS_PER_PASS = 5  # smart-home rounds after the first two
+
+_LEVEL = (None, *PowerLevel)  # _LEVEL[k] is state Lk
+_LOWER_CAPS = np.array([CAP_FRACTION[lv] for lv in PowerLevel][:-1])  # L1..L4, ascending
 
 
 @dataclass(frozen=True)
@@ -198,18 +201,20 @@ def alg1_round(
     target = alg1_decisions(fleet, smart, sl, dp, emergency, r)
     moving = np.flatnonzero(target)
     for i, level in zip(smart[moving].tolist(), target[moving].tolist()):
-        channel.apply(Home(fleet, i), PowerLevel(level))
+        channel.apply(Home(fleet, i), _LEVEL[level])
 
 
-def eligible_lower_levels(
-    consumption_fraction: float, emergency: bool = False
-) -> list[PowerLevel]:
-    """States whose cap sits strictly below the home's current consumption
-    fraction. Without an emergency the choice is limited to L4/L3/L2."""
-    levels = [PowerLevel.L4, PowerLevel.L3, PowerLevel.L2]
-    if emergency:
-        levels.append(PowerLevel.L1)
-    return [lv for lv in levels if lv.cap_fraction < consumption_fraction]
+def eligible_lower_runs(
+    level: np.ndarray, consumption_fraction: np.ndarray, emergency: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The states each home may be stepped down to: those below its `level`
+    whose cap sits strictly below its consumption fraction, limited to
+    L4/L3/L2 without an emergency. As the caps rise with the state, these
+    form the run top, top - 1, ..., top - count + 1; returns (top, count),
+    with count <= 0 when no state is eligible."""
+    top = np.minimum(level - 1, np.searchsorted(_LOWER_CAPS, consumption_fraction, side="left"))
+    lowest = PowerLevel.L1 if emergency else PowerLevel.L2
+    return top, top - lowest + 1
 
 
 def alg2_step(
@@ -230,6 +235,7 @@ def alg2_step(
     pointer advances past every group visited.
     """
     fleet = topology.fleet
+    rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in fleet.models])
     gap = delta_gap_w
     groups = topology.groups
     idx = rotation.next_group_index
@@ -246,21 +252,21 @@ def alg2_step(
         candidates = members[fleet.smart[members] & (emergency | ~fleet.ls_lh[members])]
         watts = fleet.watts(candidates)
         order = np.lexsort((candidates, -watts))
-        candidates = candidates[order]
-        for i, current, level, c in zip(
-            candidates.tolist(), watts[order].tolist(),
-            fleet.level[candidates].tolist(), fleet.cls[candidates].tolist(),
+        candidates, watts = candidates[order], watts[order]
+        top, count = eligible_lower_runs(
+            fleet.level[candidates], watts / rating_w[fleet.cls[candidates]], emergency
+        )
+        for i, current, hi, k, level_watts in zip(
+            candidates.tolist(), watts.tolist(), top.tolist(), count.tolist(),
+            fleet.level_watts[candidates].tolist(),
         ):
             if gap <= 0:
                 break
-            rating = fleet.models[c].home_class.rating_w
-            eligible = eligible_lower_levels(current / rating, emergency)
-            eligible = [lv for lv in eligible if lv < level]
-            if not eligible:
+            if k <= 0:
                 continue
-            new = eligible[int(rng.integers(0, len(eligible)))]
-            if channel.apply(Home(fleet, i), new):
-                gap -= current - float(fleet.level_watts[i, new - 1])
+            new = hi - int(rng.integers(0, k))
+            if channel.apply(Home(fleet, i), _LEVEL[new]):
+                gap -= current - level_watts[new - 1]
     rotation.next_group_index = (idx + visited) % len(groups)
     return gap <= 0
 

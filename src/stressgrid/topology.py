@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,10 +73,11 @@ class Topology:
         self.group_members = np.split(by_group, ends[:-1])
 
 
+@lru_cache(maxsize=8)
 def _class_stream(n_homes: int, class_mix: tuple[float, ...]) -> np.ndarray:
     """Deterministic interleaved class indices honoring the mix quotas: each
     home takes the class furthest below its quota so far, ties going to the
-    lower label."""
+    lower label. Cached, so the array is read-only."""
     mix_a, mix_b, mix_c = class_mix
     n_a = n_b = n_c = 0
     out = bytearray(n_homes)
@@ -91,7 +93,7 @@ def _class_stream(n_homes: int, class_mix: tuple[float, ...]) -> np.ndarray:
         else:
             n_c += 1
             out[i] = 2
-    return np.frombuffer(out, dtype=np.uint8).astype(np.intp)
+    return np.frombuffer(bytes(out), dtype=np.uint8)
 
 
 def build_topology(
@@ -109,7 +111,7 @@ def build_topology(
     n_transformers = math.ceil(n_homes / homes_per_transformer)
 
     labels = sorted(HOME_CLASSES)
-    cls = _class_stream(n_homes, class_mix)
+    cls = _class_stream(n_homes, tuple(class_mix)).astype(np.intp)
     missing = {labels[c] for c in np.unique(cls)} - set(class_models)
     if missing:
         raise ValueError(f"no class model for class {', '.join(sorted(missing))}")

@@ -82,6 +82,38 @@ def alg1_home_decision(
     return None
 
 
+def eligible_lower_levels(
+    consumption_fraction: float, emergency: bool = False
+) -> list[PowerLevel]:
+    """Scalar reference of the step-down choice, which
+    `policies.eligible_lower_runs` computes for many homes at once: the
+    states whose cap sits strictly below the home's consumption fraction,
+    highest first; without an emergency only L4/L3/L2."""
+    levels = [PowerLevel.L4, PowerLevel.L3, PowerLevel.L2]
+    if emergency:
+        levels.append(PowerLevel.L1)
+    return [lv for lv in levels if lv.cap_fraction < consumption_fraction]
+
+
+def sample_inverse_reference(cdf, u):
+    """Reference of `consumption.sample_inverse` on one CDF: a binary search
+    over the whole grid for each u, then the same interpolation."""
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all((u_arr >= 0.0) & (u_arr < 1.0)):
+        raise ValueError("u must lie in [0, 1)")
+    u_1d = np.atleast_1d(u_arr)
+    idx = np.searchsorted(cdf.grid_f, u_1d, side="left")
+    out = cdf.grid_x[idx]
+    mask = idx > 0
+    i = idx[mask]
+    f_lo = cdf.grid_f[i - 1]
+    f_hi = cdf.grid_f[i]
+    x_lo = cdf.grid_x[i - 1]
+    x_hi = cdf.grid_x[i]
+    out[mask] = x_lo + (u_1d[mask] - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
+    return out if u_arr.ndim else float(out[0])
+
+
 def class_stream_reference(n_homes: int, class_mix) -> list[str]:
     """Sort-based reference of the topology's class stream: each home takes
     the label with the largest quota deficit, ties to the lower label."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from stressgrid import engine
 from stressgrid.cli import (
     ConfigError,
     ExperimentSpec,
@@ -17,6 +18,7 @@ from stressgrid.cli import (
     parse_config,
     run_sweep,
 )
+from stressgrid.corpus import write_synthetic_corpus
 
 TINY = """
 [simulation]
@@ -36,6 +38,10 @@ gaps = 20
 [sweep]
 aps = 0.9
 """
+
+
+def tiny_with_data_dir(data_dir: Path) -> str:
+    return TINY.replace("[topology]", f"[topology]\ndata_dir = {data_dir}")
 
 
 def write_config(tmp_path: Path, text: str) -> Path:
@@ -223,6 +229,11 @@ class TestMain:
         pytest.param(TINY, ["--runs", "0"], id="runs-zero"),
         pytest.param(TINY, ["--single", "--gap", "150"], id="single-gap"),
         pytest.param(TINY, ["--single", "--ap", "1.5"], id="single-ap"),
+        pytest.param("[topology]\ndata_dir = no-such-corpus\n", [], id="data-dir-missing"),
+        pytest.param("[supply]\nmode = fixed_capacity\ncapacity_w = 5000\ngaps = 20\n", [],
+                     id="fixed-capacity-gaps"),
+        pytest.param(TINY.replace("gaps = 20", "mode = fixed_capacity\ncapacity_w = 5000"),
+                     ["--single", "--gap", "20"], id="fixed-capacity-single-gap"),
     ])
     def test_bad_settings_are_config_errors(self, tmp_path, capsys, ini, args, validate):
         p = write_config(tmp_path, ini)
@@ -231,6 +242,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["run", "validate"])
+    def test_data_dir_without_manifests_is_config_error(self, tmp_path, capsys, validate):
+        corpus = tmp_path / "corpus"
+        (corpus / "class_a").mkdir(parents=True)
+        p = write_config(tmp_path, tiny_with_data_dir(corpus))
+        assert main(["--config", str(p), "--quiet", *validate]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data_dir") and "Traceback" not in err
+
+    def test_corpus_data_dir_validates_without_fitting(self, tmp_path, capsys):
+        corpus = write_synthetic_corpus(tmp_path / "corpus")
+        p = write_config(tmp_path, tiny_with_data_dir(corpus))
+        assert main(["--config", str(p), "--validate"]) == 0
+        assert capsys.readouterr().out.startswith("config ok")
+        assert str(corpus) not in engine._MODEL_CACHE
 
 
 class TestRunSweep:

@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import helpers
 from stressgrid.consumption import (
+    BLOCK_ROWS,
+    GUIDE_BUCKETS,
     ApplianceSamples,
+    CdfTable,
     EmpiricalCdf,
     filter_outliers,
     fit_cdf,
@@ -157,6 +163,92 @@ class TestSampleInverse:
         arr = sample_inverse(uniform_cdf, us)
         scalars = [sample_inverse(uniform_cdf, float(u)) for u in us]
         assert arr.tolist() == pytest.approx(scalars)
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def inverse_cdfs(uniform_cdf, class_models):
+    """Every builtin appliance CDF, fitted plateaus and steps, and grids
+    with long flat runs or a first point above F = 0."""
+    plateau = np.concatenate([np.linspace(0.0, 0.5, 10), np.full(200, 0.5), np.linspace(0.5, 1.0, 10)])
+    return [
+        fit_cdf(make([42.0] * 100)),  # the degenerate steep step
+        uniform_cdf,
+        fit_cdf(make([0.0] * 500 + [60.0] * 500)),  # two modes, flat between
+        EmpiricalCdf(np.arange(plateau.size, dtype=float), plateau, 1.0),
+        EmpiricalCdf(np.arange(7.0), np.array([0.25, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0]), 1.0),
+        *(cdf for model in class_models.values() for cdf in model.cdfs),
+    ]
+
+
+# Bucket edges b / K, the largest doubles below them, and zero.
+EDGE_QUANTILES = st.one_of(
+    st.just(0.0),
+    st.integers(0, GUIDE_BUCKETS - 1).map(lambda b: b / GUIDE_BUCKETS),
+    st.integers(1, GUIDE_BUCKETS - 1).map(lambda b: float(np.nextafter(b / GUIDE_BUCKETS, 0.0))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_reference_bit_for_bit(inverse_cdfs, data):
+    cdf = data.draw(st.sampled_from(inverse_cdfs))
+    on_grid = st.sampled_from(cdf.grid_f[cdf.grid_f < 1.0].tolist())
+    quantile = st.one_of(st.floats(0.0, 1.0, exclude_max=True), EDGE_QUANTILES, on_grid)
+    u = np.array(data.draw(st.lists(quantile, min_size=1, max_size=64)))
+    want = helpers.sample_inverse_reference(cdf, u)
+    assert (bits(sample_inverse(cdf, u)) == bits(want)).all()
+    column = sample_inverse(CdfTable.stack([cdf, cdf]), np.column_stack([u[::-1], u]))[:, 1]
+    assert (bits(column) == bits(want)).all()
+
+
+class TestCdfTable:
+    def test_every_edge_and_grid_value_matches_reference(self, inverse_cdfs):
+        edges = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+        below = np.nextafter(edges[1:], 0.0)
+        random = np.random.default_rng(11).random(1000)
+        for cdf in inverse_cdfs:
+            u = np.concatenate([edges, below, cdf.grid_f[cdf.grid_f < 1.0], random])
+            want = helpers.sample_inverse_reference(cdf, u)
+            assert (bits(sample_inverse(cdf, u)) == bits(want)).all()
+
+    def test_class_block_matches_reference_per_column(self, class_models):
+        rng = np.random.default_rng(12)
+        for model in class_models.values():
+            u = rng.random((300, model.n_appliances))
+            u[0] = 0.0
+            u[1] = [cdf.grid_f[100] for cdf in model.cdfs]
+            got = sample_inverse(model.table, u)
+            for j, cdf in enumerate(model.cdfs):
+                assert (bits(got[:, j]) == bits(helpers.sample_inverse_reference(cdf, u[:, j]))).all()
+
+    def test_block_matches_one_home_at_a_time(self, class_models):
+        model = class_models["C"]
+        u = np.random.default_rng(15).random((BLOCK_ROWS + 1, model.n_appliances))
+        u[0, 0] = u[BLOCK_ROWS, -1] = 0.0  # grid starts in both row chunks
+        block = sample_inverse(model.table, u)
+        rows = np.vstack([sample_inverse(model.table, row[None]) for row in u])
+        assert (bits(block) == bits(rows)).all()
+
+    def test_guide_entries_start_each_bucket(self, uniform_cdf):
+        table = CdfTable.stack([uniform_cdf, uniform_cdf])
+        edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+        assert table.guide.shape == (2, GUIDE_BUCKETS + 1)
+        assert (table.guide == np.searchsorted(uniform_cdf.grid_f, edges)).all()
+        assert table.guide.dtype == np.uint16  # 512 grid points
+
+    def test_bad_blocks_rejected(self, class_models):
+        model = class_models["A"]
+        n = model.n_appliances
+        for u in (np.full((2, n), 1.0), np.full((2, n), np.nan), np.full((2, n), -0.5)):
+            with pytest.raises(ValueError, match=r"\[0, 1\)"):
+                sample_inverse(model.table, u)
+        for u in (np.zeros(n), np.zeros((2, n + 1))):
+            with pytest.raises(ValueError, match="block"):
+                sample_inverse(model.table, u)
 
 
 class TestHourlyDraw:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import ScalarHome, alg1_home_decision, decide
+from helpers import ScalarHome, alg1_home_decision, decide, eligible_lower_levels
 from stressgrid.homes import set_hour_draws
 from stressgrid.levels import PowerLevel
 from stressgrid.policies import (
@@ -23,7 +23,7 @@ from stressgrid.policies import (
     alg2_step,
     baseline_step,
     cut_nonsmart_groups,
-    eligible_lower_levels,
+    eligible_lower_runs,
     reset_hourly,
 )
 from stressgrid.protocol import CommandChannel
@@ -405,6 +405,30 @@ class TestEligibleLowerLevels:
     def test_emergency_adds_l1(self):
         assert PowerLevel.L1 in eligible_lower_levels(0.20, emergency=True)
         assert eligible_lower_levels(0.0, emergency=True) == []
+
+
+# Consumption fractions at and beside every cap.
+CAP_EDGES = [float(np.nextafter(c, t)) for c in (0.0, 0.25, 0.5, 0.75) for t in (0.0, 1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    homes=st.lists(
+        st.tuples(
+            st.sampled_from(list(PowerLevel)),
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, *CAP_EDGES])),
+        ),
+        min_size=1, max_size=30,
+    ),
+    emergency=st.booleans(),
+)
+def test_eligible_runs_match_scalar_reference(homes, emergency):
+    level = np.array([lv for lv, _ in homes], dtype=np.int8)
+    fraction = np.array([f for _, f in homes])
+    top, count = eligible_lower_runs(level, fraction, emergency)
+    for (lv, f), hi, k in zip(homes, top.tolist(), count.tolist()):
+        want = [x for x in eligible_lower_levels(f, emergency) if x < lv]
+        assert list(range(hi, hi - k, -1)) == want, (lv, f)
 
 
 class TestAlg2Step:
