@@ -8,7 +8,7 @@ from .consumption import (
     sample_inverse,
 )
 from .engine import SimConfig, run
-from .homes import HOME_CLASSES, DisconnectivityMatrix, Fleet, Home, build_dm
+from .homes import HOME_CLASSES, Fleet, Home, build_dm
 from .levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
 from .metrics import EdgeFractions, MetricsLog, sci, ulw
 from .policies import (

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consumption import MANIFEST_NAME
+from .consumption import load_corpus
 from .engine import SimConfig, run
 from .levels import UtilityParams
 from .metrics import MetricsLog, write_report
@@ -102,8 +102,11 @@ def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
         if not values:
             raise ConfigError(f"{key} must list at least one value")
     data_dir = spec.base.data_dir
-    if data_dir != "builtin" and not any(Path(data_dir).glob(f"*/{MANIFEST_NAME}")):
-        raise ConfigError(f"data_dir {data_dir!r} is neither 'builtin' nor a directory of class manifests")
+    if data_dir != "builtin":
+        try:
+            load_corpus(data_dir)  # reads every file, fits no model
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"data_dir {data_dir!r}: {exc}") from None
     with _config_errors():
         return spec.configs()
 
@@ -308,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        loose = [f"--{name}" for name in ("policy", "gap", "ap") if getattr(args, name) is not None]
+        if loose and not args.single:
+            raise ConfigError(f"{', '.join(loose)}: read only with --single")
         if args.config is not None and not args.config.exists():
             print(f"config not found: {args.config}", file=sys.stderr)
             return 2

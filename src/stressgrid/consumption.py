@@ -51,18 +51,6 @@ class EmpiricalCdf:
     grid_f: np.ndarray
     bandwidth: float
 
-    @property
-    def support_min(self) -> float:
-        return float(self.grid_x[0])
-
-    @property
-    def support_max(self) -> float:
-        return float(self.grid_x[-1])
-
-    def cdf_at(self, x):
-        """F(x) by linear interpolation on the grid."""
-        return np.interp(x, self.grid_x, self.grid_f)
-
 
 def filter_outliers(samples: ApplianceSamples) -> ApplianceSamples:
     """Drop readings more than three standard deviations above the mean.

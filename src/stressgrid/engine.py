@@ -28,8 +28,6 @@ from .policies import POLICIES, DistributionProfile, reset_hourly
 from .protocol import CommandChannel, LinkModel
 from .topology import SupplyModel, Topology, build_topology, served_demand, stress_level
 
-SECONDS_PER_HOUR = 3600
-
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -1,10 +1,10 @@
 """Home model: classes, disconnectivity matrices and the fleet of homes.
 
 A home class fixes the meter rating and appliance count. The class's
-disconnectivity matrix (DM) records which appliances are switched off at
-each restricted power state so that the rated draw of whatever stays
-connected fits under the state's cap. Appliance rated draw is the 95th
-percentile of its fitted distribution.
+disconnectivity matrix (DM) records which appliances stay connected at
+each power state so that the rated draw of whatever stays connected fits
+under the state's cap. Appliance rated draw is the 95th percentile of its
+fitted distribution.
 """
 
 from __future__ import annotations
@@ -35,25 +35,13 @@ HOME_CLASSES = {
 _RESTRICTED = (PowerLevel.L2, PowerLevel.L3, PowerLevel.L4)
 
 
-@dataclass(frozen=True)
-class DisconnectivityMatrix:
-    """Appliance indices disconnected at each restricted level."""
-
-    disconnected: dict[PowerLevel, frozenset[int]]
-
-    def connected_mask(self, level: PowerLevel, n_appliances: int) -> np.ndarray:
-        mask = np.ones(n_appliances, dtype=bool)
-        if level is PowerLevel.L1:
-            mask[:] = False
-        elif level in self.disconnected:
-            mask[list(self.disconnected[level])] = False
-        return mask
-
-
-def build_dm(home_class: HomeClass, appliance_ratings) -> DisconnectivityMatrix:
-    """Greedy DM construction: disconnect largest-rated appliances first
-    until the remaining rated sum fits under each level's cap. Ties are
-    broken so the lower appliance index stays connected.
+def build_dm(home_class: HomeClass, appliance_ratings) -> np.ndarray:
+    """The DM as an (appliances x 5) bool array: column k marks the
+    appliances connected at state L(k+1), so row a is the relay pattern
+    of appliance a's device. L1 connects none and L5 all; at L2-L4 the
+    largest-rated appliances are disconnected first until the remaining
+    rated sum fits under the state's cap, ties keeping the lower index
+    connected.
     """
     ratings = np.asarray(appliance_ratings, dtype=float)
     if ratings.size != home_class.appliance_count:
@@ -64,18 +52,17 @@ def build_dm(home_class: HomeClass, appliance_ratings) -> DisconnectivityMatrix:
     if np.any(ratings < 0):
         raise ValueError("negative appliance rating")
     order = sorted(range(ratings.size), key=lambda i: (-ratings[i], -i))
-    disconnected: dict[PowerLevel, frozenset[int]] = {}
+    dm = np.zeros((ratings.size, len(PowerLevel)), dtype=bool)
+    dm[:, PowerLevel.L2 - 1 :] = True
     for level in _RESTRICTED:
         cap = CAP_FRACTION[level] * home_class.rating_w
         remaining = float(ratings.sum())
-        cut: set[int] = set()
         for i in order:
             if remaining <= cap:
                 break
-            cut.add(i)
+            dm[i, level - 1] = False
             remaining -= ratings[i]
-        disconnected[level] = frozenset(cut)
-    return DisconnectivityMatrix(disconnected)
+    return dm
 
 
 @dataclass
@@ -83,12 +70,10 @@ class ClassModel:
     """Fitted per-class artifacts shared by every home of the class."""
 
     home_class: HomeClass
-    appliance_names: list[str]
     cdfs: list[EmpiricalCdf]
     table: CdfTable  # the cdfs stacked, for drawing every appliance at once
     rated_draws: np.ndarray
-    dm: DisconnectivityMatrix
-    conn_matrix: np.ndarray  # (n_appliances, 5) 0/1, column per level
+    dm: np.ndarray  # (n_appliances, 5) bool, see build_dm
 
     @property
     def n_appliances(self) -> int:
@@ -107,22 +92,15 @@ def build_class_model(
             f"class {label} manifest lists {len(samples)} appliances, "
             f"expected {home_class.appliance_count}"
         )
-    filtered = [filter_outliers(s) for s in samples]
-    cdfs = [fit_cdf(s, bandwidth=bandwidth) for s in filtered]
+    cdfs = [fit_cdf(filter_outliers(s), bandwidth=bandwidth) for s in samples]
     table = CdfTable.stack(cdfs)
     rated = sample_inverse(table, np.full((1, len(cdfs)), RATED_QUANTILE))[0]
-    dm = build_dm(home_class, rated)
-    conn = np.zeros((home_class.appliance_count, 5))
-    for level in PowerLevel:
-        conn[:, level - 1] = dm.connected_mask(level, home_class.appliance_count)
     return ClassModel(
         home_class=home_class,
-        appliance_names=[s.appliance_name for s in filtered],
         cdfs=cdfs,
         table=table,
         rated_draws=rated,
-        dm=dm,
-        conn_matrix=conn,
+        dm=build_dm(home_class, rated),
     )
 
 
@@ -177,7 +155,7 @@ class Home:
         return PowerLevel(int(self.fleet.level[self.id]))
 
     @current_level.setter
-    def current_level(self, level: PowerLevel) -> None:
+    def current_level(self, level: int) -> None:
         self.fleet.level[self.id] = level
 
 
@@ -198,7 +176,7 @@ def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
     draws[over] *= (rating / total[over])[:, None]
     columns = np.ascontiguousarray(draws.T)
     watts = np.zeros((len(PowerLevel), len(draws)))
-    for row, connected in zip(watts, model.conn_matrix.T):
+    for row, connected in zip(watts, model.dm.T):
         for a in np.flatnonzero(connected):
             row += columns[a]
     fleet.level_watts[homes] = watts.T

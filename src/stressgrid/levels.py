@@ -18,10 +18,6 @@ class PowerLevel(IntEnum):
     L4 = 4
     L5 = 5
 
-    @property
-    def cap_fraction(self) -> float:
-        return CAP_FRACTION[self]
-
 
 # Admissible fraction of rated capacity per state.
 CAP_FRACTION = {

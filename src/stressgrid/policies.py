@@ -16,7 +16,8 @@ previous hour are exempt this hour unless an emergency is declared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,6 @@ MIN_STRESS = 5.0
 REDUCTION_FACTOR = 0.5
 LATE_ROUNDS_PER_PASS = 5  # smart-home rounds after the first two
 
-_LEVEL = (None, *PowerLevel)  # _LEVEL[k] is state Lk
 _LOWER_CAPS = np.array([CAP_FRACTION[lv] for lv in PowerLevel][:-1])  # L1..L4, ascending
 
 
@@ -52,7 +52,25 @@ class DistributionProfile:
 @dataclass
 class BaselineRotation:
     next_group_index: int = 0
-    blacked_out: set[int] = field(default_factory=set)
+
+
+def _walk_groups(
+    topology: Topology,
+    rotation: BaselineRotation,
+    left: float,
+    limit: float,
+    shed: Callable[[np.ndarray, float], float],
+) -> tuple[float, int]:
+    """Visit the feeder groups round-robin from the rotation pointer, each at
+    most once, while `left` exceeds `limit`; `shed(members, left)` sheds in
+    one group and returns the new `left`. Returns (left, groups visited)."""
+    groups = topology.group_members
+    start = rotation.next_group_index
+    visited = 0
+    while visited < len(groups) and left > limit:
+        left = shed(groups[(start + visited) % len(groups)], left)
+        visited += 1
+    return left, visited
 
 
 def _switch_off(fleet: Fleet, homes: np.ndarray, left_w: float, channel: CommandChannel) -> float:
@@ -83,19 +101,13 @@ def baseline_step(
     """Cyclic blackout: cut whole groups, starting at the rotation index,
     until served demand fits under capacity. The index advances by one per
     hour so the burden rotates."""
-    served = served_demand(topology)
-    groups = topology.groups
-    blacked: set[int] = set()
-    idx = rotation.next_group_index
-    for k in range(len(groups)):
-        if served <= capacity_w:
-            break
-        gi = (idx + k) % len(groups)
-        served = _switch_off(topology.fleet, topology.group_members[gi], served, channel)
-        blacked.add(gi)
-    rotation.blacked_out = blacked
+    fleet = topology.fleet
+    _walk_groups(
+        topology, rotation, served_demand(topology), capacity_w,
+        lambda members, served: _switch_off(fleet, members, served, channel),
+    )
     if advance:
-        rotation.next_group_index = (idx + 1) % len(groups)
+        rotation.next_group_index = (rotation.next_group_index + 1) % len(topology.group_members)
 
 
 def alg1_decisions(
@@ -153,19 +165,14 @@ def cut_nonsmart_groups(
     """Shut off non-smart homes group by group until the gap closes or
     every group has been tried. Homes shed last hour are skipped unless an
     emergency is in force. The rotation pointer moves past tried groups."""
-    served = served_demand(topology)
     fleet = topology.fleet
-    groups = topology.groups
-    idx = rotation.next_group_index
-    tried = 0
-    for k in range(len(groups)):
-        if served <= capacity_w:
-            break
-        gi = (idx + k) % len(groups)
-        tried += 1
-        homes = _cuttable(fleet, topology.group_members[gi], emergency)
-        served = _switch_off(fleet, homes, served, channel)
-    rotation.next_group_index = (idx + tried) % len(groups)
+    _, tried = _walk_groups(
+        topology, rotation, served_demand(topology), capacity_w,
+        lambda members, served: _switch_off(
+            fleet, _cuttable(fleet, members, emergency), served, channel
+        ),
+    )
+    rotation.next_group_index = (rotation.next_group_index + tried) % len(topology.group_members)
 
 
 def alg1_round(
@@ -201,7 +208,7 @@ def alg1_round(
     target = alg1_decisions(fleet, smart, sl, dp, emergency, r)
     moving = np.flatnonzero(target)
     for i, level in zip(smart[moving].tolist(), target[moving].tolist()):
-        channel.apply(Home(fleet, i), _LEVEL[level])
+        channel.apply(Home(fleet, i), level)
 
 
 def eligible_lower_runs(
@@ -236,19 +243,9 @@ def alg2_step(
     """
     fleet = topology.fleet
     rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in fleet.models])
-    gap = delta_gap_w
-    groups = topology.groups
-    idx = rotation.next_group_index
-    visited = 0
-    for k in range(len(groups)):
-        if gap <= 0:
-            break
-        gi = (idx + k) % len(groups)
-        visited += 1
-        members = topology.group_members[gi]
+
+    def shed(members: np.ndarray, gap: float) -> float:
         gap = _switch_off(fleet, _cuttable(fleet, members, emergency), gap, channel)
-        if gap <= 0:
-            break
         candidates = members[fleet.smart[members] & (emergency | ~fleet.ls_lh[members])]
         watts = fleet.watts(candidates)
         order = np.lexsort((candidates, -watts))
@@ -265,9 +262,12 @@ def alg2_step(
             if k <= 0:
                 continue
             new = hi - int(rng.integers(0, k))
-            if channel.apply(Home(fleet, i), _LEVEL[new]):
+            if channel.apply(Home(fleet, i), new):
                 gap -= current - level_watts[new - 1]
-    rotation.next_group_index = (idx + visited) % len(groups)
+        return gap
+
+    gap, visited = _walk_groups(topology, rotation, delta_gap_w, 0.0, shed)
+    rotation.next_group_index = (rotation.next_group_index + visited) % len(topology.group_members)
     return gap <= 0
 
 
@@ -290,7 +290,7 @@ class BaselinePolicy:
         self._advanced = False
 
     def max_rounds(self, topology: Topology) -> int:
-        return 2 + len(topology.groups) + LATE_ROUNDS_PER_PASS
+        return 2 + len(topology.group_members) + LATE_ROUNDS_PER_PASS
 
     def start_hour(self, sl: float) -> None:
         self._advanced = False
@@ -323,7 +323,7 @@ class DistributedPolicy:
         self.reduction_factor: float = config.reduction_factor
         self.rotation = BaselineRotation()
         self.round_index = 0
-        self.pass_rounds = 2 + len(topology.groups) + LATE_ROUNDS_PER_PASS
+        self.pass_rounds = 2 + len(topology.group_members) + LATE_ROUNDS_PER_PASS
 
     def max_rounds(self, topology: Topology) -> int:
         return 2 * self.pass_rounds

@@ -11,7 +11,7 @@ policies act on those groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,12 +26,6 @@ GROUP_SIZE = 10
 # as 40) to one ulp below it, where it would flip the policies' integer
 # comparisons against it.
 STRESS_DECIMALS = 9
-
-
-@dataclass(frozen=True)
-class FeederGroup:
-    id: int
-    feeder_ids: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -63,14 +57,7 @@ class SupplyModel:
 @dataclass
 class Topology:
     fleet: Fleet
-    groups: list[FeederGroup]
-    group_members: list[np.ndarray] = field(init=False, repr=False)  # ids per group
-
-    def __post_init__(self) -> None:
-        group = self.fleet.group
-        by_group = np.argsort(group, kind="stable")
-        ends = np.cumsum(np.bincount(group, minlength=len(self.groups)))
-        self.group_members = np.split(by_group, ends[:-1])
+    group_members: list[np.ndarray]  # home ids of each feeder group, ascending
 
 
 @lru_cache(maxsize=8)
@@ -117,15 +104,14 @@ def build_topology(
         raise ValueError(f"no class model for class {', '.join(sorted(missing))}")
     smart = np.zeros(n_homes, dtype=bool)
     smart[rng.permutation(n_homes)[: round(ap * n_homes)]] = True
-    feeder = np.arange(n_homes) % n_transformers % n_feeders
+    group = np.arange(n_homes) % n_transformers % n_feeders // group_size
 
-    groups = [
-        FeederGroup(gi, tuple(range(start, min(start + group_size, n_feeders))))
-        for gi, start in enumerate(range(0, n_feeders, group_size))
-    ]
+    # every group takes its turn, also one whose feeders carry no home
+    n_groups = math.ceil(n_feeders / group_size)
+    ends = np.cumsum(np.bincount(group, minlength=n_groups))
+    members = np.split(np.argsort(group, kind="stable"), ends[:-1])
     models = tuple(class_models.get(label) for label in labels)
-    fleet = Fleet(models, cls, smart, group=feeder // group_size)
-    return Topology(fleet, groups)
+    return Topology(Fleet(models, cls, smart, group), members)
 
 
 def demand(topology: Topology) -> tuple[float, float]:

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 
 from stressgrid.homes import HOME_CLASSES, Fleet, set_hour_draws
-from stressgrid.levels import PowerLevel
+from stressgrid.levels import CAP_FRACTION, PowerLevel
 from stressgrid.policies import MIN_STRESS, DistributionProfile, alg1_decisions
 from stressgrid.protocol import decode, encode
 
@@ -92,7 +92,7 @@ def eligible_lower_levels(
     levels = [PowerLevel.L4, PowerLevel.L3, PowerLevel.L2]
     if emergency:
         levels.append(PowerLevel.L1)
-    return [lv for lv in levels if lv.cap_fraction < consumption_fraction]
+    return [lv for lv in levels if CAP_FRACTION[lv] < consumption_fraction]
 
 
 def sample_inverse_reference(cdf, u):

@@ -44,6 +44,22 @@ def tiny_with_data_dir(data_dir: Path) -> str:
     return TINY.replace("[topology]", f"[topology]\ndata_dir = {data_dir}")
 
 
+def corpus_ini(edit):
+    """An INI builder: TINY on a synthetic corpus under tmp_path, changed
+    by `edit(class_b_dir)`."""
+
+    def build(tmp_path: Path) -> str:
+        root = write_synthetic_corpus(tmp_path / "corpus")
+        edit(root / "class_b")
+        return tiny_with_data_dir(root)
+
+    return build
+
+
+def _append(path: Path, line: str) -> None:
+    path.write_text(path.read_text() + line)
+
+
 def write_config(tmp_path: Path, text: str) -> Path:
     p = tmp_path / "exp.ini"
     p.write_text(text)
@@ -234,9 +250,19 @@ class TestMain:
                      id="fixed-capacity-gaps"),
         pytest.param(TINY.replace("gaps = 20", "mode = fixed_capacity\ncapacity_w = 5000"),
                      ["--single", "--gap", "20"], id="fixed-capacity-single-gap"),
+        pytest.param(corpus_ini(lambda d: _append(d / "refrigerator.txt", "ten\n")), [],
+                     id="corpus-bad-reading"),
+        pytest.param(corpus_ini(lambda d: _append(d / "refrigerator.txt", "nan\n")), [],
+                     id="corpus-non-finite-reading"),
+        pytest.param(corpus_ini(lambda d: (d / "refrigerator.txt").unlink()), [],
+                     id="corpus-missing-file"),
+        pytest.param(TINY, ["--policy", "baseline"], id="policy-without-single"),
+        pytest.param(TINY, ["--gap", "20"], id="gap-without-single"),
+        pytest.param(TINY, ["--ap", "0.9"], id="ap-without-single"),
+        pytest.param(TINY, ["--gap", "150", "--ap", "7"], id="bad-cell-flags-without-single"),
     ])
     def test_bad_settings_are_config_errors(self, tmp_path, capsys, ini, args, validate):
-        p = write_config(tmp_path, ini)
+        p = write_config(tmp_path, ini(tmp_path) if callable(ini) else ini)
         out = tmp_path / "results"
         assert main(["--config", str(p), "--out", str(out), "--quiet", *args, *validate]) == 1
         err = capsys.readouterr().err

@@ -17,6 +17,7 @@ from stressgrid.homes import (
     set_hour_draws,
 )
 from stressgrid.levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
+from stressgrid.protocol import decode, encode
 from stressgrid.topology import build_topology, demand, served_demand
 
 
@@ -36,29 +37,29 @@ class TestBuildDm:
 
         cls = HomeClass("A", 500.0, 5)
         dm = build_dm(cls, ratings)
-        cut = dm.disconnected[PowerLevel.L3]
+        cut = set(np.flatnonzero(~dm[:, PowerLevel.L3 - 1]).tolist())
         assert len(cut) == 3
         # ties break toward keeping the lower index
-        assert cut == frozenset({2, 3, 4})
+        assert cut == {2, 3, 4}
 
     def test_single_oversized_appliance(self):
         cls = HomeClass("A", 500.0, 1)
         dm = build_dm(cls, [500.0])
-        assert dm.disconnected[PowerLevel.L2] == frozenset({0})
-        mask = dm.connected_mask(PowerLevel.L2, 1)
+        assert np.flatnonzero(~dm[:, PowerLevel.L2 - 1]).tolist() == [0]
+        mask = dm[:, PowerLevel.L2 - 1]
         assert not mask.any()
 
     def test_l5_and_l1_masks(self):
         cls = HomeClass("B", 750.0, 3)
         dm = build_dm(cls, [100.0, 200.0, 300.0])
-        assert dm.connected_mask(PowerLevel.L5, 3).all()
-        assert not dm.connected_mask(PowerLevel.L1, 3).any()
+        assert dm[:, PowerLevel.L5 - 1].all()
+        assert not dm[:, PowerLevel.L1 - 1].any()
 
     def test_largest_first_order(self):
         cls = HomeClass("A", 500.0, 4)
         dm = build_dm(cls, [50.0, 400.0, 100.0, 30.0])
         # L4 cap 375: dropping the 400 W appliance suffices
-        assert dm.disconnected[PowerLevel.L4] == frozenset({1})
+        assert np.flatnonzero(~dm[:, PowerLevel.L4 - 1]).tolist() == [1]
 
     def test_caps_hold_for_every_level(self):
         rng = np.random.default_rng(11)
@@ -68,13 +69,25 @@ class TestBuildDm:
             cls = HomeClass("C", 1000.0, n)
             dm = build_dm(cls, ratings)
             for level in (PowerLevel.L2, PowerLevel.L3, PowerLevel.L4):
-                mask = dm.connected_mask(level, n)
+                mask = dm[:, level - 1]
                 assert ratings[mask].sum() <= CAP_FRACTION[level] * 1000.0 + 1e-9
 
     def test_deterministic(self):
         cls = HomeClass("A", 500.0, 6)
         ratings = [120.0, 80.0, 80.0, 200.0, 40.0, 60.0]
-        assert build_dm(cls, ratings) == build_dm(cls, ratings)
+        assert np.array_equal(build_dm(cls, ratings), build_dm(cls, ratings))
+
+    def test_rows_round_trip_through_frames(self, class_models):
+        # row a is the relay pattern that appliance a's device receives
+        rng = np.random.default_rng(15)
+        dms = [m.dm for m in class_models.values()]
+        dms += [build_dm(HomeClass("C", 1000.0, 13), rng.uniform(5, 300, 13)) for _ in range(20)]
+        for dm in dms:
+            assert dm.shape == (len(dm), len(PowerLevel)) and dm.dtype == bool
+            frame = encode(dm.tolist())
+            assert len(frame) == len(dm)
+            for a, row in enumerate(dm.tolist()):
+                assert decode(frame, a + 1) == tuple(row)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="expects"):
@@ -142,7 +155,7 @@ class TestSetHourDraws:
         rng = np.random.default_rng(13)
         fleet, draws = install(model, rng.uniform(0, 100, (5, model.n_appliances)))
         for level in PowerLevel:
-            mask = model.dm.connected_mask(level, model.n_appliances)
+            mask = model.dm[:, level - 1]
             want = np.zeros(len(draws))
             for column, connected in zip(draws.T, mask):
                 want += column * connected
@@ -156,7 +169,7 @@ class TestSetHourDraws:
         for i, row in enumerate(raw):
             single, installed = install(model, row)
             assert batch.level_watts[i] == pytest.approx(
-                installed[0] @ model.conn_matrix, rel=1e-12, abs=1e-12
+                installed[0] @ model.dm, rel=1e-12, abs=1e-12
             )
             assert (batch.level_watts[i] == single.level_watts[0]).all()
 
@@ -175,7 +188,7 @@ class TestClassModels:
     def test_rated_draw_is_high_quantile(self, class_models):
         for model in class_models.values():
             for cdf, rated in zip(model.cdfs, model.rated_draws):
-                assert cdf.cdf_at(rated) == pytest.approx(0.95, abs=0.01)
+                assert np.interp(rated, cdf.grid_x, cdf.grid_f) == pytest.approx(0.95, abs=0.01)
 
     def test_wrong_appliance_count_rejected(self, class_models):
         samples = []

@@ -16,7 +16,9 @@ from helpers import ScalarHome, alg1_home_decision, decide, eligible_lower_level
 from stressgrid.homes import set_hour_draws
 from stressgrid.levels import PowerLevel
 from stressgrid.policies import (
+    LATE_ROUNDS_PER_PASS,
     MIN_STRESS,
+    BaselinePolicy,
     BaselineRotation,
     DistributionProfile,
     alg1_round,
@@ -49,6 +51,13 @@ def equal_draw_topology(class_models, n_homes, n_feeders, ap, group_size, seed=0
     )
     helpers.fill_draws(topo.fleet, 0.5)
     return topo
+
+
+def blacked_out(topo) -> set[int]:
+    """The groups that have homes, all of them off."""
+    level = topo.fleet.level
+    return {g for g, members in enumerate(topo.group_members)
+            if members.size and (level[members] == PowerLevel.L1).all()}
 
 
 class TestDistributionProfile:
@@ -190,14 +199,14 @@ class TestBaselineStep:
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         rotation = BaselineRotation()
         baseline_step(rotation, topo, capacity_w=1e12, channel=CommandChannel())
-        assert rotation.blacked_out == set()
+        assert blacked_out(topo) == set()
         assert (topo.fleet.level == PowerLevel.L5).all()
 
     def test_zero_capacity_blacks_all(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         rotation = BaselineRotation()
         baseline_step(rotation, topo, capacity_w=0.0, channel=CommandChannel())
-        assert rotation.blacked_out == {0, 1, 2, 3, 4}
+        assert blacked_out(topo) == {0, 1, 2, 3, 4}
         assert (topo.fleet.level == PowerLevel.L1).all()
 
     def test_exactly_one_group_for_twenty_percent_gap(self, class_models):
@@ -210,7 +219,7 @@ class TestBaselineStep:
         D, _ = demand(topo)
         rotation = BaselineRotation()
         baseline_step(rotation, topo, capacity_w=0.8 * D, channel=CommandChannel())
-        assert rotation.blacked_out == {0}
+        assert blacked_out(topo) == {0}
         assert served_demand(topo) == pytest.approx(0.8 * D)
 
     def test_rotation_advances_one_group_per_hour(self, class_models):
@@ -218,11 +227,11 @@ class TestBaselineStep:
         D, _ = demand(topo)
         rotation = BaselineRotation()
         baseline_step(rotation, topo, 0.8 * D, CommandChannel())
-        assert rotation.blacked_out == {0}
+        assert blacked_out(topo) == {0}
         assert rotation.next_group_index == 1
         reset_hourly(topo.fleet)
         baseline_step(rotation, topo, 0.8 * D, CommandChannel())
-        assert rotation.blacked_out == {1}
+        assert blacked_out(topo) == {1}
 
     def test_within_hour_restep_does_not_advance(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
@@ -232,6 +241,43 @@ class TestBaselineStep:
         assert rotation.next_group_index == 1
         baseline_step(rotation, topo, 0.8 * D, CommandChannel(), advance=False)
         assert rotation.next_group_index == 1
+
+
+class TestEmptyGroups:
+    """20 homes on 4 transformers fill feeders 0-3 only, so with 12 feeders
+    in groups of 4, groups 1 and 2 hold no home; they still take turns."""
+
+    def topology(self, class_models):
+        topo = equal_draw_topology(class_models, 20, 12, 0.0, 4)
+        assert [len(m) for m in topo.group_members] == [20, 0, 0]
+        assert BaselinePolicy(topo).max_rounds(topo) == 2 + 3 + LATE_ROUNDS_PER_PASS
+        return topo
+
+    def test_baseline_walks_through_empty_groups(self, class_models):
+        topo = self.topology(class_models)
+        rotation = BaselineRotation(next_group_index=1)
+        baseline_step(rotation, topo, 0.0, CommandChannel())
+        assert blacked_out(topo) == {0}
+        assert rotation.next_group_index == 2
+        reset_hourly(topo.fleet)
+        baseline_step(rotation, topo, 0.0, CommandChannel())
+        assert blacked_out(topo) == {0}
+        assert rotation.next_group_index == 0
+
+    def test_nonsmart_cut_walks_through_empty_groups(self, class_models):
+        topo = self.topology(class_models)
+        D, _ = demand(topo)
+        rotation = BaselineRotation()
+        cut_nonsmart_groups(topo, rotation, D, False, CommandChannel())
+        assert rotation.next_group_index == 0  # no gap, no group visited
+        cut_nonsmart_groups(topo, rotation, 0.5 * D, False, CommandChannel())
+        assert blacked_out(topo) == {0}
+        assert rotation.next_group_index == 1
+        reset_hourly(topo.fleet)
+        topo.fleet.ls_lh[:] = False
+        cut_nonsmart_groups(topo, rotation, 0.5 * D, False, CommandChannel())
+        assert blacked_out(topo) == {0}
+        assert rotation.next_group_index == 1  # groups 1, 2 and 0 visited
 
 
 class TestAlg1Round:

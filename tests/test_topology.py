@@ -24,16 +24,16 @@ class TestBuild:
             class_models, n_homes=100, n_feeders=10, ap=0.5,
             rng=np.random.default_rng(0), group_size=10,
         )
-        assert len(topo.groups) == 1
-        assert topo.groups[0].feeder_ids == tuple(range(10))
+        assert len(topo.group_members) == 1
+        assert topo.group_members[0].tolist() == list(range(100))
 
     def test_desk_scale_grouping(self, class_models):
         topo = build_topology(
             class_models, n_homes=1000, n_feeders=50, ap=0.9,
             rng=np.random.default_rng(0),
         )
-        assert len(topo.groups) == 5
-        assert all(len(g.feeder_ids) == 10 for g in topo.groups)
+        assert len(topo.group_members) == 5
+        assert all(len(m) == 200 for m in topo.group_members)
 
     def test_smart_quota_exact(self, class_models):
         topo = build_topology(
@@ -47,8 +47,9 @@ class TestBuild:
             class_models, n_homes=120, n_feeders=12, ap=0.5,
             rng=np.random.default_rng(1), group_size=5,
         )
-        seen = [f for g in topo.groups for f in g.feeder_ids]
-        assert sorted(seen) == list(range(12))
+        # 24 transformers on 12 feeders; feeders 0-4, 5-9 and 10-11 form groups
+        assert len(topo.group_members) == 3
+        assert topo.fleet.group.tolist() == [i % 24 % 12 // 5 for i in range(120)]
         members = np.concatenate(topo.group_members)
         assert sorted(members) == list(range(120))
         for gi, homes in enumerate(topo.group_members):
@@ -60,8 +61,10 @@ class TestBuild:
             class_models, n_homes=50, n_feeders=7, ap=0.0,
             rng=np.random.default_rng(2), group_size=3,
         )
-        sizes = [len(g.feeder_ids) for g in topo.groups]
-        assert sizes == [3, 3, 1]
+        # 10 transformers of 5 homes on feeders 0-6, 0-2: feeders 0-2 carry
+        # 10 homes each, feeders 3-6 carry 5; groups are feeders 0-2, 3-5, 6
+        sizes = [len(m) for m in topo.group_members]
+        assert sizes == [30, 15, 5]
 
     def test_class_mix_quotas(self, class_models):
         topo = build_topology(
