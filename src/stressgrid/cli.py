@@ -25,6 +25,7 @@ import numpy as np
 
 from .consumption import load_corpus
 from .engine import SimConfig, run
+from .homes import checked_home_class
 from .levels import UtilityParams
 from .metrics import MetricsLog, write_report
 from .policies import POLICIES, DistributionProfile
@@ -104,7 +105,8 @@ def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
     data_dir = spec.base.data_dir
     if data_dir != "builtin":
         try:
-            load_corpus(data_dir)  # reads every file, fits no model
+            for label, samples in load_corpus(data_dir).items():  # reads every file, fits no model
+                checked_home_class(label, len(samples))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data_dir {data_dir!r}: {exc}") from None
     with _config_errors():
@@ -172,6 +174,13 @@ def parse_config(path: Path | str | None) -> ExperimentSpec:
     With no path every documented default applies. Raises ConfigError on
     unknown keys, malformed values or out-of-range settings.
     """
+    spec = _read_spec(path)
+    checked_configs(spec)
+    return spec
+
+
+def _read_spec(path: Path | str | None) -> ExperimentSpec:
+    """`parse_config` without the check of the runs (`checked_configs`)."""
     values: dict[str, dict[str, str]] = {}
     if path is not None:
         values = _read_ini(Path(path))
@@ -233,7 +242,7 @@ def parse_config(path: Path | str | None) -> ExperimentSpec:
             protocol_distance_m=get_float("protocol", "distance_m"),
             seed=get_int("simulation", "seed"),
         )
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         base=base,
         policies=[p.strip() for p in get("policy", "policies").split(",") if p.strip()],
         gaps_percent=gaps,
@@ -241,8 +250,6 @@ def parse_config(path: Path | str | None) -> ExperimentSpec:
         runs=get_int("simulation", "runs"),
         out_dir=get("output", "out_dir"),
     )
-    checked_configs(spec)
-    return spec
 
 
 def cell_config(spec: ExperimentSpec, policy: str, gap_percent: float, ap: float, run_index: int) -> SimConfig:
@@ -317,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None and not args.config.exists():
             print(f"config not found: {args.config}", file=sys.stderr)
             return 2
-        spec = parse_config(args.config)
+        spec = _read_spec(args.config)  # checked once, below, with the flags applied
         if args.seed is not None:
             with _config_errors():
                 spec = replace(spec, base=replace(spec.base, seed=args.seed))
@@ -330,9 +337,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("--gap does not apply to fixed_capacity supply")
             spec = replace(
                 spec,
-                policies=[args.policy or spec.policies[0]],
-                gaps_percent=[args.gap if args.gap is not None else spec.gaps_percent[0]],
-                aps=[args.ap if args.ap is not None else spec.aps[0]],
+                policies=[args.policy] if args.policy else spec.policies[:1],
+                gaps_percent=[args.gap] if args.gap is not None else spec.gaps_percent[:1],
+                aps=[args.ap] if args.ap is not None else spec.aps[:1],
             )
         checked_configs(spec)
         if args.validate:

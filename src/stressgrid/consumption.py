@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 GRID_POINTS = 512
 MANIFEST_NAME = "manifest.txt"
@@ -89,6 +88,8 @@ def fit_cdf(
     kernels place below zero watts (or beyond the grid) is clipped and the
     CDF renormalized, so negative draws are impossible.
     """
+    from scipy.special import ndtr  # imported here: only fitting needs scipy
+
     values = np.asarray(samples.samples, dtype=float)
     if values.size == 0:
         raise ValueError("no samples")

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
-from . import corpus
-from .consumption import load_corpus, sample_inverse
-from .homes import ClassModel, build_class_model, set_hour_draws
+from .consumption import EmpiricalCdf, filter_outliers, fit_cdf, load_corpus, sample_inverse
+from .homes import HOME_CLASSES, ClassModel, build_class_model, set_hour_draws
 from .levels import PowerLevel, UtilityParams, utility
 from .metrics import HourRecord, MetricsLog, TraceEvent, ulw
 from .policies import POLICIES, DistributionProfile, reset_hourly
@@ -87,19 +87,41 @@ class SimState:
 
 _MODEL_CACHE: dict[str, dict[str, ClassModel]] = {}
 
+# The fitted CDFs of the bundled corpus: exactly what fit_cdf(filter_outliers(s))
+# returns for each appliance of corpus.synthetic_samples(). Per class label L,
+# "L_grid_x" and "L_grid_f" are (appliances x GRID_POINTS) and "L_bandwidth"
+# is (appliances,). Only read here; tests/helpers.py rewrites it.
+BUILTIN_CDFS = Path(__file__).with_name("builtin_cdfs.npz")
+
 
 def load_models(data_dir: str) -> dict[str, ClassModel]:
-    """Fitted class models for a corpus path, or the bundled corpus."""
+    """Class models of a corpus directory, fitted from its files, or for
+    "builtin", built from the fitted CDFs in BUILTIN_CDFS."""
     if data_dir not in _MODEL_CACHE:
         if data_dir == "builtin":
-            raw = corpus.synthetic_samples()
+            cdfs = _builtin_cdfs()
         else:
-            raw = load_corpus(data_dir)
+            cdfs = {
+                label: [fit_cdf(filter_outliers(s)) for s in samples]
+                for label, samples in load_corpus(data_dir).items()
+            }
         _MODEL_CACHE[data_dir] = {
-            label: build_class_model(label, samples)
-            for label, samples in sorted(raw.items())
+            label: build_class_model(label, cdfs[label]) for label in sorted(cdfs)
         }
     return _MODEL_CACHE[data_dir]
+
+
+def _builtin_cdfs() -> dict[str, list[EmpiricalCdf]]:
+    with np.load(BUILTIN_CDFS, allow_pickle=False) as table:
+        return {
+            label: [
+                EmpiricalCdf(x, f, float(h))
+                for x, f, h in zip(
+                    table[f"{label}_grid_x"], table[f"{label}_grid_f"], table[f"{label}_bandwidth"]
+                )
+            ]
+            for label in HOME_CLASSES
+        }
 
 
 def converged(topology: Topology, capacity_w: float) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consumption import ApplianceSamples, CdfTable, EmpiricalCdf, filter_outliers, fit_cdf, sample_inverse
+from .consumption import CdfTable, EmpiricalCdf, sample_inverse
 from .levels import CAP_FRACTION, PowerLevel
 
 RATED_QUANTILE = 0.95
@@ -80,19 +80,22 @@ class ClassModel:
         return self.home_class.appliance_count
 
 
-def build_class_model(
-    label: str,
-    samples: list[ApplianceSamples],
-    bandwidth: float | None = None,
-) -> ClassModel:
-    """Filter, fit and derive the DM for one home class."""
+def checked_home_class(label: str, appliances: int) -> HomeClass:
+    """Home class `label`; raises ValueError unless its class has
+    `appliances` appliances."""
     home_class = HOME_CLASSES[label]
-    if len(samples) != home_class.appliance_count:
+    if appliances != home_class.appliance_count:
         raise ValueError(
-            f"class {label} manifest lists {len(samples)} appliances, "
+            f"class {label} manifest lists {appliances} appliances, "
             f"expected {home_class.appliance_count}"
         )
-    cdfs = [fit_cdf(filter_outliers(s), bandwidth=bandwidth) for s in samples]
+    return home_class
+
+
+def build_class_model(label: str, cdfs: list[EmpiricalCdf]) -> ClassModel:
+    """The class model of one home class from its appliances' fitted CDFs:
+    their guide table, rated draws and DM."""
+    home_class = checked_home_class(label, len(cdfs))
     table = CdfTable.stack(cdfs)
     rated = sample_inverse(table, np.full((1, len(cdfs)), RATED_QUANTILE))[0]
     return ClassModel(

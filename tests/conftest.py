@@ -1,7 +1,7 @@
 """Shared fixtures: fitted class models and small topology builders.
 
-Class models are fitted once per session from the bundled corpus; they are
-read-only and shared by every test that needs realistic homes.
+Class models are built once per session from the bundled corpus's fitted
+CDFs; they are read-only and shared by every test that needs realistic homes.
 """
 
 from __future__ import annotations

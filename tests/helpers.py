@@ -8,10 +8,41 @@ from itertools import product
 
 import numpy as np
 
+from stressgrid.consumption import filter_outliers, fit_cdf
+from stressgrid.corpus import synthetic_samples
+from stressgrid.engine import BUILTIN_CDFS
 from stressgrid.homes import HOME_CLASSES, Fleet, set_hour_draws
 from stressgrid.levels import CAP_FRACTION, PowerLevel
 from stressgrid.policies import MIN_STRESS, DistributionProfile, alg1_decisions
 from stressgrid.protocol import decode, encode
+
+
+def fit_builtin_cdfs() -> dict[str, list]:
+    """The bundled corpus's CDFs per class label, fitted afresh."""
+    return {
+        label: [fit_cdf(filter_outliers(s)) for s in samples]
+        for label, samples in synthetic_samples().items()
+    }
+
+
+def builtin_cdf_arrays(cdfs: dict[str, list]) -> dict[str, np.ndarray]:
+    """`cdfs` as the arrays of `engine.BUILTIN_CDFS`."""
+    arrays = {}
+    for label, fitted in cdfs.items():
+        arrays[f"{label}_grid_x"] = np.stack([c.grid_x for c in fitted])
+        arrays[f"{label}_grid_f"] = np.stack([c.grid_f for c in fitted])
+        arrays[f"{label}_bandwidth"] = np.array([c.bandwidth for c in fitted])
+    return arrays
+
+
+def write_builtin_cdfs(path=BUILTIN_CDFS) -> None:
+    """Refit the bundled corpus and rewrite the table the builtin models
+    load from. Run it from the repo root after changing the corpus or the
+    fit:
+
+        PYTHONPATH=src:tests python -c "import helpers; helpers.write_builtin_cdfs()"
+    """
+    np.savez_compressed(path, **builtin_cdf_arrays(fit_builtin_cdfs()))
 
 
 def make_fleet(model, n: int = 1, smart: bool = True) -> Fleet:

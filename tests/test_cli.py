@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stressgrid import engine
+from stressgrid import cli, engine
 from stressgrid.cli import (
     ConfigError,
     ExperimentSpec,
@@ -18,6 +18,7 @@ from stressgrid.cli import (
     parse_config,
     run_sweep,
 )
+from stressgrid.consumption import load_corpus
 from stressgrid.corpus import write_synthetic_corpus
 
 TINY = """
@@ -256,6 +257,8 @@ class TestMain:
                      id="corpus-non-finite-reading"),
         pytest.param(corpus_ini(lambda d: (d / "refrigerator.txt").unlink()), [],
                      id="corpus-missing-file"),
+        pytest.param(corpus_ini(lambda d: _append(d / "manifest.txt", "refrigerator.txt\n")), [],
+                     id="corpus-extra-appliance"),
         pytest.param(TINY, ["--policy", "baseline"], id="policy-without-single"),
         pytest.param(TINY, ["--gap", "20"], id="gap-without-single"),
         pytest.param(TINY, ["--ap", "0.9"], id="ap-without-single"),
@@ -285,6 +288,23 @@ class TestMain:
         assert main(["--config", str(p), "--validate"]) == 0
         assert capsys.readouterr().out.startswith("config ok")
         assert str(corpus) not in engine._MODEL_CACHE
+
+    def test_corpus_read_once_to_check_and_once_to_fit(self, tmp_path, monkeypatch):
+        corpus = write_synthetic_corpus(tmp_path / "corpus")
+        p = write_config(tmp_path, tiny_with_data_dir(corpus))
+        reads = []
+
+        def counting_load_corpus(root):
+            reads.append(root)
+            return load_corpus(root)
+
+        monkeypatch.setattr(cli, "load_corpus", counting_load_corpus)
+        monkeypatch.setattr(engine, "load_corpus", counting_load_corpus)
+        monkeypatch.setattr(engine, "_MODEL_CACHE", {})
+        monkeypatch.setenv("STRESSGRID_THREADS", "1")
+        args = ["--config", str(p), "--out", str(tmp_path / "results"), "--quiet"]
+        assert main([*args, "--single", "--runs", "1"]) == 0
+        assert len(reads) == 2
 
 
 class TestRunSweep:

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stressgrid.engine import SimConfig, load_models, run
+import helpers
+import stressgrid
+from stressgrid.engine import BUILTIN_CDFS, SimConfig, load_models, run
+from stressgrid.homes import build_class_model
 from stressgrid.levels import PowerLevel
 from stressgrid.metrics import write_run_csv
 from stressgrid.topology import SupplyModel
@@ -25,6 +33,41 @@ def cfg(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+class TestBuiltinModels:
+    STALE = "the bundled table is stale; rewrite it with write_builtin_cdfs() in tests/helpers.py"
+
+    def test_table_equals_a_fresh_fit(self, class_models):
+        fresh = helpers.fit_builtin_cdfs()
+        with np.load(BUILTIN_CDFS, allow_pickle=False) as table:
+            bundled = dict(table)
+        expected = helpers.builtin_cdf_arrays(fresh)
+        assert bundled.keys() == expected.keys(), self.STALE
+        for key, want in expected.items():
+            got = bundled[key]
+            assert got.dtype == want.dtype and np.array_equal(got, want), f"{key}: {self.STALE}"
+        for label, cdfs in fresh.items():
+            want, got = build_class_model(label, cdfs), class_models[label]
+            for name, a, b in (
+                ("guide", want.table.guide, got.table.guide),
+                ("rated_draws", want.rated_draws, got.rated_draws),
+                ("dm", want.dm, got.dm),
+            ):
+                assert a.dtype == b.dtype and np.array_equal(a, b), f"{label} {name}: {self.STALE}"
+
+    def test_builtin_models_import_no_scipy(self):
+        src = str(Path(stressgrid.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, stressgrid.cli\n"
+            "from stressgrid.engine import load_models\n"
+            "load_models('builtin')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestDeterminism:
