@@ -18,6 +18,6 @@ from .policies import (
     baseline_step,
     reset_hourly,
 )
-from .topology import SupplyModel, Topology, build_topology, demand, stress_level
+from .topology import SupplyModel, Topology, build_topology, stress_level
 
 __version__ = "0.2.0"

@@ -29,7 +29,7 @@ from .homes import checked_home_class
 from .levels import UtilityParams
 from .metrics import MetricsLog, write_report
 from .policies import POLICIES, DistributionProfile
-from .topology import SupplyModel
+from .topology import SupplyModel, check_classes
 
 
 class ConfigError(Exception):
@@ -105,8 +105,10 @@ def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
     data_dir = spec.base.data_dir
     if data_dir != "builtin":
         try:
-            for label, samples in load_corpus(data_dir).items():  # reads every file, fits no model
+            corpus = load_corpus(data_dir)  # reads every file, fits no model
+            for label, samples in corpus.items():
                 checked_home_class(label, len(samples))
+            check_classes(corpus, spec.base.n_homes, spec.base.class_mix)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data_dir {data_dir!r}: {exc}") from None
     with _config_errors():

@@ -3,9 +3,11 @@
 Time advances in one-second steps inside hourly windows. At each hour
 boundary every home is restored to full power, appliance draws are
 redrawn, and the hour's supply and stress level are fixed. While served
-demand exceeds capacity the active policy runs one round per second; once
-the hour converges no state changes until the next boundary, so the engine
-skips ahead. A run is a pure function of (config, seed).
+demand exceeds capacity the active policy's round function runs once per
+second, k = 1, 2, ... within the hour, and the engine measures served
+demand after each round; once the hour converges no state changes until
+the next boundary, so the engine skips ahead. A run is a pure function of
+(config, seed).
 
 Under-load wastage and all level statistics are recorded at the converged
 state of each hour. A policy that exhausts its round budget leaves the
@@ -24,7 +26,7 @@ from .consumption import EmpiricalCdf, filter_outliers, fit_cdf, load_corpus, sa
 from .homes import HOME_CLASSES, ClassModel, build_class_model, set_hour_draws
 from .levels import PowerLevel, UtilityParams, utility
 from .metrics import HourRecord, MetricsLog, TraceEvent, ulw
-from .policies import POLICIES, DistributionProfile, reset_hourly
+from .policies import POLICIES, DistributionProfile, RoundState, reset_hourly
 from .protocol import CommandChannel, LinkModel
 from .topology import SupplyModel, Topology, build_topology, served_demand, stress_level
 
@@ -76,15 +78,6 @@ class SimConfig:
         return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
 
-@dataclass
-class SimState:
-    topology: Topology
-    rng: np.random.Generator
-    channel: CommandChannel
-    capacity_w: float = 0.0
-    emergency: bool = False
-
-
 _MODEL_CACHE: dict[str, dict[str, ClassModel]] = {}
 
 # The fitted CDFs of the bundled corpus: exactly what fit_cdf(filter_outliers(s))
@@ -124,10 +117,6 @@ def _builtin_cdfs() -> dict[str, list[EmpiricalCdf]]:
         }
 
 
-def converged(topology: Topology, capacity_w: float) -> bool:
-    return bool(served_demand(topology) <= capacity_w)
-
-
 def _refresh_draws(topology: Topology, rng: np.random.Generator) -> None:
     """Redraw every appliance for the hour, class by class in home order."""
     fleet = topology.fleet
@@ -155,8 +144,8 @@ def run(config: SimConfig) -> MetricsLog:
     )
     link = LinkModel() if config.protocol_emulation else None
     channel = CommandChannel(link, config.protocol_distance_m, rng)
-    policy = POLICIES[config.policy](topo, config)
-    state = SimState(topology=topo, rng=rng, channel=channel)
+    policy = POLICIES[config.policy]
+    state = RoundState(topo, config.dp, config.reduction_factor, rng, channel)
     supply = config.supply
     gap_pct = 100.0 * supply.gap_fraction if supply.mode == "fractional_gap" else float("nan")
     log = MetricsLog(
@@ -166,37 +155,36 @@ def run(config: SimConfig) -> MetricsLog:
         ap=config.ap,
         config_hash=config.config_hash(),
     )
-    max_rounds = policy.max_rounds(topo)
+    max_rounds = policy.max_rounds(len(topo.group_members))
 
     for hour in range(config.horizon_hours):
         state.emergency = False
         reset_hourly(topo.fleet)
         _refresh_draws(topo, rng)
         demand_w = served_demand(topo)  # everyone is at L5
-        capacity_w = config.supply.capacity_for(demand_w)
-        state.capacity_w = capacity_w
-        sl = stress_level(demand_w, capacity_w) if demand_w > 0 else 0.0
-        policy.start_hour(sl)
+        capacity_w = state.capacity_w = config.supply.capacity_for(demand_w)
+        sl = state.sl = stress_level(demand_w, capacity_w) if demand_w > 0 else 0.0
         log.trace.append(TraceEvent(hour, 0, "hour_start", f"sl={sl:.3f}"))
 
         rounds = 0
-        is_converged = converged(topo, capacity_w)
+        state.served_w = demand_w
+        is_converged = demand_w <= capacity_w
         if not is_converged:
             log.trace.append(TraceEvent(hour, 0, "gap_detected"))
         while not is_converged and rounds < max_rounds:
             was_emergency = state.emergency
-            policy.step(state)
             rounds += 1
+            policy.round(state, rounds)
             if state.emergency and not was_emergency:
                 log.trace.append(TraceEvent(hour, rounds, "emergency"))
-            is_converged = converged(topo, capacity_w)
+            state.served_w = served_demand(topo)
+            is_converged = state.served_w <= capacity_w
         log.trace.append(
             TraceEvent(
                 hour, rounds, "converged" if is_converged else "non_convergent"
             )
         )
 
-        served_w = served_demand(topo)
         level = topo.fleet.level
         counts = np.bincount(level, minlength=6)[1:].tolist()
         smart_counts = np.bincount(level[topo.fleet.smart], minlength=6)[1:].tolist()
@@ -207,8 +195,8 @@ def run(config: SimConfig) -> MetricsLog:
                 hour=hour,
                 demand_w=demand_w,
                 capacity_w=capacity_w,
-                served_w=served_w,
-                ulw_w=ulw(capacity_w, served_w) if is_converged else 0.0,
+                served_w=state.served_w,
+                ulw_w=ulw(capacity_w, state.served_w) if is_converged else 0.0,
                 level_counts=tuple(counts),
                 smart_level_counts=tuple(smart_counts),
                 mean_utility=sum(

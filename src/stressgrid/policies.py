@@ -12,12 +12,18 @@ Three ways to close the gap between demand and supply each hour:
 
 All three leave homes alone once the hour has converged. Homes shed in the
 previous hour are exempt this hour unless an emergency is declared.
+
+Each policy is a round function `round(state, k)` with a round budget
+(`POLICIES`). The engine calls it for k = 1, 2, ... within the hour while
+served demand exceeds capacity and the budget lasts; everything the rounds
+of one run share is in the one `RoundState`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +33,6 @@ from .protocol import CommandChannel
 from .topology import Topology, served_demand
 
 MIN_STRESS = 5.0
-REDUCTION_FACTOR = 0.5
 LATE_ROUNDS_PER_PASS = 5  # smart-home rounds after the first two
 
 _LOWER_CAPS = np.array([CAP_FRACTION[lv] for lv in PowerLevel][:-1])  # L1..L4, ascending
@@ -185,7 +190,7 @@ def alg1_round(
     emergency: bool,
     rng: np.random.Generator,
     channel: CommandChannel,
-    reduction_factor: float = REDUCTION_FACTOR,
+    reduction_factor: float,
 ) -> None:
     """One ping-pong round of the distributed scheme (one second).
 
@@ -280,109 +285,63 @@ def reset_hourly(fleet: Fleet) -> None:
     fleet.sl_init[:] = np.nan
 
 
-class BaselinePolicy:
-    """Cyclic whole-group blackout."""
+@dataclass
+class RoundState:
+    """What the policy rounds of one run read and write. The engine sets
+    `sl` and `capacity_w` at each hour boundary, `served_w` after every
+    convergence check, and clears `emergency` each hour."""
 
-    name = "baseline"
-
-    def __init__(self, topology: Topology, config=None):
-        self.rotation = BaselineRotation()
-        self._advanced = False
-
-    def max_rounds(self, topology: Topology) -> int:
-        return 2 + len(topology.group_members) + LATE_ROUNDS_PER_PASS
-
-    def start_hour(self, sl: float) -> None:
-        self._advanced = False
-
-    def step(self, state) -> None:
-        baseline_step(
-            self.rotation,
-            state.topology,
-            state.capacity_w,
-            state.channel,
-            advance=not self._advanced,
-        )
-        self._advanced = True
+    topology: Topology
+    dp: DistributionProfile
+    reduction_factor: float
+    rng: np.random.Generator
+    channel: CommandChannel
+    rotation: BaselineRotation = field(default_factory=BaselineRotation)
+    sl: float = 0.0
+    capacity_w: float = 0.0
+    served_w: float = 0.0
+    emergency: bool = False
 
 
-class DistributedPolicy:
-    """In-home stochastic backoff with utility-side group cuts.
-
-    A pass is one smart round, one non-smart round and LATE_ROUNDS_PER_PASS
-    more smart rounds, padded with further smart rounds up to the bound of
-    2 + group count + LATE_ROUNDS_PER_PASS seconds. If a full pass leaves
-    the gap open the engine-visible emergency flag is raised and a second,
-    forced pass runs; after that the hour is left non-convergent.
-    """
-
-    name = "distributed"
-
-    def __init__(self, topology: Topology, config):
-        self.dp: DistributionProfile = config.dp
-        self.reduction_factor: float = config.reduction_factor
-        self.rotation = BaselineRotation()
-        self.round_index = 0
-        self.pass_rounds = 2 + len(topology.group_members) + LATE_ROUNDS_PER_PASS
-
-    def max_rounds(self, topology: Topology) -> int:
-        return 2 * self.pass_rounds
-
-    def start_hour(self, sl: float) -> None:
-        self.round_index = 0
-        self.sl = sl
-
-    def step(self, state) -> None:
-        self.round_index += 1
-        in_pass = (self.round_index - 1) % self.pass_rounds + 1
-        if self.round_index > self.pass_rounds and not state.emergency:
-            state.emergency = True
-        alg1_round(
-            state.topology,
-            in_pass,
-            self.dp,
-            self.sl,
-            state.capacity_w,
-            self.rotation,
-            state.emergency,
-            state.rng,
-            state.channel,
-            self.reduction_factor,
-        )
+def pass_rounds(n_groups: int) -> int:
+    """Seconds in one distributed pass: a smart round, a non-smart round,
+    then smart rounds, LATE_ROUNDS_PER_PASS plus one per feeder group."""
+    return 2 + n_groups + LATE_ROUNDS_PER_PASS
 
 
-class CentralizedPolicy:
-    """Utility-computed assignment, one full pass per second."""
+def baseline_round(state: RoundState, k: int) -> None:
+    """Cyclic whole-group blackout; only the hour's first round moves the
+    rotation on."""
+    baseline_step(state.rotation, state.topology, state.capacity_w, state.channel, advance=k == 1)
 
-    name = "centralized"
 
-    def __init__(self, topology: Topology, config=None):
-        self.rotation = BaselineRotation()
+def distributed_round(state: RoundState, k: int) -> None:
+    """In-home stochastic backoff with utility-side group cuts; a second,
+    forced pass runs under emergency if the first leaves the gap open."""
+    n = pass_rounds(len(state.topology.group_members))
+    if k > n:
+        state.emergency = True
+    alg1_round(
+        state.topology, (k - 1) % n + 1, state.dp, state.sl, state.capacity_w, state.rotation,
+        state.emergency, state.rng, state.channel, state.reduction_factor,
+    )
 
-    def max_rounds(self, topology: Topology) -> int:
-        return 3
 
-    def start_hour(self, sl: float) -> None:
-        pass
+def centralized_round(state: RoundState, k: int) -> None:
+    """Utility-computed assignment, one full pass per second; a pass that
+    leaves the gap open raises the emergency flag."""
+    gap_w = state.served_w - state.capacity_w
+    if not alg2_step(state.topology, gap_w, state.rotation, state.rng, state.channel, state.emergency):
+        state.emergency = True
 
-    def step(self, state) -> None:
-        gap = served_demand(state.topology) - state.capacity_w
-        if gap <= 0:
-            return
-        closed = alg2_step(
-            state.topology,
-            gap,
-            self.rotation,
-            state.rng,
-            state.channel,
-            emergency=state.emergency,
-        )
-        if not closed:
-            state.emergency = True
+
+class Policy(NamedTuple):
+    round: Callable[[RoundState, int], None]  # round k (1-based) of the hour
+    max_rounds: Callable[[int], int]  # rounds allowed per hour, by feeder group count
 
 
 POLICIES = {
-    "baseline": BaselinePolicy,
-    "distributed": DistributedPolicy,
-    "centralized": CentralizedPolicy,
+    "baseline": Policy(baseline_round, pass_rounds),
+    "distributed": Policy(distributed_round, lambda n_groups: 2 * pass_rounds(n_groups)),
+    "centralized": Policy(centralized_round, lambda n_groups: 3),
 }

@@ -11,13 +11,13 @@ policies act on those groups.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .homes import HOME_CLASSES, ClassModel, Fleet
-from .levels import PowerLevel
 
 GROUP_SIZE = 10
 
@@ -83,6 +83,15 @@ def _class_stream(n_homes: int, class_mix: tuple[float, ...]) -> np.ndarray:
     return np.frombuffer(bytes(out), dtype=np.uint8)
 
 
+def check_classes(labels: Collection[str], n_homes: int, class_mix: tuple[float, ...]) -> None:
+    """Raise ValueError unless `labels` holds every class the class stream
+    gives a home."""
+    used = np.unique(_class_stream(n_homes, tuple(class_mix)))
+    missing = {sorted(HOME_CLASSES)[c] for c in used} - set(labels)
+    if missing:
+        raise ValueError(f"no class model for class {', '.join(sorted(missing))}")
+
+
 def build_topology(
     class_models: dict[str, ClassModel],
     n_homes: int,
@@ -99,9 +108,7 @@ def build_topology(
 
     labels = sorted(HOME_CLASSES)
     cls = _class_stream(n_homes, tuple(class_mix)).astype(np.intp)
-    missing = {labels[c] for c in np.unique(cls)} - set(class_models)
-    if missing:
-        raise ValueError(f"no class model for class {', '.join(sorted(missing))}")
+    check_classes(class_models, n_homes, class_mix)
     smart = np.zeros(n_homes, dtype=bool)
     smart[rng.permutation(n_homes)[: round(ap * n_homes)]] = True
     group = np.arange(n_homes) % n_transformers % n_feeders // group_size
@@ -112,13 +119,6 @@ def build_topology(
     members = np.split(np.argsort(group, kind="stable"), ends[:-1])
     models = tuple(class_models.get(label) for label in labels)
     return Topology(Fleet(models, cls, smart, group), members)
-
-
-def demand(topology: Topology) -> tuple[float, float]:
-    """(unconstrained demand, served demand) in watts: what all homes would
-    draw at L5, and what they draw at their current states."""
-    unconstrained = topology.fleet.level_watts[:, PowerLevel.L5 - 1].sum()
-    return float(unconstrained), served_demand(topology)
 
 
 def served_demand(topology: Topology) -> float:

@@ -15,6 +15,7 @@ from stressgrid.homes import HOME_CLASSES, Fleet, set_hour_draws
 from stressgrid.levels import CAP_FRACTION, PowerLevel
 from stressgrid.policies import MIN_STRESS, DistributionProfile, alg1_decisions
 from stressgrid.protocol import decode, encode
+from stressgrid.topology import served_demand
 
 
 def fit_builtin_cdfs() -> dict[str, list]:
@@ -57,6 +58,13 @@ def fill_draws(fleet: Fleet, scale: float) -> None:
         homes = np.flatnonzero(fleet.cls == c)
         if homes.size:
             set_hour_draws(fleet, homes, np.tile(model.rated_draws * scale, (homes.size, 1)))
+
+
+def demand(topology) -> tuple[float, float]:
+    """(unconstrained demand, served demand) in watts: what all homes would
+    draw at L5, and what they draw at their current states."""
+    unconstrained = topology.fleet.level_watts[:, PowerLevel.L5 - 1].sum()
+    return float(unconstrained), served_demand(topology)
 
 
 def decide(fleet: Fleet, sl: float, dp: DistributionProfile, emergency: bool, r: int):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import shutil
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from stressgrid.cli import (
 )
 from stressgrid.consumption import load_corpus
 from stressgrid.corpus import write_synthetic_corpus
+from stressgrid.policies import POLICIES
 
 TINY = """
 [simulation]
@@ -259,6 +261,7 @@ class TestMain:
                      id="corpus-missing-file"),
         pytest.param(corpus_ini(lambda d: _append(d / "manifest.txt", "refrigerator.txt\n")), [],
                      id="corpus-extra-appliance"),
+        pytest.param(corpus_ini(shutil.rmtree), [], id="corpus-missing-class"),
         pytest.param(TINY, ["--policy", "baseline"], id="policy-without-single"),
         pytest.param(TINY, ["--gap", "20"], id="gap-without-single"),
         pytest.param(TINY, ["--ap", "0.9"], id="ap-without-single"),
@@ -281,6 +284,17 @@ class TestMain:
         assert main(["--config", str(p), "--quiet", *validate]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: data_dir") and "Traceback" not in err
+
+    def test_corpus_needs_only_the_classes_homes_get(self, tmp_path, capsys):
+        corpus = write_synthetic_corpus(tmp_path / "corpus")
+        shutil.rmtree(corpus / "class_b")
+        shutil.rmtree(corpus / "class_c")
+        ini = tiny_with_data_dir(corpus).replace("[topology]", "[topology]\nclass_mix = 1,0,0")
+        p = write_config(tmp_path, ini)
+        assert main(["--config", str(p), "--validate"]) == 0
+        assert capsys.readouterr().out.startswith("config ok")
+        out = tmp_path / "results"
+        assert main(["--config", str(p), "--out", str(out), "--quiet", "--single", "--runs", "1"]) == 0
 
     def test_corpus_data_dir_validates_without_fitting(self, tmp_path, capsys):
         corpus = write_synthetic_corpus(tmp_path / "corpus")
@@ -327,3 +341,7 @@ def test_spec_cells_order():
     spec = ExperimentSpec(base=parse_config(None).base, policies=["a", "b"],
                           gaps_percent=[10.0], aps=[0.5], runs=1)
     assert spec.cells() == [("a", 10.0, 0.5), ("b", 10.0, 0.5)]
+
+
+def test_every_policy_has_a_seed_code():
+    assert set(POLICIES) == set(cli.POLICY_CODES)

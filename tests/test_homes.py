@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from helpers import make_fleet
+from helpers import demand, make_fleet
 from stressgrid.homes import (
     HOME_CLASSES,
     Home,
@@ -18,7 +18,7 @@ from stressgrid.homes import (
 )
 from stressgrid.levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
 from stressgrid.protocol import decode, encode
-from stressgrid.topology import build_topology, demand, served_demand
+from stressgrid.topology import build_topology, served_demand
 
 
 class TestBuildDm:

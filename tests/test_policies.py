@@ -12,24 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import ScalarHome, alg1_home_decision, decide, eligible_lower_levels
+from helpers import ScalarHome, alg1_home_decision, decide, demand, eligible_lower_levels
 from stressgrid.homes import set_hour_draws
 from stressgrid.levels import PowerLevel
 from stressgrid.policies import (
     LATE_ROUNDS_PER_PASS,
     MIN_STRESS,
-    BaselinePolicy,
+    POLICIES,
     BaselineRotation,
     DistributionProfile,
+    RoundState,
     alg1_round,
     alg2_step,
     baseline_step,
     cut_nonsmart_groups,
+    distributed_round,
     eligible_lower_runs,
     reset_hourly,
 )
 from stressgrid.protocol import CommandChannel
-from stressgrid.topology import build_topology, demand, served_demand
+from stressgrid.topology import build_topology, served_demand
 
 DP_THIRDS = DistributionProfile(1 / 3, 1 / 3, 1 / 3)
 
@@ -250,7 +252,9 @@ class TestEmptyGroups:
     def topology(self, class_models):
         topo = equal_draw_topology(class_models, 20, 12, 0.0, 4)
         assert [len(m) for m in topo.group_members] == [20, 0, 0]
-        assert BaselinePolicy(topo).max_rounds(topo) == 2 + 3 + LATE_ROUNDS_PER_PASS
+        pass_rounds = 2 + 3 + LATE_ROUNDS_PER_PASS
+        budgets = {name: p.max_rounds(len(topo.group_members)) for name, p in POLICIES.items()}
+        assert budgets == {"baseline": pass_rounds, "distributed": 2 * pass_rounds, "centralized": 3}
         return topo
 
     def test_baseline_walks_through_empty_groups(self, class_models):
@@ -288,7 +292,7 @@ class TestAlg1Round:
         channel = CommandChannel()
         alg1_round(
             topo, 1, DP_THIRDS, 0.0, D, BaselineRotation(), False,
-            np.random.default_rng(0), channel,
+            np.random.default_rng(0), channel, 0.5,
         )
         # sl=0 clamps to 5; only r in 1..4 backs off, so a handful may move
         moved = np.count_nonzero(topo.fleet.level != before)
@@ -301,7 +305,7 @@ class TestAlg1Round:
         D, _ = demand(topo)
         alg1_round(
             topo, 1, DistributionProfile(0.0, 0.0, 1.0), 100.0, 0.0,
-            BaselineRotation(), False, np.random.default_rng(1), CommandChannel(),
+            BaselineRotation(), False, np.random.default_rng(1), CommandChannel(), 0.5,
         )
         fleet = topo.fleet
         assert set(fleet.level.tolist()) <= {PowerLevel.L2, PowerLevel.L5}
@@ -315,7 +319,7 @@ class TestAlg1Round:
     def test_no_smart_homes_round_one_is_inert(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         rng = np.random.default_rng(2)
-        alg1_round(topo, 1, DP_THIRDS, 80.0, 0.0, BaselineRotation(), False, rng, CommandChannel())
+        alg1_round(topo, 1, DP_THIRDS, 80.0, 0.0, BaselineRotation(), False, rng, CommandChannel(), 0.5)
         assert (topo.fleet.level == PowerLevel.L5).all()
 
     def test_round_two_matches_baseline_cutoffs(self, class_models):
@@ -326,7 +330,7 @@ class TestAlg1Round:
         capacity = 0.7 * D
         alg1_round(
             topo_a, 2, DP_THIRDS, 30.0, capacity, BaselineRotation(), False,
-            np.random.default_rng(3), CommandChannel(),
+            np.random.default_rng(3), CommandChannel(), 0.5,
         )
         baseline_step(BaselineRotation(), topo_b, capacity, CommandChannel())
         assert topo_a.fleet.level.tolist() == topo_b.fleet.level.tolist()
@@ -337,20 +341,21 @@ class TestAlg1Round:
         topo = equal_draw_topology(class_models, 100, 5, 1.0, 5)
         D, _ = demand(topo)
         capacity = 0.5 * D
-        rotation = BaselineRotation()
-        rng = np.random.default_rng(4)
-        channel = CommandChannel()
-        sl = 50.0
+        state = RoundState(
+            topo, DP_THIRDS, 0.5, np.random.default_rng(4), CommandChannel(),
+            sl=50.0, capacity_w=capacity,
+        )
         pass_rounds = 2 + 1 + 5
+        assert POLICIES["distributed"].max_rounds(len(topo.group_members)) == 2 * pass_rounds
         after_round_2 = None
         converged_at = None
-        for round_index in range(1, 2 * pass_rounds + 1):
-            emergency = round_index > pass_rounds
-            alg1_round(topo, round_index, DP_THIRDS, sl, capacity, rotation, emergency, rng, channel)
-            if round_index == 2:
+        for k in range(1, 2 * pass_rounds + 1):
+            distributed_round(state, k)
+            assert state.emergency == (k > pass_rounds)
+            if k == 2:
                 after_round_2 = served_demand(topo)
-            if round_index > 2 and served_demand(topo) <= capacity:
-                converged_at = round_index
+            if k > 2 and served_demand(topo) <= capacity:
+                converged_at = k
                 break
         assert converged_at is not None
         assert served_demand(topo) < after_round_2  # late rounds made progress

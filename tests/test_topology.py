@@ -12,7 +12,6 @@ from stressgrid.topology import (
     SupplyModel,
     _class_stream,
     build_topology,
-    demand,
     served_demand,
     stress_level,
 )
@@ -123,30 +122,30 @@ class TestDemand:
         level = topo.fleet.level
 
         level[:] = PowerLevel.L1
-        unconstrained, served = demand(topo)
+        unconstrained, served = helpers.demand(topo)
         assert served == 0.0
 
         level[:] = PowerLevel.L5
-        _, served = demand(topo)
+        _, served = helpers.demand(topo)
         assert served == pytest.approx(unconstrained)
 
         level[:20] = PowerLevel.L1
-        _, served = demand(topo)
+        _, served = helpers.demand(topo)
         assert served == pytest.approx(unconstrained / 2)
 
     def test_served_tracks_current_levels(self, small_topology):
         topo = small_topology()
-        _, served_before = demand(topo)
+        _, served_before = helpers.demand(topo)
         assert served_demand(topo) == pytest.approx(served_before)
         topo.fleet.level[0] = PowerLevel.L1
-        drop = demand(topo)[1]
+        drop = helpers.demand(topo)[1]
         assert drop < served_before
 
     def test_served_never_exceeds_unconstrained(self, small_topology):
         topo = small_topology()
         rng = np.random.default_rng(6)
         topo.fleet.level[:] = rng.integers(1, 6, len(topo.fleet))
-        unconstrained, served = demand(topo)
+        unconstrained, served = helpers.demand(topo)
         assert served <= unconstrained + 1e-9
 
 
