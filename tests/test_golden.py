@@ -32,6 +32,12 @@ CONFIGS = {
         _SMALL, policy="distributed", ap=0.9, supply=SupplyModel(gap_fraction=0.4),
         protocol_emulation=True, protocol_distance_m=50.0,
     ),
+    "lossy_centralized": dict(
+        _SMALL, policy="centralized", ap=0.9, supply=SupplyModel(gap_fraction=0.4),
+        protocol_emulation=True, protocol_distance_m=50.0,
+    ),
+    # 22 of its 24 hours declare an emergency, which the 30 % case never does
+    "centralized_emergency": dict(_SMALL, policy="centralized", supply=SupplyModel(gap_fraction=0.4)),
 }
 INT_FIELDS = (
     "level_counts", "smart_level_counts", "convergence_seconds",
