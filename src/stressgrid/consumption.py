@@ -150,26 +150,31 @@ class CdfTable:
         return cls(grid_x, grid_f, guide.astype(np.min_scalar_type(grid_f.shape[1])))
 
 
-def sample_inverse(cdf: EmpiricalCdf | CdfTable, u):
+def sample_inverse(cdf: EmpiricalCdf | CdfTable, u, out: np.ndarray | None = None):
     """Generalized inverse: smallest grid x with F(x) >= u, interpolated
     linearly from the grid point before it. If that is the grid start (as
     for u = 0), the result is the grid start.
 
     With an EmpiricalCdf, `u` is a scalar or an array of quantiles in
     [0, 1) and the result has its shape. With a CdfTable, `u` is a
-    (rows, CDFs) block whose column j is inverted through CDF j.
+    (rows, CDFs) block whose column j is inverted through CDF j; the
+    result is written to `out` when given, which may be `u` itself.
     """
     u_arr = np.asarray(u, dtype=float)
     if isinstance(cdf, CdfTable):
         if u_arr.ndim != 2 or u_arr.shape[1] != len(cdf.grid_f):
             raise ValueError(f"u must be a (rows, {len(cdf.grid_f)}) block")
-        return _invert(cdf, u_arr)
+        return _invert(cdf, u_arr, out)
+    if out is not None:
+        raise ValueError("out is taken with a CdfTable only")
     out = _invert(CdfTable.stack([cdf]), u_arr.reshape(-1, 1))
     return out.reshape(u_arr.shape) if u_arr.ndim else float(out[0, 0])
 
 
-def _invert(table: CdfTable, u: np.ndarray) -> np.ndarray:
-    """`sample_inverse` of a (rows, CDFs) block, BLOCK_ROWS rows at a time.
+def _invert(table: CdfTable, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`sample_inverse` of a (rows, CDFs) block, BLOCK_ROWS rows at a time,
+    into `out` if given. Each block of u is read in full before its rows of
+    `out` are written, so `out` may be `u`.
 
     Each u starts at its bucket's guide entry, which is the answer for
     most draws, and steps once while F there is below u; the few draws in
@@ -180,7 +185,8 @@ def _invert(table: CdfTable, u: np.ndarray) -> np.ndarray:
     guide_row = np.arange(n) * (GUIDE_BUCKETS + 1)
     starts = np.arange(n) * points
     start_f = table.grid_f[:, 0].max()
-    out = np.empty(u.shape)
+    if out is None:
+        out = np.empty(u.shape)
     for first in range(0, len(u), BLOCK_ROWS):
         block = u[first : first + BLOCK_ROWS]
         least = block.min()

@@ -118,14 +118,15 @@ def _builtin_cdfs() -> dict[str, list[EmpiricalCdf]]:
 
 
 def _refresh_draws(topology: Topology, rng: np.random.Generator) -> None:
-    """Redraw every appliance for the hour, class by class in home order."""
+    """Redraw every appliance for the hour, class by class in home order.
+    Each class's quantile block becomes its draws in place."""
     fleet = topology.fleet
     for c, model in enumerate(fleet.models):
         homes = np.flatnonzero(fleet.cls == c)
         if not homes.size:
             continue
         u = rng.random((homes.size, model.n_appliances))
-        set_hour_draws(fleet, homes, sample_inverse(model.table, u))
+        set_hour_draws(fleet, homes, sample_inverse(model.table, u, out=u))
 
 
 def run(config: SimConfig) -> MetricsLog:

@@ -168,11 +168,14 @@ def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
 
     Draws are clamped at each appliance's rated value (the rating is what
     the state caps are guaranteed against) and scaled down in proportion if
-    the total would exceed the meter rating. The watts at each state are
+    the total would exceed the meter rating. A float64 `draws` array is
+    clamped and scaled in place, so it must not be a view of state that
+    is kept, such as a model's rated draws. The watts at each state are
     the connected appliances' draws summed in index order.
     """
     model = fleet.models[fleet.cls[homes[0]]]
-    draws = np.minimum(np.asarray(draws, dtype=float), model.rated_draws)
+    draws = np.asarray(draws, dtype=float)
+    np.minimum(draws, model.rated_draws, out=draws)
     total = draws.sum(axis=1)
     rating = model.home_class.rating_w
     over = total > rating

@@ -229,6 +229,44 @@ def eligible_lower_runs(
     return top, top - lowest + 1
 
 
+def _step_down_batch(
+    fleet: Fleet,
+    candidates: np.ndarray,
+    watts: np.ndarray,
+    top: np.ndarray,
+    count: np.ndarray,
+    gap: float,
+    rng: np.random.Generator,
+    channel: CommandChannel,
+) -> float:
+    """Step `candidates` down in order while `gap` stays positive, each to a
+    state drawn from its run (top, count) of eligible states, on a link
+    that delivers every command; returns the gap left.
+
+    One draw call covers the group: it draws a step for every eligible
+    candidate, finds where the gap closes, then rewinds the stream and
+    draws again exactly the steps used. `rng.integers(0, k_array)` gives
+    the values and the end state of one scalar call per entry, so the
+    stream ends where a loop of one draw per command would leave it.
+    """
+    eligible = count > 0
+    candidates, watts, top, count = candidates[eligible], watts[eligible], top[eligible], count[eligible]
+    if gap <= 0 or not candidates.size:
+        return gap
+    start = rng.bit_generator.state
+    new = top - rng.integers(0, count)
+    # subtract.accumulate runs in sequence, so every partial gap has the loop's bits
+    left = np.subtract.accumulate(np.concatenate(([gap], watts - fleet.level_watts[candidates, new - 1])))
+    closed = np.flatnonzero(left[1:] <= 0)
+    used = int(closed[0]) + 1 if closed.size else candidates.size
+    if used < candidates.size:
+        rng.bit_generator.state = start
+        rng.integers(0, count[:used])
+    for i, level in zip(candidates[:used].tolist(), new[:used].tolist()):
+        channel.apply(Home(fleet, i), level)
+    return float(left[used])
+
+
 def alg2_step(
     topology: Topology,
     delta_gap_w: float,
@@ -258,6 +296,9 @@ def alg2_step(
         top, count = eligible_lower_runs(
             fleet.level[candidates], watts / rating_w[fleet.cls[candidates]], emergency
         )
+        if channel.lossless:
+            return _step_down_batch(fleet, candidates, watts, top, count, gap, rng, channel)
+        # on a lossy link each command's delivery draw follows its step draw
         for i, current, hi, k, level_watts in zip(
             candidates.tolist(), watts.tolist(), top.tolist(), count.tolist(),
             fleet.level_watts[candidates].tolist(),

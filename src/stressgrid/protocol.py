@@ -160,6 +160,11 @@ class CommandChannel:
         # it leaves the shared stream, and every result, as without it.
         self._p = p if p is not None and p < 1.0 else None
 
+    @property
+    def lossless(self) -> bool:
+        """True when every command is delivered and no random number is drawn."""
+        return self._p is None
+
     def apply(self, home, level) -> bool:
         self.sent += 1
         if self._p is not None and self.rng.random() >= self._p:

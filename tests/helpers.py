@@ -11,9 +11,9 @@ import numpy as np
 from stressgrid.consumption import filter_outliers, fit_cdf
 from stressgrid.corpus import synthetic_samples
 from stressgrid.engine import BUILTIN_CDFS
-from stressgrid.homes import HOME_CLASSES, Fleet, set_hour_draws
+from stressgrid.homes import HOME_CLASSES, Fleet, Home, set_hour_draws
 from stressgrid.levels import CAP_FRACTION, PowerLevel
-from stressgrid.policies import MIN_STRESS, DistributionProfile, alg1_decisions
+from stressgrid.policies import MIN_STRESS, BaselineRotation, DistributionProfile, alg1_decisions
 from stressgrid.protocol import decode, encode
 from stressgrid.topology import served_demand
 
@@ -132,6 +132,43 @@ def eligible_lower_levels(
     if emergency:
         levels.append(PowerLevel.L1)
     return [lv for lv in levels if CAP_FRACTION[lv] < consumption_fraction]
+
+
+def alg2_step_reference(
+    topology, delta_gap_w: float, rotation: BaselineRotation, rng, channel, emergency: bool = False
+) -> bool:
+    """Scalar reference of `policies.alg2_step`, home by home: in each group
+    visited, cut every cuttable non-smart home, then step the candidates
+    down in descending consumption (ties to the lower id) while the gap
+    stays open, with one `rng.integers(0, k)` per candidate that has k
+    eligible states and one command per step."""
+    fleet = topology.fleet
+    groups = topology.group_members
+    gap = delta_gap_w
+    visited = 0
+    while visited < len(groups) and gap > 0:
+        members = groups[(rotation.next_group_index + visited) % len(groups)].tolist()
+        visited += 1
+        for i in members:
+            exempt = fleet.ls_lh[i] and not emergency
+            if not fleet.smart[i] and fleet.level[i] != PowerLevel.L1 and not exempt:
+                watts = float(fleet.watts(i))
+                if channel.apply(Home(fleet, i), PowerLevel.L1):
+                    gap -= watts
+        candidates = [i for i in members if fleet.smart[i] and (emergency or not fleet.ls_lh[i])]
+        for i in sorted(candidates, key=lambda i: (-float(fleet.watts(i)), i)):
+            if gap <= 0:
+                break
+            current = float(fleet.watts(i))
+            fraction = current / fleet.models[fleet.cls[i]].home_class.rating_w
+            levels = [lv for lv in eligible_lower_levels(fraction, emergency) if lv < fleet.level[i]]
+            if not levels:
+                continue
+            new = levels[int(rng.integers(0, len(levels)))]
+            if channel.apply(Home(fleet, i), new):
+                gap -= current - float(fleet.level_watts[i, new - 1])
+    rotation.next_group_index = (rotation.next_group_index + visited) % len(groups)
+    return gap <= 0
 
 
 def sample_inverse_reference(cdf, u):

@@ -234,6 +234,11 @@ class TestCdfTable:
         block = sample_inverse(model.table, u)
         rows = np.vstack([sample_inverse(model.table, row[None]) for row in u])
         assert (bits(block) == bits(rows)).all()
+        # inverted in place, as the hourly redraw does
+        assert sample_inverse(model.table, u, out=u) is u
+        assert (bits(u) == bits(block)).all()
+        with pytest.raises(ValueError, match="CdfTable only"):
+            sample_inverse(model.cdfs[0], 0.5, out=np.empty(1))
 
     def test_guide_entries_start_each_bucket(self, uniform_cdf):
         table = CdfTable.stack([uniform_cdf, uniform_cdf])

@@ -96,8 +96,9 @@ class TestBuildDm:
 
 def install(model, draws):
     """A fleet of one home per row of `draws`, with those draws installed;
-    returns the fleet and the draws as installed."""
-    draws = np.atleast_2d(draws)
+    returns the fleet and the draws as installed. `draws` is copied, as
+    set_hour_draws clamps in place and callers pass model arrays."""
+    draws = np.array(draws, dtype=float, ndmin=2)
     fleet = make_fleet(model, len(draws))
     return fleet, set_hour_draws(fleet, np.arange(len(draws)), draws)
 
@@ -144,6 +145,12 @@ class TestSetHourDraws:
         model = class_models["A"]
         _, draws = install(model, model.rated_draws * 10)
         assert np.all(draws <= model.rated_draws + 1e-12)
+
+    def test_clamps_in_place(self, class_models):
+        model = class_models["A"]
+        draws = np.tile(model.rated_draws * 10, (2, 1))
+        assert set_hour_draws(make_fleet(model, 2), np.arange(2), draws) is draws
+        assert np.all(draws <= model.rated_draws)
 
     def test_total_never_exceeds_rating(self, class_models):
         for model in class_models.values():

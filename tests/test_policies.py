@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -30,7 +30,7 @@ from stressgrid.policies import (
     eligible_lower_runs,
     reset_hourly,
 )
-from stressgrid.protocol import CommandChannel
+from stressgrid.protocol import CommandChannel, LinkModel
 from stressgrid.topology import build_topology, served_demand
 
 DP_THIRDS = DistributionProfile(1 / 3, 1 / 3, 1 / 3)
@@ -489,7 +489,7 @@ class TestAlg2Step:
             rng=np.random.default_rng(5), class_mix=(1.0, 0.0, 0.0),
         )
         rated = class_models["A"].rated_draws
-        set_hour_draws(topo.fleet, np.array([0]), rated[None])  # ~87% of rating
+        set_hour_draws(topo.fleet, np.array([0]), rated[None].copy())  # ~87% of rating
         return topo, topo.fleet
 
     def test_nonpositive_gap_is_inert(self, class_models):
@@ -565,6 +565,77 @@ class TestAlg2Step:
         )
         assert closed
         assert fleet.level[0] < PowerLevel.L5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ks=st.lists(st.integers(1, 4), min_size=1, max_size=60),
+    seed=st.integers(0, 2**64 - 1),
+    odd_start=st.booleans(),
+)
+@example(ks=[1], seed=0, odd_start=False)
+@example(ks=[1, 1, 1], seed=0, odd_start=True)
+def test_array_bound_draw_equals_scalar_draws(ks, seed, odd_start):
+    """The batched step-down of alg2_step rewinds its stream and relies on
+    numpy's `rng.integers(0, k_array)` giving the values of, and leaving
+    the generator as, one scalar `rng.integers(0, k)` per entry, k = 1
+    (which draws nothing) included. A numpy that breaks this fails here."""
+    batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    if odd_start:  # half of a 64-bit output left buffered
+        batch.integers(0, 3)
+        scalar.integers(0, 3)
+    got = batch.integers(0, np.array(ks, dtype=np.intp))
+    assert got.tolist() == [int(scalar.integers(0, k)) for k in ks]
+    assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+LINKS = {
+    "none": lambda rng: CommandChannel(),
+    "perfect": lambda rng: CommandChannel(LinkModel(), 10.0, rng),
+    "lossy": lambda rng: CommandChannel(LinkModel(), 50.0, rng),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_alg2_step_matches_scalar_reference(class_models, data):
+    """alg2_step steps a group down in one batch on a lossless link and home
+    by home on a lossy one; either way it must agree with the scalar
+    reference on levels, result, rotation, commands and the stream."""
+    n_feeders = data.draw(st.integers(1, 30))
+    topo = build_topology(
+        class_models, n_homes=data.draw(st.integers(1, 300)), n_feeders=n_feeders,
+        ap=data.draw(st.floats(0.0, 1.0)), rng=np.random.default_rng(0),
+        group_size=data.draw(st.integers(1, n_feeders)),
+    )
+    fleet = topo.fleet
+    setup = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for c, model in enumerate(fleet.models):
+        homes = np.flatnonzero(fleet.cls == c)
+        if homes.size:
+            draws = setup.uniform(0.0, 1.2, (homes.size, model.n_appliances)) * model.rated_draws
+            set_hour_draws(fleet, homes, draws)
+    fleet.level[:] = setup.integers(PowerLevel.L1, PowerLevel.L5 + 1, len(fleet))
+    fleet.ls_lh[:] = setup.random(len(fleet)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    gap = data.draw(st.floats(-0.1, 1.2)) * served_demand(topo)
+    emergency = data.draw(st.booleans())
+    start = data.draw(st.integers(0, len(topo.group_members) - 1))
+    link = data.draw(st.sampled_from(sorted(LINKS)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    level = fleet.level.copy()
+
+    outcomes = []
+    for step in (helpers.alg2_step_reference, alg2_step):
+        fleet.level[:] = level
+        rng = np.random.default_rng(seed)
+        channel = LINKS[link](rng)
+        rotation = BaselineRotation(start)
+        closed = step(topo, gap, rotation, rng, channel, emergency)
+        outcomes.append((
+            fleet.level.tolist(), closed, rotation.next_group_index,
+            channel.sent, channel.lost, rng.bit_generator.state,
+        ))
+    assert outcomes[1] == outcomes[0]
 
 
 class TestResetHourly:

@@ -164,6 +164,12 @@ class TestCommandChannel:
         assert home.current_level is PowerLevel.L3
         assert channel.sent == 1 and channel.lost == 0
 
+    def test_lossless_unless_a_command_can_be_lost(self):
+        rng = np.random.default_rng(0)
+        assert CommandChannel().lossless
+        assert CommandChannel(LinkModel(), 10.0, rng).lossless  # PRR 1.0
+        assert not CommandChannel(LinkModel(), 50.0, rng).lossless
+
     def test_lossy_link_drops_commands(self, class_models):
         home = self.make_home(class_models)
         channel = CommandChannel(LinkModel(), 50.0, np.random.default_rng(5))
