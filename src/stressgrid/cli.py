@@ -4,9 +4,11 @@ Configs are plain INI-style ``key = value`` files with bracketed section
 headers. Every key has a documented default, so an empty file is a valid
 config; unknown sections or keys are rejected. The sweep is the cross
 product of policies, supply gaps and smart-home penetrations, with a fixed
-number of runs per cell. Per-run seeds are derived from the base seed and
-the cell parameters alone, so re-running any single cell reproduces the
-exact files of the full sweep.
+number of runs per cell. Per-run seeds are derived from the base seed, the
+gap, the AP and the run index alone, so re-running any single cell
+reproduces the exact files of the full sweep, and the policies compared at
+one gap and AP run on common random numbers: the same topology and the
+same demand path, run by run.
 """
 
 from __future__ import annotations
@@ -36,22 +38,15 @@ class ConfigError(Exception):
     pass
 
 
-POLICY_CODES = {"baseline": 0, "distributed": 1, "centralized": 2}
+def derive_seed(base_seed: int, gap_percent: float, ap: float, run_index: int) -> int:
+    """Stable per-run seed from the base seed, the cell's gap and AP, and the
+    run index; the policy is left out, so every policy of a cell runs on the
+    same random numbers.
 
-
-def derive_seed(base_seed: int, policy: str, gap_percent: float, ap: float, run_index: int) -> int:
-    """Stable per-run seed from the base seed and the cell parameters.
-
-    entropy = (base, policy code, gap in hundredths of a percent, ap in
-    hundredths of a percent, run index), hashed by numpy's SeedSequence.
+    entropy = (base, gap in hundredths of a percent, ap in hundredths of a
+    percent, run index), hashed by numpy's SeedSequence.
     """
-    entropy = (
-        base_seed,
-        POLICY_CODES[policy],
-        int(round(gap_percent * 100)),
-        int(round(ap * 10000)),
-        run_index,
-    )
+    entropy = (base_seed, int(round(gap_percent * 100)), int(round(ap * 10000)), run_index)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -261,9 +256,9 @@ def cell_config(spec: ExperimentSpec, policy: str, gap_percent: float, ap: float
     else:
         supply = spec.base.supply
         gap_percent = 0.0  # fixed-capacity runs key their seeds on gap 0
-    # checked before the seed is derived, which needs a known policy
+    # checked before the seed is derived, which needs a finite ap
     config = replace(spec.base, policy=policy, ap=ap, supply=supply)
-    return replace(config, seed=derive_seed(spec.base.seed, policy, gap_percent, ap, run_index))
+    return replace(config, seed=derive_seed(spec.base.seed, gap_percent, ap, run_index))
 
 
 def _worker_count(n_jobs: int) -> int:

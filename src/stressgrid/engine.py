@@ -130,23 +130,27 @@ def _refresh_draws(topology: Topology, rng: np.random.Generator) -> None:
 
 
 def run(config: SimConfig) -> MetricsLog:
-    """Execute one simulation run; deterministic given (config, seed)."""
+    """Execute one simulation run; deterministic given (config, seed). The
+    seed spawns one random stream per purpose (topology, hourly redraw,
+    policy, channel), so a draw for one purpose moves no value of another."""
     models = load_models(config.data_dir)
-    rng = np.random.default_rng(config.seed)
+    topology_rng, draws_rng, policy_rng, channel_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(4)
+    )
     topo = build_topology(
         models,
         n_homes=config.n_homes,
         n_feeders=config.n_feeders,
         ap=config.ap,
-        rng=rng,
+        rng=topology_rng,
         homes_per_transformer=config.homes_per_transformer,
         group_size=config.group_size,
         class_mix=config.class_mix,
     )
     link = LinkModel() if config.protocol_emulation else None
-    channel = CommandChannel(link, config.protocol_distance_m, rng)
+    channel = CommandChannel(link, config.protocol_distance_m, channel_rng)
     policy = POLICIES[config.policy]
-    state = RoundState(topo, config.dp, config.reduction_factor, rng, channel)
+    state = RoundState(topo, config.dp, config.reduction_factor, policy_rng, channel)
     supply = config.supply
     gap_pct = 100.0 * supply.gap_fraction if supply.mode == "fractional_gap" else float("nan")
     log = MetricsLog(
@@ -161,7 +165,7 @@ def run(config: SimConfig) -> MetricsLog:
     for hour in range(config.horizon_hours):
         state.emergency = False
         reset_hourly(topo.fleet)
-        _refresh_draws(topo, rng)
+        _refresh_draws(topo, draws_rng)
         demand_w = served_demand(topo)  # everyone is at L5
         capacity_w = state.capacity_w = config.supply.capacity_for(demand_w)
         sl = state.sl = stress_level(demand_w, capacity_w) if demand_w > 0 else 0.0

@@ -140,8 +140,10 @@ class CommandChannel:
 
     By default delivery is perfect and instantaneous at the 1 s round
     granularity (command latency is tens of milliseconds). With a link
-    attached, each command succeeds with the link's delivery probability;
-    a lost command leaves the home's state unchanged.
+    attached, each command succeeds with the link's delivery probability,
+    one uniform per command from `rng`, the run's channel stream, which
+    nothing else draws from; a lost command leaves the home's state
+    unchanged.
     """
 
     def __init__(
@@ -157,7 +159,7 @@ class CommandChannel:
         self.lost = 0
         p = None if link is None else link.delivery_probability(distance_m)
         # A link that always delivers draws no random number, so emulating
-        # it leaves the shared stream, and every result, as without it.
+        # it leaves every result as without it.
         self._p = p if p is not None and p < 1.0 else None
 
     @property

@@ -140,8 +140,9 @@ def alg2_step_reference(
     """Scalar reference of `policies.alg2_step`, home by home: in each group
     visited, cut every cuttable non-smart home, then step the candidates
     down in descending consumption (ties to the lower id) while the gap
-    stays open, with one `rng.integers(0, k)` per candidate that has k
-    eligible states and one command per step."""
+    stays open, with one `rng.integers(0, k)` on the policy stream `rng`
+    per candidate that has k eligible states and one command per step,
+    whose delivery the channel draws on its own stream."""
     fleet = topology.fleet
     groups = topology.group_members
     gap = delta_gap_w

@@ -21,7 +21,6 @@ from stressgrid.cli import (
 )
 from stressgrid.consumption import load_corpus
 from stressgrid.corpus import write_synthetic_corpus
-from stressgrid.policies import POLICIES
 
 TINY = """
 [simulation]
@@ -135,20 +134,24 @@ class TestParseConfig:
 class TestSeedDerivation:
     def test_frozen_values(self):
         # stable across releases; these anchor the derivation formula
-        assert derive_seed(42, "baseline", 20.0, 0.9, 0) == 14727685562743866458
-        assert derive_seed(42, "distributed", 20.0, 0.9, 0) == 10139732242935308255
-        assert derive_seed(42, "distributed", 20.0, 0.9, 1) == 190692746204843621
-        assert derive_seed(0, "centralized", 0.0, 0.0, 0) == 12969916493838376147
+        assert derive_seed(42, 20.0, 0.9, 0) == 9059623782722770134
+        assert derive_seed(42, 20.0, 0.9, 1) == 9050937106073144497
+        assert derive_seed(42, 30.0, 0.9, 0) == 10713788727521964757
+        assert derive_seed(0, 0.0, 0.0, 0) == 15793235383387715774
 
     def test_cells_and_runs_distinct(self):
-        seeds = {
-            derive_seed(42, policy, gap, ap, run)
-            for policy in ("baseline", "distributed", "centralized")
-            for gap in (10.0, 20.0)
-            for ap in (0.3, 0.9)
-            for run in range(5)
-        }
-        assert len(seeds) == 3 * 2 * 2 * 5
+        """Distinct across gap, AP and run index; equal across the policies
+        of one cell, which run on common random numbers."""
+        spec = parse_config(None)
+        seeds = {}
+        for policy in ("baseline", "distributed", "centralized"):
+            for gap in (10.0, 20.0):
+                for ap in (0.3, 0.9):
+                    for run in range(5):
+                        seed = cell_config(spec, policy, gap, ap, run).seed
+                        seeds.setdefault((gap, ap, run), set()).add(seed)
+        assert all(len(per_policy) == 1 for per_policy in seeds.values())
+        assert len(set.union(*seeds.values())) == 2 * 2 * 5
 
     def test_cell_config_carries_cell_parameters(self):
         spec = parse_config(None)
@@ -156,7 +159,7 @@ class TestSeedDerivation:
         assert c.policy == "centralized"
         assert c.ap == 0.6
         assert c.supply.gap_fraction == pytest.approx(0.3)
-        assert c.seed == derive_seed(42, "centralized", 30.0, 0.6, 4)
+        assert c.seed == derive_seed(42, 30.0, 0.6, 4)
 
 
 class TestWorkerCount:
@@ -189,7 +192,7 @@ class TestMain:
         assert code == 0
         runs = sorted(q.name for q in (out / "runs").glob("*.csv"))
         assert len(runs) == 3 * 2  # three policies, two seeds
-        s0 = derive_seed(42, "baseline", 20.0, 0.9, 0)
+        s0 = derive_seed(42, 20.0, 0.9, 0)
         assert f"run_baseline_20_90_s{s0}.csv" in runs
         summaries = sorted(q.name for q in out.glob("summary_*.csv"))
         assert summaries == [
@@ -227,7 +230,7 @@ class TestMain:
             "--single", "--policy", "distributed", "--gap", "20", "--ap", "0.9",
         ]) == 0
         for j in range(2):
-            name = f"run_distributed_20_90_s{derive_seed(42, 'distributed', 20.0, 0.9, j)}.csv"
+            name = f"run_distributed_20_90_s{derive_seed(42, 20.0, 0.9, j)}.csv"
             a = (full / "runs" / name).read_bytes()
             b = (single / "runs" / name).read_bytes()
             assert a == b
@@ -341,7 +344,3 @@ def test_spec_cells_order():
     spec = ExperimentSpec(base=parse_config(None).base, policies=["a", "b"],
                           gaps_percent=[10.0], aps=[0.5], runs=1)
     assert spec.cells() == [("a", 10.0, 0.5), ("b", 10.0, 0.5)]
-
-
-def test_every_policy_has_a_seed_code():
-    assert set(POLICIES) == set(cli.POLICY_CODES)

@@ -13,11 +13,14 @@ import pytest
 
 import helpers
 import stressgrid
+from stressgrid import engine
+from stressgrid.cli import ExperimentSpec, cell_config
 from stressgrid.engine import BUILTIN_CDFS, SimConfig, load_models, run
 from stressgrid.homes import build_class_model
 from stressgrid.levels import PowerLevel
 from stressgrid.metrics import write_run_csv
-from stressgrid.topology import SupplyModel
+from stressgrid.policies import POLICIES
+from stressgrid.topology import SupplyModel, build_topology
 
 
 def cfg(**overrides):
@@ -230,6 +233,39 @@ class TestProtocolIntegration:
     def test_perfect_channel_has_no_losses(self):
         log = run(cfg(horizon_hours=2))
         assert log.commands_lost == 0
+
+
+
+class TestRandomStreams:
+    """Each random stream of a run has one purpose, so draws made for one
+    purpose move no value of another."""
+
+    def test_policies_of_a_cell_see_one_demand_path(self):
+        spec = ExperimentSpec(base=cfg(horizon_hours=6), gaps_percent=[40.0], aps=[0.9], runs=2)
+        for j in range(spec.runs):
+            demand = {
+                policy: [rec.demand_w for rec in run(cell_config(spec, policy, 40.0, 0.9, j)).hours]
+                for policy in POLICIES
+            }
+            assert demand["distributed"] == demand["baseline"]
+            assert demand["centralized"] == demand["baseline"]
+
+    def test_a_lossy_link_moves_no_home_or_demand(self, monkeypatch):
+        smart = []
+
+        def recording_build_topology(*args, **kwargs):
+            topo = build_topology(*args, **kwargs)
+            smart.append(topo.fleet.smart.copy())
+            return topo
+
+        monkeypatch.setattr(engine, "build_topology", recording_build_topology)
+        for policy in ("distributed", "centralized"):
+            smart.clear()
+            plain = run(cfg(policy=policy, horizon_hours=6))
+            lossy = run(cfg(policy=policy, horizon_hours=6, protocol_emulation=True, protocol_distance_m=50.0))
+            assert lossy.commands_lost > 0
+            assert [rec.demand_w for rec in lossy.hours] == [rec.demand_w for rec in plain.hours]
+            assert np.array_equal(smart[0], smart[1])
 
 
 class TestConfig:

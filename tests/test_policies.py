@@ -601,7 +601,8 @@ LINKS = {
 def test_alg2_step_matches_scalar_reference(class_models, data):
     """alg2_step steps a group down in one batch on a lossless link and home
     by home on a lossy one; either way it must agree with the scalar
-    reference on levels, result, rotation, commands and the stream."""
+    reference on levels, result, rotation, commands and where it leaves
+    both streams: the policy's step draws and the channel's delivery draws."""
     n_feeders = data.draw(st.integers(1, 30))
     topo = build_topology(
         class_models, n_homes=data.draw(st.integers(1, 300)), n_feeders=n_feeders,
@@ -627,13 +628,13 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
     outcomes = []
     for step in (helpers.alg2_step_reference, alg2_step):
         fleet.level[:] = level
-        rng = np.random.default_rng(seed)
-        channel = LINKS[link](rng)
+        rng, channel_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+        channel = LINKS[link](channel_rng)
         rotation = BaselineRotation(start)
         closed = step(topo, gap, rotation, rng, channel, emergency)
         outcomes.append((
-            fleet.level.tolist(), closed, rotation.next_group_index,
-            channel.sent, channel.lost, rng.bit_generator.state,
+            fleet.level.tolist(), closed, rotation.next_group_index, channel.sent, channel.lost,
+            rng.bit_generator.state, channel_rng.bit_generator.state,
         ))
     assert outcomes[1] == outcomes[0]
 
