@@ -4,11 +4,9 @@ Configs are plain INI-style ``key = value`` files with bracketed section
 headers. Every key has a documented default, so an empty file is a valid
 config; unknown sections or keys are rejected. The sweep is the cross
 product of policies, supply gaps and smart-home penetrations, with a fixed
-number of runs per cell. Per-run seeds are derived from the base seed, the
-gap, the AP and the run index alone, so re-running any single cell
-reproduces the exact files of the full sweep, and the policies compared at
-one gap and AP run on common random numbers: the same topology and the
-same demand path, run by run.
+number of runs per cell. Per-run seeds come from the base seed, gap, AP and
+run index alone, not the policy, so re-running any single cell reproduces
+the exact files of the full sweep and the policies of a cell share theirs.
 """
 
 from __future__ import annotations
@@ -39,9 +37,8 @@ class ConfigError(Exception):
 
 
 def derive_seed(base_seed: int, gap_percent: float, ap: float, run_index: int) -> int:
-    """Stable per-run seed from the base seed, the cell's gap and AP, and the
-    run index; the policy is left out, so every policy of a cell runs on the
-    same random numbers.
+    """Stable per-run seed from the base seed and the cell's gap, AP and run
+    index; not the policy, so the policies of a cell share random numbers.
 
     entropy = (base, gap in hundredths of a percent, ap in hundredths of a
     percent, run index), hashed by numpy's SeedSequence.

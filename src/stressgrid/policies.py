@@ -240,14 +240,15 @@ def _step_down_batch(
     channel: CommandChannel,
 ) -> float:
     """Step `candidates` down in order while `gap` stays positive, each to a
-    state drawn from its run (top, count) of eligible states, on a link
-    that delivers every command; returns the gap left.
+    state drawn from its run (top, count) of eligible states; a command that
+    the channel loses closes none of the gap. Returns the gap left.
 
     One draw call covers the group: it draws a step for every eligible
-    candidate, finds where the gap closes, then rewinds the stream and
-    draws again exactly the steps used. `rng.integers(0, k_array)` gives
-    the values and the end state of one scalar call per entry, so the
-    stream ends where a loop of one draw per command would leave it.
+    candidate and looks ahead at each command's delivery, finds where the
+    gap closes, then rewinds the stream and draws again exactly the steps
+    used. `rng.integers(0, k_array)` gives the values and the end state of
+    one scalar call per entry, so the stream ends where a loop of one draw
+    per command would leave it; `apply` redraws each delivery in order.
     """
     eligible = count > 0
     candidates, watts, top, count = candidates[eligible], watts[eligible], top[eligible], count[eligible]
@@ -255,8 +256,10 @@ def _step_down_batch(
         return gap
     start = rng.bit_generator.state
     new = top - rng.integers(0, count)
+    shed_w = watts - fleet.level_watts[candidates, new - 1]
+    shed_w[~channel.next_deliveries(candidates.size)] = 0.0  # gap - 0.0 keeps its bits
     # subtract.accumulate runs in sequence, so every partial gap has the loop's bits
-    left = np.subtract.accumulate(np.concatenate(([gap], watts - fleet.level_watts[candidates, new - 1])))
+    left = np.subtract.accumulate(np.concatenate(([gap], shed_w)))
     closed = np.flatnonzero(left[1:] <= 0)
     used = int(closed[0]) + 1 if closed.size else candidates.size
     if used < candidates.size:
@@ -296,21 +299,7 @@ def alg2_step(
         top, count = eligible_lower_runs(
             fleet.level[candidates], watts / rating_w[fleet.cls[candidates]], emergency
         )
-        if channel.lossless:
-            return _step_down_batch(fleet, candidates, watts, top, count, gap, rng, channel)
-        # on a lossy link each command's delivery draw follows its step draw
-        for i, current, hi, k, level_watts in zip(
-            candidates.tolist(), watts.tolist(), top.tolist(), count.tolist(),
-            fleet.level_watts[candidates].tolist(),
-        ):
-            if gap <= 0:
-                break
-            if k <= 0:
-                continue
-            new = hi - int(rng.integers(0, k))
-            if channel.apply(Home(fleet, i), new):
-                gap -= current - level_watts[new - 1]
-        return gap
+        return _step_down_batch(fleet, candidates, watts, top, count, gap, rng, channel)
 
     gap, visited = _walk_groups(topology, rotation, delta_gap_w, 0.0, shed)
     rotation.next_group_index = (rotation.next_group_index + visited) % len(topology.group_members)

@@ -140,10 +140,9 @@ class CommandChannel:
 
     By default delivery is perfect and instantaneous at the 1 s round
     granularity (command latency is tens of milliseconds). With a link
-    attached, each command succeeds with the link's delivery probability,
-    one uniform per command from `rng`, the run's channel stream, which
-    nothing else draws from; a lost command leaves the home's state
-    unchanged.
+    attached, each command succeeds with the link's delivery probability
+    (one uniform per command from `rng`, a stream only the channel draws
+    from); a lost command leaves the home's state unchanged.
     """
 
     def __init__(
@@ -158,14 +157,25 @@ class CommandChannel:
         self.sent = 0
         self.lost = 0
         p = None if link is None else link.delivery_probability(distance_m)
-        # A link that always delivers draws no random number, so emulating
-        # it leaves every result as without it.
+        # a link that always delivers draws no random number
         self._p = p if p is not None and p < 1.0 else None
 
     @property
     def lossless(self) -> bool:
         """True when every command is delivered and no random number is drawn."""
         return self._p is None
+
+    def next_deliveries(self, n: int) -> np.ndarray:
+        """Whether each of the next `n` commands will be delivered, without
+        sending them: `apply` draws the same uniforms again, one per
+        command, since the stream is rewound here. A lossless link draws
+        nothing."""
+        if self.lossless:
+            return np.ones(n, dtype=bool)
+        start = self.rng.bit_generator.state
+        delivered = self.rng.random(n) < self._p
+        self.rng.bit_generator.state = start
+        return delivered
 
     def apply(self, home, level) -> bool:
         self.sent += 1

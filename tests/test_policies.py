@@ -589,6 +589,23 @@ def test_array_bound_draw_equals_scalar_draws(ks, seed, odd_start):
     assert batch.bit_generator.state == scalar.bit_generator.state
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 200), seed=st.integers(0, 2**64 - 1), odd_start=st.booleans())
+def test_random_block_equals_scalar_draws(n, seed, odd_start):
+    """`CommandChannel.next_deliveries` draws the next n commands' uniforms
+    as one `rng.random(n)` and rewinds; `apply` then draws them one scalar
+    `rng.random()` at a time. That needs the block to give the values of,
+    and leave the generator as, n scalar calls. A numpy that breaks this
+    fails here."""
+    block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    if odd_start:  # half of a 64-bit output left buffered
+        block.integers(0, 3)
+        scalar.integers(0, 3)
+    got = block.random(n)
+    assert got.tolist() == [scalar.random() for _ in range(n)]
+    assert block.bit_generator.state == scalar.bit_generator.state
+
+
 LINKS = {
     "none": lambda rng: CommandChannel(),
     "perfect": lambda rng: CommandChannel(LinkModel(), 10.0, rng),
@@ -599,10 +616,10 @@ LINKS = {
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_alg2_step_matches_scalar_reference(class_models, data):
-    """alg2_step steps a group down in one batch on a lossless link and home
-    by home on a lossy one; either way it must agree with the scalar
-    reference on levels, result, rotation, commands and where it leaves
-    both streams: the policy's step draws and the channel's delivery draws."""
+    """alg2_step steps each group down in one batch, with or without a lossy
+    link; it must agree with the scalar reference on levels, result,
+    rotation, commands and where it leaves both streams: the policy's step
+    draws and the channel's delivery draws."""
     n_feeders = data.draw(st.integers(1, 30))
     topo = build_topology(
         class_models, n_homes=data.draw(st.integers(1, 300)), n_feeders=n_feeders,
