@@ -77,12 +77,9 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return h if h > 0 else _DEGENERATE_BANDWIDTH
 
 
-def fit_cdf(
-    samples: ApplianceSamples,
-    bandwidth: float | None = None,
-    grid_points: int = GRID_POINTS,
-) -> EmpiricalCdf:
-    """Fit a Gaussian-KDE CDF to filtered samples.
+def fit_cdf(samples: ApplianceSamples) -> EmpiricalCdf:
+    """Fit a Gaussian-KDE CDF to filtered samples, with the Silverman
+    bandwidth h on GRID_POINTS grid points.
 
     The grid spans [max(0, min - 3h), max + 3h]; any density mass that the
     kernels place below zero watts (or beyond the grid) is clipped and the
@@ -95,20 +92,13 @@ def fit_cdf(
         raise ValueError("no samples")
     if np.any(values < 0):
         raise ValueError("negative sample")
-    if bandwidth is None:
-        h = silverman_bandwidth(values)
-    else:
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        h = float(bandwidth)
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
+    h = silverman_bandwidth(values)
 
     lo = max(0.0, float(values.min()) - 3.0 * h)
     hi = float(values.max()) + 3.0 * h
     if hi <= lo:
         hi = lo + max(h, _DEGENERATE_BANDWIDTH)
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, GRID_POINTS)
 
     # Exact CDF of the kernel mixture, evaluated columnwise to bound memory.
     raw = np.empty_like(grid)

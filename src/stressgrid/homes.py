@@ -114,16 +114,15 @@ class Fleet:
     `models[cls[i]]` is home i's class model (None for a class no home
     has). `smart` marks homes equipped with the in-home multi-level
     controller; the rest can only be switched off wholesale at the meter.
-    `group` is the home's feeder group. `level` is its current power state
-    and `level_watts[i, k]` what it draws this hour at state L(k+1) (NaN
-    until the hour's draws are set). ls_lh, dlc_done and sl_init (NaN for
-    unset) belong to the distributed backoff scheme.
+    `level` is a home's current power state and `level_watts[i, k]` what it
+    draws this hour at state L(k+1) (NaN until the hour's draws are set).
+    ls_lh, dlc_done and sl_init (NaN for unset) belong to the distributed
+    backoff scheme.
     """
 
     models: tuple[ClassModel | None, ...]
     cls: np.ndarray
     smart: np.ndarray
-    group: np.ndarray
     level: np.ndarray = field(init=False)
     level_watts: np.ndarray = field(init=False, repr=False)
     ls_lh: np.ndarray = field(init=False)

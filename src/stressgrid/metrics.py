@@ -155,7 +155,6 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
 
 def write_summary_csv(cell_logs: list[MetricsLog], path: Path) -> None:
     """Seed-aggregated metrics for one sweep cell."""
-    rows: list[tuple[str, float, float]] = []
     metrics: dict[str, list[float]] = {
         "ulw_day_wh": [day_ulw_wh(lg) for lg in cell_logs],
         "mean_utility": [day_mean_utility(lg) for lg in cell_logs],
@@ -169,8 +168,9 @@ def write_summary_csv(cell_logs: list[MetricsLog], path: Path) -> None:
         "demand_day_wh": [sum(r.demand_w for r in lg.hours) for lg in cell_logs],
         "served_day_wh": [sum(r.served_w for r in lg.hours) for lg in cell_logs],
     }
+    fractions = [day_fractions(lg) for lg in cell_logs]
     for lv in LEVELS:
-        metrics[f"frac_l{int(lv)}"] = [day_fractions(lg)[lv] for lg in cell_logs]
+        metrics[f"frac_l{int(lv)}"] = [f[lv] for f in fractions]
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "mean", "std", "runs"])

@@ -13,7 +13,7 @@ Three ways to close the gap between demand and supply each hour:
 All three leave homes alone once the hour has converged. Homes shed in the
 previous hour are exempt this hour unless an emergency is declared.
 
-Each policy is a round function `round(state, k)` with a round budget
+Each policy is one step function, `step(state, k)`, with a round budget
 (`POLICIES`). The engine calls it for k = 1, 2, ... within the hour while
 served demand exceeds capacity and the budget lasts; everything the rounds
 of one run share is in the one `RoundState`.
@@ -22,7 +22,7 @@ of one run share is in the one `RoundState`.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .homes import Fleet, Home
 from .levels import CAP_FRACTION, PowerLevel
 from .protocol import CommandChannel
-from .topology import Topology, served_demand
+from .topology import Topology
 
 MIN_STRESS = 5.0
 LATE_ROUNDS_PER_PASS = 5  # smart-home rounds after the first two
@@ -55,64 +55,76 @@ class DistributionProfile:
 
 
 @dataclass
-class BaselineRotation:
-    next_group_index: int = 0
+class RoundState:
+    """What the policy rounds of one run read and write.
+
+    The engine sets `sl` and `capacity_w` at each hour boundary, clears
+    `emergency` each hour, and sets `served_w`, the served demand at the
+    homes' current states, before the hour's first round and after every
+    round; the rounds read it and never change it. `next_group` is the
+    feeder group the next group walk starts from: the rounds alone read and
+    move it, and it carries over from hour to hour.
+    """
+
+    topology: Topology
+    dp: DistributionProfile
+    reduction_factor: float
+    rng: np.random.Generator
+    channel: CommandChannel
+    sl: float = 0.0
+    capacity_w: float = 0.0
+    served_w: float = 0.0
+    emergency: bool = False
+    next_group: int = 0
 
 
 def _walk_groups(
-    topology: Topology,
-    rotation: BaselineRotation,
-    left: float,
-    limit: float,
-    shed: Callable[[np.ndarray, float], float],
-) -> tuple[float, int]:
-    """Visit the feeder groups round-robin from the rotation pointer, each at
+    state: RoundState, left: float, limit: float, shed: Callable[[np.ndarray, float], float]
+) -> float:
+    """Visit the feeder groups round-robin from `state.next_group`, each at
     most once, while `left` exceeds `limit`; `shed(members, left)` sheds in
-    one group and returns the new `left`. Returns (left, groups visited)."""
-    groups = topology.group_members
-    start = rotation.next_group_index
+    one group and returns the new `left`. Moves `next_group` past every
+    group visited and returns the last `left`."""
+    groups = state.topology.group_members
     visited = 0
     while visited < len(groups) and left > limit:
-        left = shed(groups[(start + visited) % len(groups)], left)
+        left = shed(groups[(state.next_group + visited) % len(groups)], left)
         visited += 1
-    return left, visited
+    state.next_group = (state.next_group + visited) % len(groups)
+    return left
 
 
-def _switch_off(fleet: Fleet, homes: np.ndarray, left_w: float, channel: CommandChannel) -> float:
+def _switch_off(state: RoundState, homes: np.ndarray, left_w: float) -> float:
     """Command each of `homes`, in id order, to L1; returns `left_w` less
     the watts of every home whose command was delivered."""
+    fleet = state.topology.fleet
     for i, watts in zip(homes.tolist(), fleet.watts(homes).tolist()):
-        if channel.apply(Home(fleet, i), PowerLevel.L1):
+        if state.channel.apply(Home(fleet, i), PowerLevel.L1):
             left_w -= watts
     return left_w
 
 
-def _cuttable(fleet: Fleet, homes: np.ndarray, emergency: bool) -> np.ndarray:
+def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
     """The non-smart homes among `homes` not yet off, less those shed last
     hour unless an emergency is in force."""
+    fleet = state.topology.fleet
     keep = ~fleet.smart[homes] & (fleet.level[homes] != PowerLevel.L1)
-    if not emergency:
+    if not state.emergency:
         keep &= ~fleet.ls_lh[homes]
     return homes[keep]
 
 
-def baseline_step(
-    rotation: BaselineRotation,
-    topology: Topology,
-    capacity_w: float,
-    channel: CommandChannel,
-    advance: bool = True,
-) -> None:
-    """Cyclic blackout: cut whole groups, starting at the rotation index,
-    until served demand fits under capacity. The index advances by one per
-    hour so the burden rotates."""
-    fleet = topology.fleet
+def baseline_step(state: RoundState, k: int) -> None:
+    """Cyclic blackout: cut whole groups, starting at `next_group`, until
+    served demand fits under capacity. The hour's first round (k == 1)
+    moves `next_group` on by one and later rounds leave it, so the burden
+    rotates by one group per hour."""
+    start = state.next_group
     _walk_groups(
-        topology, rotation, served_demand(topology), capacity_w,
-        lambda members, served: _switch_off(fleet, members, served, channel),
+        state, state.served_w, state.capacity_w,
+        lambda members, served: _switch_off(state, members, served),
     )
-    if advance:
-        rotation.next_group_index = (rotation.next_group_index + 1) % len(topology.group_members)
+    state.next_group = (start + (k == 1)) % len(state.topology.group_members)
 
 
 def alg1_decisions(
@@ -160,39 +172,27 @@ def alg1_decisions(
     return target
 
 
-def cut_nonsmart_groups(
-    topology: Topology,
-    rotation: BaselineRotation,
-    capacity_w: float,
-    emergency: bool,
-    channel: CommandChannel,
-) -> None:
-    """Shut off non-smart homes group by group until the gap closes or
-    every group has been tried. Homes shed last hour are skipped unless an
-    emergency is in force. The rotation pointer moves past tried groups."""
-    fleet = topology.fleet
-    _, tried = _walk_groups(
-        topology, rotation, served_demand(topology), capacity_w,
-        lambda members, served: _switch_off(
-            fleet, _cuttable(fleet, members, emergency), served, channel
-        ),
+def cut_nonsmart_groups(state: RoundState) -> None:
+    """Shut off non-smart homes group by group until served demand fits
+    under capacity or every group has been tried. Homes shed last hour are
+    skipped unless an emergency is in force. `next_group` moves past the
+    groups tried."""
+    _walk_groups(
+        state, state.served_w, state.capacity_w,
+        lambda members, served: _switch_off(state, _cuttable(state, members), served),
     )
-    rotation.next_group_index = (rotation.next_group_index + tried) % len(topology.group_members)
 
 
-def alg1_round(
-    topology: Topology,
-    round_index: int,
-    dp: DistributionProfile,
-    sl: float,
-    capacity_w: float,
-    rotation: BaselineRotation,
-    emergency: bool,
-    rng: np.random.Generator,
-    channel: CommandChannel,
-    reduction_factor: float,
-) -> None:
-    """One ping-pong round of the distributed scheme (one second).
+def pass_rounds(n_groups: int) -> int:
+    """Seconds in one distributed pass: a smart round, a non-smart round,
+    then smart rounds, LATE_ROUNDS_PER_PASS plus one per feeder group."""
+    return 2 + n_groups + LATE_ROUNDS_PER_PASS
+
+
+def alg1_round(state: RoundState, k: int) -> None:
+    """Round k of the hour in the distributed scheme (one second): round
+    (k - 1) % n + 1 of a pass of n = pass_rounds rounds. A second pass,
+    forced under emergency, runs if the first leaves the gap open.
 
     Round 1: every smart home draws and may back off at the broadcast sl.
     Round 2: the utility cuts non-smart groups while the gap persists.
@@ -200,20 +200,25 @@ def alg1_round(
     holdouts re-draw at the reduced stress reduction_factor * sl.
     Commands go out in home-id order, only to homes that change state.
     """
+    n = pass_rounds(len(state.topology.group_members))
+    if k > n:
+        state.emergency = True
+    round_index = (k - 1) % n + 1
     if round_index == 2:
-        cut_nonsmart_groups(topology, rotation, capacity_w, emergency, channel)
+        cut_nonsmart_groups(state)
         return
-    fleet = topology.fleet
+    fleet = state.topology.fleet
     smart = np.flatnonzero(fleet.smart)
     if not smart.size:
         return
-    r = rng.integers(1, 101, size=smart.size)
+    r = state.rng.integers(1, 101, size=smart.size)
+    sl = state.sl
     if round_index >= 3:
-        sl = reduction_factor * sl  # backed-off homes use their sl_init
-    target = alg1_decisions(fleet, smart, sl, dp, emergency, r)
+        sl = state.reduction_factor * sl  # backed-off homes use their sl_init
+    target = alg1_decisions(fleet, smart, sl, state.dp, state.emergency, r)
     moving = np.flatnonzero(target)
     for i, level in zip(smart[moving].tolist(), target[moving].tolist()):
-        channel.apply(Home(fleet, i), level)
+        state.channel.apply(Home(fleet, i), level)
 
 
 def eligible_lower_runs(
@@ -230,14 +235,12 @@ def eligible_lower_runs(
 
 
 def _step_down_batch(
-    fleet: Fleet,
+    state: RoundState,
     candidates: np.ndarray,
     watts: np.ndarray,
     top: np.ndarray,
     count: np.ndarray,
     gap: float,
-    rng: np.random.Generator,
-    channel: CommandChannel,
 ) -> float:
     """Step `candidates` down in order while `gap` stays positive, each to a
     state drawn from its run (top, count) of eligible states; a command that
@@ -254,6 +257,7 @@ def _step_down_batch(
     candidates, watts, top, count = candidates[eligible], watts[eligible], top[eligible], count[eligible]
     if gap <= 0 or not candidates.size:
         return gap
+    fleet, rng, channel = state.topology.fleet, state.rng, state.channel
     start = rng.bit_generator.state
     new = top - rng.integers(0, count)
     shed_w = watts - fleet.level_watts[candidates, new - 1]
@@ -270,28 +274,24 @@ def _step_down_batch(
     return float(left[used])
 
 
-def alg2_step(
-    topology: Topology,
-    delta_gap_w: float,
-    rotation: BaselineRotation,
-    rng: np.random.Generator,
-    channel: CommandChannel,
-    emergency: bool = False,
-) -> bool:
-    """One centralized assignment pass; returns True when the gap closed.
+def alg2_step(state: RoundState, k: int) -> None:
+    """One centralized assignment pass against the gap served_w - capacity_w;
+    every round k of the hour runs the same pass. A pass that leaves the
+    gap open raises the emergency flag.
 
     Groups are visited round-robin. In each group every non-smart home is
     shut off first; while the gap persists the group's smart homes are
     stepped down in descending order of current consumption (ties to the
     lower home id), each to a state drawn uniformly from its eligible lower
-    states. Homes shed last hour are skipped unless emergency. The rotation
-    pointer advances past every group visited.
+    states. Homes shed last hour are skipped unless emergency. `next_group`
+    advances past every group visited.
     """
-    fleet = topology.fleet
+    fleet = state.topology.fleet
+    emergency = state.emergency
     rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in fleet.models])
 
     def shed(members: np.ndarray, gap: float) -> float:
-        gap = _switch_off(fleet, _cuttable(fleet, members, emergency), gap, channel)
+        gap = _switch_off(state, _cuttable(state, members), gap)
         candidates = members[fleet.smart[members] & (emergency | ~fleet.ls_lh[members])]
         watts = fleet.watts(candidates)
         order = np.lexsort((candidates, -watts))
@@ -299,11 +299,10 @@ def alg2_step(
         top, count = eligible_lower_runs(
             fleet.level[candidates], watts / rating_w[fleet.cls[candidates]], emergency
         )
-        return _step_down_batch(fleet, candidates, watts, top, count, gap, rng, channel)
+        return _step_down_batch(state, candidates, watts, top, count, gap)
 
-    gap, visited = _walk_groups(topology, rotation, delta_gap_w, 0.0, shed)
-    rotation.next_group_index = (rotation.next_group_index + visited) % len(topology.group_members)
-    return gap <= 0
+    if _walk_groups(state, state.served_w - state.capacity_w, 0.0, shed) > 0:
+        state.emergency = True
 
 
 def reset_hourly(fleet: Fleet) -> None:
@@ -315,63 +314,17 @@ def reset_hourly(fleet: Fleet) -> None:
     fleet.sl_init[:] = np.nan
 
 
-@dataclass
-class RoundState:
-    """What the policy rounds of one run read and write. The engine sets
-    `sl` and `capacity_w` at each hour boundary, `served_w` after every
-    convergence check, and clears `emergency` each hour."""
-
-    topology: Topology
-    dp: DistributionProfile
-    reduction_factor: float
-    rng: np.random.Generator
-    channel: CommandChannel
-    rotation: BaselineRotation = field(default_factory=BaselineRotation)
-    sl: float = 0.0
-    capacity_w: float = 0.0
-    served_w: float = 0.0
-    emergency: bool = False
-
-
-def pass_rounds(n_groups: int) -> int:
-    """Seconds in one distributed pass: a smart round, a non-smart round,
-    then smart rounds, LATE_ROUNDS_PER_PASS plus one per feeder group."""
-    return 2 + n_groups + LATE_ROUNDS_PER_PASS
-
-
-def baseline_round(state: RoundState, k: int) -> None:
-    """Cyclic whole-group blackout; only the hour's first round moves the
-    rotation on."""
-    baseline_step(state.rotation, state.topology, state.capacity_w, state.channel, advance=k == 1)
-
-
-def distributed_round(state: RoundState, k: int) -> None:
-    """In-home stochastic backoff with utility-side group cuts; a second,
-    forced pass runs under emergency if the first leaves the gap open."""
-    n = pass_rounds(len(state.topology.group_members))
-    if k > n:
-        state.emergency = True
-    alg1_round(
-        state.topology, (k - 1) % n + 1, state.dp, state.sl, state.capacity_w, state.rotation,
-        state.emergency, state.rng, state.channel, state.reduction_factor,
-    )
-
-
-def centralized_round(state: RoundState, k: int) -> None:
-    """Utility-computed assignment, one full pass per second; a pass that
-    leaves the gap open raises the emergency flag."""
-    gap_w = state.served_w - state.capacity_w
-    if not alg2_step(state.topology, gap_w, state.rotation, state.rng, state.channel, state.emergency):
-        state.emergency = True
-
-
 class Policy(NamedTuple):
     round: Callable[[RoundState, int], None]  # round k (1-based) of the hour
     max_rounds: Callable[[int], int]  # rounds allowed per hour, by feeder group count
 
 
+# Each round looks its step up as a module global at call time: a span tracer
+# patches module globals, so a stored function object would hide the steps.
 POLICIES = {
-    "baseline": Policy(baseline_round, pass_rounds),
-    "distributed": Policy(distributed_round, lambda n_groups: 2 * pass_rounds(n_groups)),
-    "centralized": Policy(centralized_round, lambda n_groups: 3),
+    "baseline": Policy(lambda state, k: baseline_step(state, k), pass_rounds),
+    "distributed": Policy(
+        lambda state, k: alg1_round(state, k), lambda n_groups: 2 * pass_rounds(n_groups)
+    ),
+    "centralized": Policy(lambda state, k: alg2_step(state, k), lambda n_groups: 3),
 }

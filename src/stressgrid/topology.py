@@ -118,7 +118,7 @@ def build_topology(
     ends = np.cumsum(np.bincount(group, minlength=n_groups))
     members = np.split(np.argsort(group, kind="stable"), ends[:-1])
     models = tuple(class_models.get(label) for label in labels)
-    return Topology(Fleet(models, cls, smart, group), members)
+    return Topology(Fleet(models, cls, smart), members)
 
 
 def served_demand(topology: Topology) -> float:

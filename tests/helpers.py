@@ -13,7 +13,7 @@ from stressgrid.corpus import synthetic_samples
 from stressgrid.engine import BUILTIN_CDFS
 from stressgrid.homes import HOME_CLASSES, Fleet, Home, set_hour_draws
 from stressgrid.levels import CAP_FRACTION, PowerLevel
-from stressgrid.policies import MIN_STRESS, BaselineRotation, DistributionProfile, alg1_decisions
+from stressgrid.policies import MIN_STRESS, DistributionProfile, RoundState, alg1_decisions
 from stressgrid.protocol import decode, encode
 from stressgrid.topology import served_demand
 
@@ -47,9 +47,8 @@ def write_builtin_cdfs(path=BUILTIN_CDFS) -> None:
 
 
 def make_fleet(model, n: int = 1, smart: bool = True) -> Fleet:
-    """n homes of one class, all in feeder group 0, draws not yet set."""
-    zeros = np.zeros(n, dtype=np.intp)
-    return Fleet((model,), zeros, np.full(n, smart), zeros.copy())
+    """n homes of one class, draws not yet set."""
+    return Fleet((model,), np.zeros(n, dtype=np.intp), np.full(n, smart))
 
 
 def fill_draws(fleet: Fleet, scale: float) -> None:
@@ -134,21 +133,21 @@ def eligible_lower_levels(
     return [lv for lv in levels if CAP_FRACTION[lv] < consumption_fraction]
 
 
-def alg2_step_reference(
-    topology, delta_gap_w: float, rotation: BaselineRotation, rng, channel, emergency: bool = False
-) -> bool:
+def alg2_step_reference(state: RoundState, k: int) -> None:
     """Scalar reference of `policies.alg2_step`, home by home: in each group
     visited, cut every cuttable non-smart home, then step the candidates
     down in descending consumption (ties to the lower id) while the gap
-    stays open, with one `rng.integers(0, k)` on the policy stream `rng`
-    per candidate that has k eligible states and one command per step,
-    whose delivery the channel draws on its own stream."""
+    stays open, with one `rng.integers(0, n)` on the policy stream `rng`
+    per candidate that has n eligible states and one command per step,
+    whose delivery the channel draws on its own stream; raises the
+    emergency flag if the gap stays open."""
+    topology, rng, channel, emergency = state.topology, state.rng, state.channel, state.emergency
     fleet = topology.fleet
     groups = topology.group_members
-    gap = delta_gap_w
+    gap = state.served_w - state.capacity_w
     visited = 0
     while visited < len(groups) and gap > 0:
-        members = groups[(rotation.next_group_index + visited) % len(groups)].tolist()
+        members = groups[(state.next_group + visited) % len(groups)].tolist()
         visited += 1
         for i in members:
             exempt = fleet.ls_lh[i] and not emergency
@@ -168,8 +167,9 @@ def alg2_step_reference(
             new = levels[int(rng.integers(0, len(levels)))]
             if channel.apply(Home(fleet, i), new):
                 gap -= current - float(fleet.level_watts[i, new - 1])
-    rotation.next_group_index = (rotation.next_group_index + visited) % len(groups)
-    return gap <= 0
+    state.next_group = (state.next_group + visited) % len(groups)
+    if gap > 0:
+        state.emergency = True
 
 
 def sample_inverse_reference(cdf, u):

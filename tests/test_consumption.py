@@ -114,10 +114,6 @@ class TestFitCdf:
         assert cdf.grid_x[0] == 0.0
         assert np.interp(0.0, cdf.grid_x, cdf.grid_f) == 0.0
 
-    def test_bad_bandwidth_rejected(self):
-        with pytest.raises(ValueError, match="bandwidth"):
-            fit_cdf(make([1.0, 2.0]), bandwidth=0.0)
-
     def test_negative_samples_rejected(self):
         with pytest.raises(ValueError):
             fit_cdf(make([-1.0, 2.0]))

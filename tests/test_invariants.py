@@ -1,0 +1,52 @@
+"""Invariants of the policy rounds that must hold for any small config."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stressgrid import engine
+from stressgrid.engine import SimConfig
+from stressgrid.policies import POLICIES
+from stressgrid.topology import SupplyModel, served_demand
+
+
+@st.composite
+def small_configs(draw) -> SimConfig:
+    return SimConfig(
+        horizon_hours=draw(st.integers(1, 3)),
+        n_homes=draw(st.integers(1, 300)),
+        n_feeders=draw(st.integers(1, 40)),
+        group_size=draw(st.integers(1, 15)),
+        homes_per_transformer=draw(st.integers(1, 8)),
+        ap=draw(st.floats(0.0, 1.0)),
+        supply=SupplyModel(gap_fraction=draw(st.floats(0.0, 0.9))),
+        policy=draw(st.sampled_from(sorted(POLICIES))),
+        protocol_emulation=draw(st.booleans()),
+        protocol_distance_m=draw(st.floats(0.0, 60.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs())
+def test_rounds_start_from_served_demand_and_never_raise_a_level(config):
+    """Every round starts with `state.served_w` equal to a fresh sum of
+    served demand, which the steps use in place of summing it again, and no
+    round raises any home's level."""
+    policy = POLICIES[config.policy]
+    rounds = 0
+
+    def checked_round(state, k):
+        nonlocal rounds
+        rounds += 1
+        assert state.served_w == served_demand(state.topology), k
+        before = state.topology.fleet.level.copy()
+        policy.round(state, k)
+        assert (state.topology.fleet.level <= before).all(), k
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(POLICIES, config.policy, policy._replace(round=checked_round))
+        log = engine.run(config)
+    assert rounds == sum(rec.convergence_seconds for rec in log.hours)

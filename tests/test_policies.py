@@ -19,14 +19,12 @@ from stressgrid.policies import (
     LATE_ROUNDS_PER_PASS,
     MIN_STRESS,
     POLICIES,
-    BaselineRotation,
     DistributionProfile,
     RoundState,
     alg1_round,
     alg2_step,
     baseline_step,
     cut_nonsmart_groups,
-    distributed_round,
     eligible_lower_runs,
     reset_hourly,
 )
@@ -53,6 +51,16 @@ def equal_draw_topology(class_models, n_homes, n_feeders, ap, group_size, seed=0
     )
     helpers.fill_draws(topo.fleet, 0.5)
     return topo
+
+
+def round_state(topo, **fields) -> RoundState:
+    """A RoundState on `topo` with `served_w` measured as the engine measures
+    it before an hour's first round; `fields` override the defaults."""
+    defaults = dict(
+        dp=DP_THIRDS, reduction_factor=0.5, rng=np.random.default_rng(0),
+        channel=CommandChannel(), served_w=served_demand(topo),
+    )
+    return RoundState(topo, **(defaults | fields))
 
 
 def blacked_out(topo) -> set[int]:
@@ -199,15 +207,13 @@ def test_branch_partition_on_coarse_sl_grid(class_models):
 class TestBaselineStep:
     def test_no_gap_no_blackout(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
-        rotation = BaselineRotation()
-        baseline_step(rotation, topo, capacity_w=1e12, channel=CommandChannel())
+        baseline_step(round_state(topo, capacity_w=1e12), 1)
         assert blacked_out(topo) == set()
         assert (topo.fleet.level == PowerLevel.L5).all()
 
     def test_zero_capacity_blacks_all(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
-        rotation = BaselineRotation()
-        baseline_step(rotation, topo, capacity_w=0.0, channel=CommandChannel())
+        baseline_step(round_state(topo, capacity_w=0.0), 1)
         assert blacked_out(topo) == {0, 1, 2, 3, 4}
         assert (topo.fleet.level == PowerLevel.L1).all()
 
@@ -219,30 +225,31 @@ class TestBaselineStep:
 
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         D, _ = demand(topo)
-        rotation = BaselineRotation()
-        baseline_step(rotation, topo, capacity_w=0.8 * D, channel=CommandChannel())
+        baseline_step(round_state(topo, capacity_w=0.8 * D), 1)
         assert blacked_out(topo) == {0}
         assert served_demand(topo) == pytest.approx(0.8 * D)
 
     def test_rotation_advances_one_group_per_hour(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         D, _ = demand(topo)
-        rotation = BaselineRotation()
-        baseline_step(rotation, topo, 0.8 * D, CommandChannel())
+        state = round_state(topo, capacity_w=0.8 * D)
+        baseline_step(state, 1)
         assert blacked_out(topo) == {0}
-        assert rotation.next_group_index == 1
+        assert state.next_group == 1
         reset_hourly(topo.fleet)
-        baseline_step(rotation, topo, 0.8 * D, CommandChannel())
+        state.served_w = served_demand(topo)
+        baseline_step(state, 1)
         assert blacked_out(topo) == {1}
 
     def test_within_hour_restep_does_not_advance(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         D, _ = demand(topo)
-        rotation = BaselineRotation()
-        baseline_step(rotation, topo, 0.8 * D, CommandChannel())
-        assert rotation.next_group_index == 1
-        baseline_step(rotation, topo, 0.8 * D, CommandChannel(), advance=False)
-        assert rotation.next_group_index == 1
+        state = round_state(topo, capacity_w=0.8 * D)
+        baseline_step(state, 1)
+        assert state.next_group == 1
+        state.served_w = served_demand(topo)
+        baseline_step(state, 2)
+        assert state.next_group == 1
 
 
 class TestEmptyGroups:
@@ -259,29 +266,32 @@ class TestEmptyGroups:
 
     def test_baseline_walks_through_empty_groups(self, class_models):
         topo = self.topology(class_models)
-        rotation = BaselineRotation(next_group_index=1)
-        baseline_step(rotation, topo, 0.0, CommandChannel())
+        state = round_state(topo, capacity_w=0.0, next_group=1)
+        baseline_step(state, 1)
         assert blacked_out(topo) == {0}
-        assert rotation.next_group_index == 2
+        assert state.next_group == 2
         reset_hourly(topo.fleet)
-        baseline_step(rotation, topo, 0.0, CommandChannel())
+        state.served_w = served_demand(topo)
+        baseline_step(state, 1)
         assert blacked_out(topo) == {0}
-        assert rotation.next_group_index == 0
+        assert state.next_group == 0
 
     def test_nonsmart_cut_walks_through_empty_groups(self, class_models):
         topo = self.topology(class_models)
         D, _ = demand(topo)
-        rotation = BaselineRotation()
-        cut_nonsmart_groups(topo, rotation, D, False, CommandChannel())
-        assert rotation.next_group_index == 0  # no gap, no group visited
-        cut_nonsmart_groups(topo, rotation, 0.5 * D, False, CommandChannel())
+        state = round_state(topo, capacity_w=D)
+        cut_nonsmart_groups(state)
+        assert state.next_group == 0  # no gap, no group visited
+        state.capacity_w = 0.5 * D
+        cut_nonsmart_groups(state)
         assert blacked_out(topo) == {0}
-        assert rotation.next_group_index == 1
+        assert state.next_group == 1
         reset_hourly(topo.fleet)
         topo.fleet.ls_lh[:] = False
-        cut_nonsmart_groups(topo, rotation, 0.5 * D, False, CommandChannel())
+        state.served_w = served_demand(topo)
+        cut_nonsmart_groups(state)
         assert blacked_out(topo) == {0}
-        assert rotation.next_group_index == 1  # groups 1, 2 and 0 visited
+        assert state.next_group == 1  # groups 1, 2 and 0 visited
 
 
 class TestAlg1Round:
@@ -290,10 +300,7 @@ class TestAlg1Round:
         D, _ = demand(topo)
         before = topo.fleet.level.copy()
         channel = CommandChannel()
-        alg1_round(
-            topo, 1, DP_THIRDS, 0.0, D, BaselineRotation(), False,
-            np.random.default_rng(0), channel, 0.5,
-        )
+        alg1_round(round_state(topo, sl=0.0, capacity_w=D, channel=channel), 1)
         # sl=0 clamps to 5; only r in 1..4 backs off, so a handful may move
         moved = np.count_nonzero(topo.fleet.level != before)
         assert moved <= len(topo.fleet) * 0.15
@@ -303,10 +310,10 @@ class TestAlg1Round:
         # dp=(0,0,1), sl=100: every home drawing r < 100 lands in L2
         topo = equal_draw_topology(class_models, 200, 10, 1.0, 10)
         D, _ = demand(topo)
-        alg1_round(
-            topo, 1, DistributionProfile(0.0, 0.0, 1.0), 100.0, 0.0,
-            BaselineRotation(), False, np.random.default_rng(1), CommandChannel(), 0.5,
+        state = round_state(
+            topo, dp=DistributionProfile(0.0, 0.0, 1.0), sl=100.0, rng=np.random.default_rng(1)
         )
+        alg1_round(state, 1)
         fleet = topo.fleet
         assert set(fleet.level.tolist()) <= {PowerLevel.L2, PowerLevel.L5}
         stragglers = fleet.level == PowerLevel.L5
@@ -318,8 +325,7 @@ class TestAlg1Round:
 
     def test_no_smart_homes_round_one_is_inert(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
-        rng = np.random.default_rng(2)
-        alg1_round(topo, 1, DP_THIRDS, 80.0, 0.0, BaselineRotation(), False, rng, CommandChannel(), 0.5)
+        alg1_round(round_state(topo, sl=80.0, rng=np.random.default_rng(2)), 1)
         assert (topo.fleet.level == PowerLevel.L5).all()
 
     def test_round_two_matches_baseline_cutoffs(self, class_models):
@@ -328,11 +334,8 @@ class TestAlg1Round:
         topo_b = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         D, _ = demand(topo_a)
         capacity = 0.7 * D
-        alg1_round(
-            topo_a, 2, DP_THIRDS, 30.0, capacity, BaselineRotation(), False,
-            np.random.default_rng(3), CommandChannel(), 0.5,
-        )
-        baseline_step(BaselineRotation(), topo_b, capacity, CommandChannel())
+        alg1_round(round_state(topo_a, sl=30.0, capacity_w=capacity, rng=np.random.default_rng(3)), 2)
+        baseline_step(round_state(topo_b, capacity_w=capacity), 1)
         assert topo_a.fleet.level.tolist() == topo_b.fleet.level.tolist()
 
     def test_late_rounds_step_down_done_homes(self, class_models):
@@ -341,20 +344,18 @@ class TestAlg1Round:
         topo = equal_draw_topology(class_models, 100, 5, 1.0, 5)
         D, _ = demand(topo)
         capacity = 0.5 * D
-        state = RoundState(
-            topo, DP_THIRDS, 0.5, np.random.default_rng(4), CommandChannel(),
-            sl=50.0, capacity_w=capacity,
-        )
+        state = round_state(topo, sl=50.0, capacity_w=capacity, rng=np.random.default_rng(4))
         pass_rounds = 2 + 1 + 5
         assert POLICIES["distributed"].max_rounds(len(topo.group_members)) == 2 * pass_rounds
         after_round_2 = None
         converged_at = None
         for k in range(1, 2 * pass_rounds + 1):
-            distributed_round(state, k)
+            alg1_round(state, k)
+            state.served_w = served_demand(topo)
             assert state.emergency == (k > pass_rounds)
             if k == 2:
-                after_round_2 = served_demand(topo)
-            if k > 2 and served_demand(topo) <= capacity:
+                after_round_2 = state.served_w
+            if k > 2 and state.served_w <= capacity:
                 converged_at = k
                 break
         assert converged_at is not None
@@ -414,10 +415,13 @@ def test_masked_round_matches_scalar_reference(class_models, data):
     before = fleet.level.copy()
 
     channel = CommandChannel()
-    alg1_round(
-        topo, round_index, dp, sl, 0.0, BaselineRotation(), emergency,
-        np.random.default_rng(seed), channel, reduction_factor,
+    # no draws are set, so served_w keeps its default; rounds 1, 3 and 9 of a
+    # 9-round pass neither read it nor force the emergency
+    state = RoundState(
+        topo, dp, reduction_factor, np.random.default_rng(seed), channel,
+        sl=sl, emergency=emergency,
     )
+    alg1_round(state, round_index)
     for i, home in ref.items():
         assert fleet.level[i] == home.current_level, i
         assert fleet.dlc_done[i] == home.dlc_done, i
@@ -432,14 +436,14 @@ class TestCutNonSmartGroups:
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         level, members = topo.fleet.level, topo.group_members
         topo.fleet.ls_lh[members[0]] = True
-        cut_nonsmart_groups(topo, BaselineRotation(), 0.0, False, CommandChannel())
+        cut_nonsmart_groups(round_state(topo, capacity_w=0.0))
         assert (level[members[0]] == PowerLevel.L5).all()
         assert all((level[members[gi]] == PowerLevel.L1).all() for gi in (1, 2, 3, 4))
 
     def test_emergency_overrides_exemption(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         topo.fleet.ls_lh[:] = True
-        cut_nonsmart_groups(topo, BaselineRotation(), 0.0, True, CommandChannel())
+        cut_nonsmart_groups(round_state(topo, capacity_w=0.0, emergency=True))
         assert (topo.fleet.level == PowerLevel.L1).all()
 
 
@@ -492,25 +496,30 @@ class TestAlg2Step:
         set_hour_draws(topo.fleet, np.array([0]), rated[None].copy())  # ~87% of rating
         return topo, topo.fleet
 
+    @staticmethod
+    def step(topo, gap_w: float, seed: int, **fields) -> RoundState:
+        """One alg2_step against a gap of gap_w watts over the served demand;
+        returns the state it left."""
+        state = round_state(topo, rng=np.random.default_rng(seed), **fields)
+        state.capacity_w = state.served_w - gap_w
+        alg2_step(state, 1)
+        return state
+
     def test_nonpositive_gap_is_inert(self, class_models):
         topo, fleet = self.one_home_topology(class_models)
-        rotation = BaselineRotation()
-        closed = alg2_step(topo, -1.0, rotation, np.random.default_rng(6), CommandChannel())
-        assert closed
+        state = self.step(topo, -1.0, 6)
+        assert not state.emergency
         assert fleet.level[0] == PowerLevel.L5
-        assert rotation.next_group_index == 0
+        assert state.next_group == 0
 
     def test_non_smart_group_cut_first(self, class_models):
         topo = equal_draw_topology(class_models, 50, 10, 0.0, 5)  # 2 groups
         group0_demand = topo.fleet.level_watts[topo.group_members[0], PowerLevel.L5 - 1].sum()
-        rotation = BaselineRotation()
-        closed = alg2_step(
-            topo, group0_demand / 2, rotation, np.random.default_rng(7), CommandChannel(),
-        )
-        assert closed
+        state = self.step(topo, group0_demand / 2, 7)
+        assert not state.emergency
         assert (topo.fleet.level[topo.group_members[0]] == PowerLevel.L1).all()
         assert (topo.fleet.level[topo.group_members[1]] == PowerLevel.L5).all()
-        assert rotation.next_group_index == 1
+        assert state.next_group == 1
 
     def test_uniform_choice_over_eligible_levels(self, class_models):
         # one smart home above 75% of rating: L4/L3/L2 equally likely
@@ -520,7 +529,7 @@ class TestAlg2Step:
         for k in range(reps):
             fleet.level[0] = PowerLevel.L5
             fleet.ls_lh[0] = False
-            alg2_step(topo, 1.0, BaselineRotation(), np.random.default_rng(k), CommandChannel())
+            self.step(topo, 1.0, k)
             counts[PowerLevel(fleet.level[0])] += 1
         for level, n in counts.items():
             assert abs(n / reps - 1 / 3) < 0.034, (level, n)
@@ -533,7 +542,7 @@ class TestAlg2Step:
         rated = class_models["A"].rated_draws
         # home 1 is the biggest consumer
         set_hour_draws(topo.fleet, np.arange(3), np.array([rated * 0.85, rated, rated * 0.80]))
-        alg2_step(topo, 1.0, BaselineRotation(), np.random.default_rng(9), CommandChannel())
+        self.step(topo, 1.0, 9)
         level = topo.fleet.level
         assert level[1] < PowerLevel.L5
         assert level[0] == PowerLevel.L5
@@ -545,25 +554,22 @@ class TestAlg2Step:
             rng=np.random.default_rng(10), class_mix=(1.0, 0.0, 0.0),
         )
         helpers.fill_draws(topo.fleet, 1.0)
-        alg2_step(topo, 1.0, BaselineRotation(), np.random.default_rng(11), CommandChannel())
+        self.step(topo, 1.0, 11)
         assert topo.fleet.level[0] < PowerLevel.L5
         assert topo.fleet.level[1] == PowerLevel.L5
 
     def test_shed_last_hour_skipped_without_emergency(self, class_models):
         topo, fleet = self.one_home_topology(class_models)
         fleet.ls_lh[0] = True
-        closed = alg2_step(topo, 1.0, BaselineRotation(), np.random.default_rng(12), CommandChannel())
-        assert not closed
+        state = self.step(topo, 1.0, 12)
+        assert state.emergency  # the gap stayed open
         assert fleet.level[0] == PowerLevel.L5
 
     def test_emergency_reaches_exempt_homes(self, class_models):
         topo, fleet = self.one_home_topology(class_models)
         fleet.ls_lh[0] = True
-        closed = alg2_step(
-            topo, 1.0, BaselineRotation(), np.random.default_rng(13), CommandChannel(),
-            emergency=True,
-        )
-        assert closed
+        state = self.step(topo, 1.0, 13, emergency=True)
+        assert served_demand(topo) <= state.capacity_w  # the gap closed
         assert fleet.level[0] < PowerLevel.L5
 
 
@@ -617,8 +623,8 @@ LINKS = {
 @given(data=st.data())
 def test_alg2_step_matches_scalar_reference(class_models, data):
     """alg2_step steps each group down in one batch, with or without a lossy
-    link; it must agree with the scalar reference on levels, result,
-    rotation, commands and where it leaves both streams: the policy's step
+    link; it must agree with the scalar reference on levels, emergency flag,
+    next group, commands and where it leaves both streams: the policy's step
     draws and the channel's delivery draws."""
     n_feeders = data.draw(st.integers(1, 30))
     topo = build_topology(
@@ -635,7 +641,8 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
             set_hour_draws(fleet, homes, draws)
     fleet.level[:] = setup.integers(PowerLevel.L1, PowerLevel.L5 + 1, len(fleet))
     fleet.ls_lh[:] = setup.random(len(fleet)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
-    gap = data.draw(st.floats(-0.1, 1.2)) * served_demand(topo)
+    served = served_demand(topo)
+    gap = data.draw(st.floats(-0.1, 1.2)) * served
     emergency = data.draw(st.booleans())
     start = data.draw(st.integers(0, len(topo.group_members) - 1))
     link = data.draw(st.sampled_from(sorted(LINKS)))
@@ -646,12 +653,14 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
     for step in (helpers.alg2_step_reference, alg2_step):
         fleet.level[:] = level
         rng, channel_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-        channel = LINKS[link](channel_rng)
-        rotation = BaselineRotation(start)
-        closed = step(topo, gap, rotation, rng, channel, emergency)
+        state = RoundState(
+            topo, DP_THIRDS, 0.5, rng, LINKS[link](channel_rng), capacity_w=served - gap,
+            served_w=served, emergency=emergency, next_group=start,
+        )
+        step(state, 1)
         outcomes.append((
-            fleet.level.tolist(), closed, rotation.next_group_index, channel.sent, channel.lost,
-            rng.bit_generator.state, channel_rng.bit_generator.state,
+            fleet.level.tolist(), state.emergency, state.next_group, state.channel.sent,
+            state.channel.lost, rng.bit_generator.state, channel_rng.bit_generator.state,
         ))
     assert outcomes[1] == outcomes[0]
 

@@ -17,6 +17,14 @@ from stressgrid.topology import (
 )
 
 
+def home_groups(topo) -> np.ndarray:
+    """Each home's feeder group, read off `group_members` (-1 for none)."""
+    group = np.full(len(topo.fleet), -1)
+    for gi, homes in enumerate(topo.group_members):
+        group[homes] = gi
+    return group
+
+
 class TestBuild:
     def test_single_group(self, class_models):
         topo = build_topology(
@@ -48,11 +56,12 @@ class TestBuild:
         )
         # 24 transformers on 12 feeders; feeders 0-4, 5-9 and 10-11 form groups
         assert len(topo.group_members) == 3
-        assert topo.fleet.group.tolist() == [i % 24 % 12 // 5 for i in range(120)]
         members = np.concatenate(topo.group_members)
         assert sorted(members) == list(range(120))
+        group = home_groups(topo)
+        assert group.tolist() == [i % 24 % 12 // 5 for i in range(120)]
         for gi, homes in enumerate(topo.group_members):
-            assert (topo.fleet.group[homes] == gi).all()
+            assert (group[homes] == gi).all()
             assert list(homes) == sorted(homes)
 
     def test_uneven_last_group(self, class_models):
@@ -85,7 +94,7 @@ class TestBuild:
         b = build_topology(class_models, rng=np.random.default_rng(9), **kwargs)
         assert (a.fleet.smart == b.fleet.smart).all()
         assert (a.fleet.cls == b.fleet.cls).all()
-        assert (a.fleet.group == b.fleet.group).all()
+        assert (home_groups(a) == home_groups(b)).all()
 
     def test_class_stream_matches_sorted_deficits(self):
         labels = "ABC"
