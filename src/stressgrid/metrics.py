@@ -153,8 +153,11 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def write_summary_csv(cell_logs: list[MetricsLog], path: Path) -> None:
-    """Seed-aggregated metrics for one sweep cell."""
+def write_summary_csv(
+    cell_logs: list[MetricsLog], fractions: list[dict[PowerLevel, float]], path: Path
+) -> None:
+    """Seed-aggregated metrics for one sweep cell; `fractions[j]` is the
+    `day_fractions` of cell_logs[j]."""
     metrics: dict[str, list[float]] = {
         "ulw_day_wh": [day_ulw_wh(lg) for lg in cell_logs],
         "mean_utility": [day_mean_utility(lg) for lg in cell_logs],
@@ -168,7 +171,6 @@ def write_summary_csv(cell_logs: list[MetricsLog], path: Path) -> None:
         "demand_day_wh": [sum(r.demand_w for r in lg.hours) for lg in cell_logs],
         "served_day_wh": [sum(r.served_w for r in lg.hours) for lg in cell_logs],
     }
-    fractions = [day_fractions(lg) for lg in cell_logs]
     for lv in LEVELS:
         metrics[f"frac_l{int(lv)}"] = [f[lv] for f in fractions]
     with path.open("w", newline="") as fh:
@@ -179,11 +181,13 @@ def write_summary_csv(cell_logs: list[MetricsLog], path: Path) -> None:
             w.writerow([name, _fmt(mean), _fmt(std), len(values)])
 
 
-def _cell_mean_fractions(cell_logs: list[MetricsLog]) -> dict[PowerLevel, float]:
-    per_seed = [day_fractions(lg) for lg in cell_logs]
-    return {
-        lv: sum(f[lv] for f in per_seed) / len(per_seed) for lv in LEVELS
-    }
+def _mean_fractions(fractions: list[dict[PowerLevel, float]]) -> EdgeFractions:
+    """The L1 and L5 fractions averaged over a cell's runs."""
+    n = len(fractions)
+    return EdgeFractions(
+        sum(f[PowerLevel.L1] for f in fractions) / n,
+        sum(f[PowerLevel.L5] for f in fractions) / n,
+    )
 
 
 def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
@@ -203,14 +207,17 @@ def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
     for key in cells:
         cells[key].sort(key=lambda lg: lg.seed)
 
+    edges: dict[tuple[str, str, float], EdgeFractions] = {}
     for (policy, gt, ap), cell_logs in sorted(cells.items()):
         at = _ap_token(ap)
         for lg in cell_logs:
             p = runs_dir / f"run_{policy}_{gt}_{at}_s{lg.seed}.csv"
             write_run_csv(lg, p)
             written.append(p)
+        fractions = [day_fractions(lg) for lg in cell_logs]
+        edges[(policy, gt, ap)] = _mean_fractions(fractions)
         p = out_dir / f"summary_{policy}_{gt}_{at}.csv"
-        write_summary_csv(cell_logs, p)
+        write_summary_csv(cell_logs, fractions, p)
         written.append(p)
 
     policies = sorted({k[0] for k in cells} - {"baseline"})
@@ -231,10 +238,7 @@ def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
                     tables["dec_l5"][(gap, ap)] = float("nan")
                     tables["sci"][(gap, ap)] = float("nan")
                     continue
-                bf = _cell_mean_fractions(base)
-                af = _cell_mean_fractions(algo)
-                b = EdgeFractions(bf[PowerLevel.L1], bf[PowerLevel.L5])
-                a = EdgeFractions(af[PowerLevel.L1], af[PowerLevel.L5])
+                b, a = edges[("baseline", gap, ap)], edges[(policy, gap, ap)]
                 tables["dec_l1"][(gap, ap)] = fractional_decrease(b.l1, a.l1)
                 tables["dec_l5"][(gap, ap)] = fractional_decrease(b.l5, a.l5)
                 tables["sci"][(gap, ap)] = sci(b, a)
