@@ -20,4 +20,4 @@ from .policies import (
 )
 from .topology import SupplyModel, Topology, build_topology, stress_level
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -4,10 +4,10 @@ Time advances in one-second steps inside hourly windows. At each hour
 boundary every home is restored to full power, appliance draws are
 redrawn, and the hour's supply and stress level are fixed. While served
 demand exceeds capacity the active policy's round function runs once per
-second, k = 1, 2, ... within the hour, and the engine measures served
-demand after each round; once the hour converges no state changes until
-the next boundary, so the engine skips ahead. A run is a pure function of
-(config, seed).
+second, k = 1, 2, ... within the hour; the engine sums served demand once,
+at the hour's start, and each round lowers it by the watts it sheds. Once
+the hour converges no state changes until the next boundary, so the engine
+skips ahead. A run is a pure function of (config, seed).
 
 Under-load wastage and all level statistics are recorded at the converged
 state of each hour. A policy that exhausts its round budget leaves the
@@ -182,7 +182,6 @@ def run(config: SimConfig) -> MetricsLog:
             policy.round(state, rounds)
             if state.emergency and not was_emergency:
                 log.trace.append(TraceEvent(hour, rounds, "emergency"))
-            state.served_w = served_demand(topo)
             is_converged = state.served_w <= capacity_w
         log.trace.append(
             TraceEvent(

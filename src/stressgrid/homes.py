@@ -18,6 +18,10 @@ from .levels import CAP_FRACTION, PowerLevel
 
 RATED_QUANTILE = 0.95
 
+# Installed draws are whole multiples of this many watts, so every sum of
+# them below 2**43 W is exact in float64, whatever the order of summation.
+QUANTUM_W = 2.0**-10
+
 
 @dataclass(frozen=True)
 class HomeClass:
@@ -166,11 +170,12 @@ def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
     row j of `draws` belongs to homes[j]. Returns the installed draws.
 
     Draws are clamped at each appliance's rated value (the rating is what
-    the state caps are guaranteed against) and scaled down in proportion if
-    the total would exceed the meter rating. A float64 `draws` array is
-    clamped and scaled in place, so it must not be a view of state that
-    is kept, such as a model's rated draws. The watts at each state are
-    the connected appliances' draws summed in index order.
+    the state caps are guaranteed against), scaled down in proportion if
+    the total would exceed the meter rating, then floored to a multiple of
+    QUANTUM_W, which keeps both caps. A float64 `draws` array is changed in
+    place, so it must not be a view of state that is kept, such as a
+    model's rated draws. The watts at each state are the connected
+    appliances' draws summed, exactly.
     """
     model = fleet.models[fleet.cls[homes[0]]]
     draws = np.asarray(draws, dtype=float)
@@ -179,10 +184,8 @@ def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
     rating = model.home_class.rating_w
     over = total > rating
     draws[over] *= (rating / total[over])[:, None]
-    columns = np.ascontiguousarray(draws.T)
-    watts = np.zeros((len(PowerLevel), len(draws)))
-    for row, connected in zip(watts, model.dm.T):
-        for a in np.flatnonzero(connected):
-            row += columns[a]
-    fleet.level_watts[homes] = watts.T
+    draws /= QUANTUM_W
+    np.floor(draws, out=draws)
+    draws *= QUANTUM_W
+    fleet.level_watts[homes] = draws @ model.dm
     return draws

@@ -59,11 +59,12 @@ class RoundState:
     """What the policy rounds of one run read and write.
 
     The engine sets `sl` and `capacity_w` at each hour boundary, clears
-    `emergency` each hour, and sets `served_w`, the served demand at the
-    homes' current states, before the hour's first round and after every
-    round; the rounds read it and never change it. `next_group` is the
-    feeder group the next group walk starts from: the rounds alone read and
-    move it, and it carries over from hour to hour.
+    `emergency` each hour, and sets `served_w` to the served demand before
+    the hour's first round. Each round lowers `served_w` by the watts its
+    delivered commands shed, so it stays equal to a fresh sum of served
+    demand; both are exact, as draws are multiples of `homes.QUANTUM_W`.
+    `next_group` is the feeder group the next group walk starts from: the
+    rounds alone read and move it, and it carries over from hour to hour.
     """
 
     topology: Topology
@@ -78,30 +79,26 @@ class RoundState:
     next_group: int = 0
 
 
-def _walk_groups(
-    state: RoundState, left: float, limit: float, shed: Callable[[np.ndarray, float], float]
-) -> float:
+def _walk_groups(state: RoundState, shed: Callable[[np.ndarray], None]) -> None:
     """Visit the feeder groups round-robin from `state.next_group`, each at
-    most once, while `left` exceeds `limit`; `shed(members, left)` sheds in
-    one group and returns the new `left`. Moves `next_group` past every
-    group visited and returns the last `left`."""
+    most once, while `served_w` exceeds `capacity_w`; `shed(members)` sheds
+    in one group and lowers `served_w` by the watts shed. Moves
+    `next_group` past every group visited."""
     groups = state.topology.group_members
     visited = 0
-    while visited < len(groups) and left > limit:
-        left = shed(groups[(state.next_group + visited) % len(groups)], left)
+    while visited < len(groups) and state.served_w > state.capacity_w:
+        shed(groups[(state.next_group + visited) % len(groups)])
         visited += 1
     state.next_group = (state.next_group + visited) % len(groups)
-    return left
 
 
-def _switch_off(state: RoundState, homes: np.ndarray, left_w: float) -> float:
-    """Command each of `homes`, in id order, to L1; returns `left_w` less
+def _switch_off(state: RoundState, homes: np.ndarray) -> None:
+    """Command each of `homes`, in id order, to L1; lowers `served_w` by
     the watts of every home whose command was delivered."""
     fleet = state.topology.fleet
     for i, watts in zip(homes.tolist(), fleet.watts(homes).tolist()):
         if state.channel.apply(Home(fleet, i), PowerLevel.L1):
-            left_w -= watts
-    return left_w
+            state.served_w -= watts
 
 
 def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
@@ -120,10 +117,7 @@ def baseline_step(state: RoundState, k: int) -> None:
     moves `next_group` on by one and later rounds leave it, so the burden
     rotates by one group per hour."""
     start = state.next_group
-    _walk_groups(
-        state, state.served_w, state.capacity_w,
-        lambda members, served: _switch_off(state, members, served),
-    )
+    _walk_groups(state, lambda members: _switch_off(state, members))
     state.next_group = (start + (k == 1)) % len(state.topology.group_members)
 
 
@@ -177,10 +171,7 @@ def cut_nonsmart_groups(state: RoundState) -> None:
     under capacity or every group has been tried. Homes shed last hour are
     skipped unless an emergency is in force. `next_group` moves past the
     groups tried."""
-    _walk_groups(
-        state, state.served_w, state.capacity_w,
-        lambda members, served: _switch_off(state, _cuttable(state, members), served),
-    )
+    _walk_groups(state, lambda members: _switch_off(state, _cuttable(state, members)))
 
 
 def pass_rounds(n_groups: int) -> int:
@@ -198,7 +189,8 @@ def alg1_round(state: RoundState, k: int) -> None:
     Round 2: the utility cuts non-smart groups while the gap persists.
     Rounds >= 3: backed-off homes step down against their stored stress;
     holdouts re-draw at the reduced stress reduction_factor * sl.
-    Commands go out in home-id order, only to homes that change state.
+    Commands go out in home-id order, only to homes that change state;
+    `served_w` falls by the watts the delivered ones shed.
     """
     n = pass_rounds(len(state.topology.group_members))
     if k > n:
@@ -217,8 +209,11 @@ def alg1_round(state: RoundState, k: int) -> None:
         sl = state.reduction_factor * sl  # backed-off homes use their sl_init
     target = alg1_decisions(fleet, smart, sl, state.dp, state.emergency, r)
     moving = np.flatnonzero(target)
-    for i, level in zip(smart[moving].tolist(), target[moving].tolist()):
+    homes = smart[moving]
+    before = fleet.watts(homes)
+    for i, level in zip(homes.tolist(), target[moving].tolist()):
         state.channel.apply(Home(fleet, i), level)
+    state.served_w -= float((before - fleet.watts(homes)).sum())
 
 
 def eligible_lower_runs(
@@ -240,58 +235,50 @@ def _step_down_batch(
     watts: np.ndarray,
     top: np.ndarray,
     count: np.ndarray,
-    gap: float,
-) -> float:
-    """Step `candidates` down in order while `gap` stays positive, each to a
-    state drawn from its run (top, count) of eligible states; a command that
-    the channel loses closes none of the gap. Returns the gap left.
+) -> None:
+    """Step `candidates` down in order while `served_w` exceeds
+    `capacity_w`, each to a state drawn from its run (top, count) of
+    eligible states, and lower `served_w` by the watts shed; a command that
+    the channel loses sheds nothing.
 
-    One draw call covers the group: it draws a step for every eligible
-    candidate and looks ahead at each command's delivery, finds where the
-    gap closes, then rewinds the stream and draws again exactly the steps
-    used. `rng.integers(0, k_array)` gives the values and the end state of
-    one scalar call per entry, so the stream ends where a loop of one draw
-    per command would leave it; `apply` redraws each delivery in order.
+    While served demand exceeds capacity, one draw call gives a step to
+    every eligible candidate; the commands then go out up to the first one
+    after which served demand fits under capacity.
     """
     eligible = count > 0
     candidates, watts, top, count = candidates[eligible], watts[eligible], top[eligible], count[eligible]
-    if gap <= 0 or not candidates.size:
-        return gap
-    fleet, rng, channel = state.topology.fleet, state.rng, state.channel
-    start = rng.bit_generator.state
-    new = top - rng.integers(0, count)
+    if state.served_w <= state.capacity_w or not candidates.size:
+        return
+    fleet, channel = state.topology.fleet, state.channel
+    new = top - state.rng.integers(0, count)
     shed_w = watts - fleet.level_watts[candidates, new - 1]
-    shed_w[~channel.next_deliveries(candidates.size)] = 0.0  # gap - 0.0 keeps its bits
-    # subtract.accumulate runs in sequence, so every partial gap has the loop's bits
-    left = np.subtract.accumulate(np.concatenate(([gap], shed_w)))
-    closed = np.flatnonzero(left[1:] <= 0)
-    used = int(closed[0]) + 1 if closed.size else candidates.size
-    if used < candidates.size:
-        rng.bit_generator.state = start
-        rng.integers(0, count[:used])
+    shed_w[~channel.next_deliveries(candidates.size)] = 0.0
+    served = state.served_w - np.cumsum(shed_w)
+    fits = np.flatnonzero(served <= state.capacity_w)
+    used = int(fits[0]) + 1 if fits.size else candidates.size
     for i, level in zip(candidates[:used].tolist(), new[:used].tolist()):
         channel.apply(Home(fleet, i), level)
-    return float(left[used])
+    state.served_w = float(served[used - 1])
 
 
 def alg2_step(state: RoundState, k: int) -> None:
-    """One centralized assignment pass against the gap served_w - capacity_w;
-    every round k of the hour runs the same pass. A pass that leaves the
-    gap open raises the emergency flag.
+    """One centralized assignment pass while served_w exceeds capacity_w;
+    every round k of the hour runs the same pass. A pass that leaves
+    served demand above capacity raises the emergency flag.
 
     Groups are visited round-robin. In each group every non-smart home is
-    shut off first; while the gap persists the group's smart homes are
-    stepped down in descending order of current consumption (ties to the
-    lower home id), each to a state drawn uniformly from its eligible lower
-    states. Homes shed last hour are skipped unless emergency. `next_group`
-    advances past every group visited.
+    shut off first; while served demand still exceeds capacity the group's
+    smart homes are stepped down in descending order of current consumption
+    (ties to the lower home id), each to a state drawn uniformly from its
+    eligible lower states. Homes shed last hour are skipped unless
+    emergency. `next_group` advances past every group visited.
     """
     fleet = state.topology.fleet
     emergency = state.emergency
     rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in fleet.models])
 
-    def shed(members: np.ndarray, gap: float) -> float:
-        gap = _switch_off(state, _cuttable(state, members), gap)
+    def shed(members: np.ndarray) -> None:
+        _switch_off(state, _cuttable(state, members))
         candidates = members[fleet.smart[members] & (emergency | ~fleet.ls_lh[members])]
         watts = fleet.watts(candidates)
         order = np.lexsort((candidates, -watts))
@@ -299,9 +286,10 @@ def alg2_step(state: RoundState, k: int) -> None:
         top, count = eligible_lower_runs(
             fleet.level[candidates], watts / rating_w[fleet.cls[candidates]], emergency
         )
-        return _step_down_batch(state, candidates, watts, top, count, gap)
+        _step_down_batch(state, candidates, watts, top, count)
 
-    if _walk_groups(state, state.served_w - state.capacity_w, 0.0, shed) > 0:
+    _walk_groups(state, shed)
+    if state.served_w > state.capacity_w:
         state.emergency = True
 
 

@@ -21,10 +21,10 @@ from .homes import HOME_CLASSES, ClassModel, Fleet
 
 GROUP_SIZE = 10
 
-# Stress levels are rounded to this many decimals of a percent, so the last
-# bits of the demand sum cannot move a level that is exactly 100 * gap (such
-# as 40) to one ulp below it, where it would flip the policies' integer
-# comparisons against it.
+# Stress levels are rounded to this many decimals of a percent, so the
+# rounding of capacity, a product of the demand, cannot move a level that is
+# exactly 100 * gap (such as 40) to one ulp below it, where it would flip the
+# policies' integer comparisons against it.
 STRESS_DECIMALS = 9
 
 

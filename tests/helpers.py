@@ -135,18 +135,18 @@ def eligible_lower_levels(
 
 def alg2_step_reference(state: RoundState, k: int) -> None:
     """Scalar reference of `policies.alg2_step`, home by home: in each group
-    visited, cut every cuttable non-smart home, then step the candidates
-    down in descending consumption (ties to the lower id) while the gap
-    stays open, with one `rng.integers(0, n)` on the policy stream `rng`
-    per candidate that has n eligible states and one command per step,
-    whose delivery the channel draws on its own stream; raises the
-    emergency flag if the gap stays open."""
+    visited while served watts exceed capacity, cut every cuttable
+    non-smart home; if served watts still exceed capacity, draw one
+    `rng.integers(0, n)` on the policy stream `rng` for each candidate that
+    has n eligible states, in descending consumption (ties to the lower
+    id), then step the candidates down in that order, one command each
+    (whose delivery the channel draws on its own stream), until served
+    watts fit under capacity. Raises the emergency flag if they never do."""
     topology, rng, channel, emergency = state.topology, state.rng, state.channel, state.emergency
     fleet = topology.fleet
     groups = topology.group_members
-    gap = state.served_w - state.capacity_w
     visited = 0
-    while visited < len(groups) and gap > 0:
+    while visited < len(groups) and state.served_w > state.capacity_w:
         members = groups[(state.next_group + visited) % len(groups)].tolist()
         visited += 1
         for i in members:
@@ -154,21 +154,24 @@ def alg2_step_reference(state: RoundState, k: int) -> None:
             if not fleet.smart[i] and fleet.level[i] != PowerLevel.L1 and not exempt:
                 watts = float(fleet.watts(i))
                 if channel.apply(Home(fleet, i), PowerLevel.L1):
-                    gap -= watts
+                    state.served_w -= watts
+        if state.served_w <= state.capacity_w:
+            break
         candidates = [i for i in members if fleet.smart[i] and (emergency or not fleet.ls_lh[i])]
+        steps = []
         for i in sorted(candidates, key=lambda i: (-float(fleet.watts(i)), i)):
-            if gap <= 0:
+            fraction = float(fleet.watts(i)) / fleet.models[fleet.cls[i]].home_class.rating_w
+            levels = [lv for lv in eligible_lower_levels(fraction, emergency) if lv < fleet.level[i]]
+            if levels:
+                steps.append((i, levels[int(rng.integers(0, len(levels)))]))
+        for i, new in steps:
+            if state.served_w <= state.capacity_w:
                 break
             current = float(fleet.watts(i))
-            fraction = current / fleet.models[fleet.cls[i]].home_class.rating_w
-            levels = [lv for lv in eligible_lower_levels(fraction, emergency) if lv < fleet.level[i]]
-            if not levels:
-                continue
-            new = levels[int(rng.integers(0, len(levels)))]
             if channel.apply(Home(fleet, i), new):
-                gap -= current - float(fleet.level_watts[i, new - 1])
+                state.served_w -= current - float(fleet.level_watts[i, new - 1])
     state.next_group = (state.next_group + visited) % len(groups)
-    if gap > 0:
+    if state.served_w > state.capacity_w:
         state.emergency = True
 
 

@@ -1,9 +1,12 @@
 """Golden fingerprints: small fixed runs must reproduce recorded outcomes.
 
 Integer outcomes (level counts, convergence seconds, flags, repeat-shed
-homes, command counters) must match exactly. Watt totals and mean utility
-are compared to FLOAT_REL_TOL relative: summing appliance draws in another
-order moves them by about 1e-13 W without changing any decision.
+homes, command counters) and the demand and served watts must match
+exactly: draws are whole multiples of `homes.QUANTUM_W`, so those sums are
+exact in any order. ULW and mean utility come from rounded products and
+quotients (capacity is a fraction of demand), which a rewritten formula may
+round differently without changing any decision, so they are compared to
+FLOAT_REL_TOL relative.
 
 Re-record after a deliberate change of behaviour, and say so in CHANGES.md:
 
@@ -43,7 +46,8 @@ INT_FIELDS = (
     "level_counts", "smart_level_counts", "convergence_seconds",
     "converged", "emergency", "repeat_shed_homes",
 )
-FLOAT_FIELDS = ("demand_w", "served_w", "ulw_w", "mean_utility")
+WATT_FIELDS = ("demand_w", "served_w")
+FLOAT_FIELDS = ("ulw_w", "mean_utility")
 
 
 def fingerprint(name: str) -> dict:
@@ -52,6 +56,7 @@ def fingerprint(name: str) -> dict:
         "commands": [log.commands_sent, log.commands_lost],
         "ints": [[list(v) if isinstance(v, tuple) else v for v in
                   (getattr(rec, f) for f in INT_FIELDS)] for rec in log.hours],
+        "watts": [[getattr(rec, f) for f in WATT_FIELDS] for rec in log.hours],
         "floats": [[getattr(rec, f) for f in FLOAT_FIELDS] for rec in log.hours],
     }
 
@@ -62,6 +67,7 @@ def test_matches_golden(name):
     got = fingerprint(name)
     assert got["commands"] == want["commands"]
     assert got["ints"] == want["ints"]
+    assert got["watts"] == want["watts"]
     for hour, (g, w) in enumerate(zip(got["floats"], want["floats"])):
         assert g == pytest.approx(w, rel=FLOAT_REL_TOL, abs=0.0), (hour, FLOAT_FIELDS)
 

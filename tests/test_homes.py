@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import demand, make_fleet
 from stressgrid.homes import (
     HOME_CLASSES,
+    QUANTUM_W,
+    ClassModel,
     Home,
     HomeClass,
     build_class_model,
@@ -18,7 +23,7 @@ from stressgrid.homes import (
 )
 from stressgrid.levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
 from stressgrid.protocol import decode, encode
-from stressgrid.topology import build_topology, served_demand
+from stressgrid.topology import Topology, build_topology, served_demand
 
 
 class TestBuildDm:
@@ -105,10 +110,9 @@ def install(model, draws):
 
 class TestConsumption:
     def test_l1_is_zero_and_l5_is_total(self, class_models):
-        draws = class_models["A"].rated_draws * 0.5
-        fleet, _ = install(class_models["A"], draws)
+        fleet, installed = install(class_models["A"], class_models["A"].rated_draws * 0.5)
         assert fleet.level_watts[0, PowerLevel.L1 - 1] == 0.0
-        assert fleet.level_watts[0, PowerLevel.L5 - 1] == pytest.approx(draws.sum())
+        assert fleet.level_watts[0, PowerLevel.L5 - 1] == installed.sum()
 
     def test_class_a_l3_under_half_rating(self, class_models):
         fleet, _ = install(class_models["A"], class_models["A"].rated_draws)
@@ -179,6 +183,42 @@ class TestSetHourDraws:
                 installed[0] @ model.dm, rel=1e-12, abs=1e-12
             )
             assert (batch.level_watts[i] == single.level_watts[0]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    label=st.sampled_from(sorted(HOME_CLASSES)),
+    n_homes=st.integers(1, 300),
+    overload=st.floats(1.01, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_installed_watts_are_exact(label, n_homes, overload, seed):
+    """Installed draws and level watts are whole multiples of QUANTUM_W that
+    keep every cap, so served demand is the exact sum in any order. The
+    class's rated draws sum to `overload` times its meter rating, so rows
+    over the rating are scaled down; row 0 is always one of them."""
+    home_class = HOME_CLASSES[label]
+    rng = np.random.default_rng(seed)
+    rated = rng.uniform(0.1, 1.0, home_class.appliance_count)
+    rated *= overload * home_class.rating_w / rated.sum()
+    model = ClassModel(home_class, [], None, rated, build_dm(home_class, rated))
+    raw = rng.uniform(0.0, 1.5, (n_homes, home_class.appliance_count)) * rated
+    raw[0] = 2.0 * rated
+    fleet, installed = install(model, raw)
+
+    for watts in (installed, fleet.level_watts):
+        assert (np.floor(watts / QUANTUM_W) == watts / QUANTUM_W).all()
+    assert (installed <= rated).all()
+    assert (installed.sum(axis=1) <= home_class.rating_w).all()
+    for level in PowerLevel:
+        assert (fleet.level_watts[:, level - 1] <= CAP_FRACTION[level] * home_class.rating_w).all()
+
+    fleet.level[:] = rng.integers(PowerLevel.L1, PowerLevel.L5 + 1, n_homes)
+    watts = fleet.watts(np.arange(n_homes)).tolist()
+    served = served_demand(Topology(fleet, [np.arange(n_homes)]))
+    assert served == math.fsum(watts) == sum(reversed(watts))
+    rng.shuffle(watts)
+    assert served == sum(watts)
 
 
 class TestClassModels:

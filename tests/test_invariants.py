@@ -32,9 +32,9 @@ def small_configs(draw) -> SimConfig:
 @settings(max_examples=60, deadline=None)
 @given(config=small_configs())
 def test_rounds_start_from_served_demand_and_never_raise_a_level(config):
-    """Every round starts with `state.served_w` equal to a fresh sum of
-    served demand, which the steps use in place of summing it again, and no
-    round raises any home's level."""
+    """Every round starts and ends with `state.served_w` exactly equal to a
+    fresh sum of served demand, which the steps keep up to date in place of
+    summing it again, and no round raises any home's level."""
     policy = POLICIES[config.policy]
     rounds = 0
 
@@ -45,6 +45,7 @@ def test_rounds_start_from_served_demand_and_never_raise_a_level(config):
         before = state.topology.fleet.level.copy()
         policy.round(state, k)
         assert (state.topology.fleet.level <= before).all(), k
+        assert state.served_w == served_demand(state.topology), k
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(POLICIES, config.policy, policy._replace(round=checked_round))

@@ -247,7 +247,7 @@ class TestBaselineStep:
         state = round_state(topo, capacity_w=0.8 * D)
         baseline_step(state, 1)
         assert state.next_group == 1
-        state.served_w = served_demand(topo)
+        assert state.served_w == served_demand(topo)
         baseline_step(state, 2)
         assert state.next_group == 1
 
@@ -351,7 +351,7 @@ class TestAlg1Round:
         converged_at = None
         for k in range(1, 2 * pass_rounds + 1):
             alg1_round(state, k)
-            state.served_w = served_demand(topo)
+            assert state.served_w == served_demand(topo)
             assert state.emergency == (k > pass_rounds)
             if k == 2:
                 after_round_2 = state.served_w
@@ -582,9 +582,10 @@ class TestAlg2Step:
 @example(ks=[1], seed=0, odd_start=False)
 @example(ks=[1, 1, 1], seed=0, odd_start=True)
 def test_array_bound_draw_equals_scalar_draws(ks, seed, odd_start):
-    """The batched step-down of alg2_step rewinds its stream and relies on
-    numpy's `rng.integers(0, k_array)` giving the values of, and leaving
-    the generator as, one scalar `rng.integers(0, k)` per entry, k = 1
+    """The batched step-down of alg2_step draws a group's steps with one
+    `rng.integers(0, k_array)`, where the scalar reference makes one
+    `rng.integers(0, k)` call per candidate; the two agree only while numpy
+    gives the same values and leaves the generator in the same state, k = 1
     (which draws nothing) included. A numpy that breaks this fails here."""
     batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     if odd_start:  # half of a 64-bit output left buffered
@@ -623,9 +624,9 @@ LINKS = {
 @given(data=st.data())
 def test_alg2_step_matches_scalar_reference(class_models, data):
     """alg2_step steps each group down in one batch, with or without a lossy
-    link; it must agree with the scalar reference on levels, emergency flag,
-    next group, commands and where it leaves both streams: the policy's step
-    draws and the channel's delivery draws."""
+    link; it must agree with the scalar reference on levels, served watts,
+    emergency flag, next group, commands and where it leaves both streams:
+    the policy's step draws and the channel's delivery draws."""
     n_feeders = data.draw(st.integers(1, 30))
     topo = build_topology(
         class_models, n_homes=data.draw(st.integers(1, 300)), n_feeders=n_feeders,
@@ -659,10 +660,11 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
         )
         step(state, 1)
         outcomes.append((
-            fleet.level.tolist(), state.emergency, state.next_group, state.channel.sent,
+            fleet.level.tolist(), state.served_w, state.emergency, state.next_group, state.channel.sent,
             state.channel.lost, rng.bit_generator.state, channel_rng.bit_generator.state,
         ))
     assert outcomes[1] == outcomes[0]
+    assert state.served_w == served_demand(topo)
 
 
 class TestResetHourly:

@@ -46,7 +46,7 @@ def test_traced_functions_exist(tracer):
 )
 def test_traced_run_counts_every_round(tracer, policy, step):
     """One span per round of the policy's step, one `apply` per command, and
-    one served-demand sum per hour plus one per round."""
+    one served-demand sum per hour: the rounds keep it up to date."""
     config = SimConfig(
         horizon_hours=4, n_homes=200, n_feeders=10, group_size=5, policy=policy,
         supply=SupplyModel(gap_fraction=0.3), protocol_emulation=True,
@@ -63,4 +63,4 @@ def test_traced_run_counts_every_round(tracer, policy, step):
     assert rounds > 0
     assert calls[step] == rounds
     assert calls[tracer.APPLY] == log.commands_sent > 0
-    assert calls["topology.served_demand"] == len(log.hours) + rounds
+    assert calls["topology.served_demand"] == len(log.hours)
