@@ -179,9 +179,7 @@ class TestSetHourDraws:
         batch, _ = install(model, raw)
         for i, row in enumerate(raw):
             single, installed = install(model, row)
-            assert batch.level_watts[i] == pytest.approx(
-                installed[0] @ model.dm, rel=1e-12, abs=1e-12
-            )
+            assert (batch.level_watts[i] == installed[0] @ model.dm).all()
             assert (batch.level_watts[i] == single.level_watts[0]).all()
 
 
