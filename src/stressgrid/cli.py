@@ -27,7 +27,7 @@ from .consumption import load_corpus
 from .engine import SimConfig, run
 from .homes import checked_home_class
 from .levels import UtilityParams
-from .metrics import MetricsLog, write_report
+from .metrics import MetricsLog, ap_token, gap_token, write_report
 from .policies import POLICIES, DistributionProfile
 from .topology import SupplyModel, check_classes
 
@@ -91,9 +91,17 @@ def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
     """Every run's config of `spec`; raises ConfigError if any is invalid."""
     if spec.runs < 1:
         raise ConfigError("runs must be at least 1")
-    for key, values in (("policies", spec.policies), ("gaps", spec.gaps_percent), ("aps", spec.aps)):
+    for key, values, token in (
+        ("policies", spec.policies, str),
+        ("gaps", spec.gaps_percent, gap_token),
+        ("aps", spec.aps, ap_token),
+    ):
         if not values:
             raise ConfigError(f"{key} must list at least one value")
+        tokens = [token(v) for v in values]  # a cell's name in the report files
+        twice = [t for t in tokens if tokens.count(t) > 1]
+        if twice:
+            raise ConfigError(f"{key} lists two values that the report names {twice[0]!r}")
     data_dir = spec.base.data_dir
     if data_dir != "builtin":
         try:

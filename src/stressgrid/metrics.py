@@ -111,18 +111,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _gap_token(gap_percent: float) -> str:
+def gap_token(gap_percent: float) -> str:
+    """How report file names spell a supply gap in percent."""
     return f"{gap_percent:g}"
 
 
-def _ap_token(ap: float) -> str:
+def ap_token(ap: float) -> str:
+    """How report file names spell a smart-home penetration, in percent."""
     return f"{100.0 * ap:g}"
 
 
 def _cell_key(log: MetricsLog) -> tuple[str, str, float]:
     # keyed on the gap token: the NaN gap of fixed_capacity runs never
     # equals itself, so a float key would split every run into its own cell
-    return (log.policy, _gap_token(log.gap_percent), log.ap)
+    return (log.policy, gap_token(log.gap_percent), log.ap)
 
 
 HOURLY_FIELDS = [
@@ -209,7 +211,7 @@ def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
 
     edges: dict[tuple[str, str, float], EdgeFractions] = {}
     for (policy, gt, ap), cell_logs in sorted(cells.items()):
-        at = _ap_token(ap)
+        at = ap_token(ap)
         for lg in cell_logs:
             p = runs_dir / f"run_{policy}_{gt}_{at}_s{lg.seed}.csv"
             write_run_csv(lg, p)
@@ -248,7 +250,7 @@ def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
             p = out_dir / f"matrix_{policy}_{metric}.csv"
             with p.open("w", newline="") as fh:
                 w = csv.writer(fh)
-                w.writerow(["gap_percent"] + [_ap_token(ap) for ap in aps])
+                w.writerow(["gap_percent"] + [ap_token(ap) for ap in aps])
                 for gap in gaps:
                     row = [gap]
                     for ap in aps:

@@ -92,13 +92,19 @@ def _walk_groups(state: RoundState, shed: Callable[[np.ndarray], None]) -> None:
     state.next_group = (state.next_group + visited) % len(groups)
 
 
-def _switch_off(state: RoundState, homes: np.ndarray) -> None:
-    """Command each of `homes`, in id order, to L1; lowers `served_w` by
-    the watts of every home whose command was delivered."""
-    fleet = state.topology.fleet
-    for i, watts in zip(homes.tolist(), fleet.watts(homes).tolist()):
-        if state.channel.apply(Home(fleet, i), PowerLevel.L1):
+def _send(state: RoundState, homes: np.ndarray, levels, until_fits: bool = False) -> None:
+    """Command homes[j] to levels[j] (or every home to one level), in
+    order, one command each, and lower `served_w` by the watts each
+    delivered command sheds. With `until_fits`, stop after the first
+    delivered command that brings `served_w` to or under `capacity_w`."""
+    fleet, apply = state.topology.fleet, state.channel.apply
+    levels = np.full(homes.shape, levels)
+    shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
+    for i, level, watts in zip(homes.tolist(), levels.tolist(), shed_w.tolist()):
+        if apply(Home(fleet, i), level):
             state.served_w -= watts
+            if until_fits and state.served_w <= state.capacity_w:
+                return
 
 
 def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
@@ -117,7 +123,7 @@ def baseline_step(state: RoundState, k: int) -> None:
     moves `next_group` on by one and later rounds leave it, so the burden
     rotates by one group per hour."""
     start = state.next_group
-    _walk_groups(state, lambda members: _switch_off(state, members))
+    _walk_groups(state, lambda members: _send(state, members, PowerLevel.L1))
     state.next_group = (start + (k == 1)) % len(state.topology.group_members)
 
 
@@ -171,7 +177,7 @@ def cut_nonsmart_groups(state: RoundState) -> None:
     under capacity or every group has been tried. Homes shed last hour are
     skipped unless an emergency is in force. `next_group` moves past the
     groups tried."""
-    _walk_groups(state, lambda members: _switch_off(state, _cuttable(state, members)))
+    _walk_groups(state, lambda members: _send(state, _cuttable(state, members), PowerLevel.L1))
 
 
 def pass_rounds(n_groups: int) -> int:
@@ -209,11 +215,7 @@ def alg1_round(state: RoundState, k: int) -> None:
         sl = state.reduction_factor * sl  # backed-off homes use their sl_init
     target = alg1_decisions(fleet, smart, sl, state.dp, state.emergency, r)
     moving = np.flatnonzero(target)
-    homes = smart[moving]
-    before = fleet.watts(homes)
-    for i, level in zip(homes.tolist(), target[moving].tolist()):
-        state.channel.apply(Home(fleet, i), level)
-    state.served_w -= float((before - fleet.watts(homes)).sum())
+    _send(state, smart[moving], target[moving])
 
 
 def eligible_lower_runs(
@@ -229,38 +231,6 @@ def eligible_lower_runs(
     return top, top - lowest + 1
 
 
-def _step_down_batch(
-    state: RoundState,
-    candidates: np.ndarray,
-    watts: np.ndarray,
-    top: np.ndarray,
-    count: np.ndarray,
-) -> None:
-    """Step `candidates` down in order while `served_w` exceeds
-    `capacity_w`, each to a state drawn from its run (top, count) of
-    eligible states, and lower `served_w` by the watts shed; a command that
-    the channel loses sheds nothing.
-
-    While served demand exceeds capacity, one draw call gives a step to
-    every eligible candidate; the commands then go out up to the first one
-    after which served demand fits under capacity.
-    """
-    eligible = count > 0
-    candidates, watts, top, count = candidates[eligible], watts[eligible], top[eligible], count[eligible]
-    if state.served_w <= state.capacity_w or not candidates.size:
-        return
-    fleet, channel = state.topology.fleet, state.channel
-    new = top - state.rng.integers(0, count)
-    shed_w = watts - fleet.level_watts[candidates, new - 1]
-    shed_w[~channel.next_deliveries(candidates.size)] = 0.0
-    served = state.served_w - np.cumsum(shed_w)
-    fits = np.flatnonzero(served <= state.capacity_w)
-    used = int(fits[0]) + 1 if fits.size else candidates.size
-    for i, level in zip(candidates[:used].tolist(), new[:used].tolist()):
-        channel.apply(Home(fleet, i), level)
-    state.served_w = float(served[used - 1])
-
-
 def alg2_step(state: RoundState, k: int) -> None:
     """One centralized assignment pass while served_w exceeds capacity_w;
     every round k of the hour runs the same pass. A pass that leaves
@@ -270,15 +240,19 @@ def alg2_step(state: RoundState, k: int) -> None:
     shut off first; while served demand still exceeds capacity the group's
     smart homes are stepped down in descending order of current consumption
     (ties to the lower home id), each to a state drawn uniformly from its
-    eligible lower states. Homes shed last hour are skipped unless
-    emergency. `next_group` advances past every group visited.
+    eligible lower states: one draw call gives every eligible candidate its
+    step, then the commands go out in that order until served demand fits.
+    Homes shed last hour are skipped unless emergency. `next_group`
+    advances past every group visited.
     """
     fleet = state.topology.fleet
     emergency = state.emergency
     rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in fleet.models])
 
     def shed(members: np.ndarray) -> None:
-        _switch_off(state, _cuttable(state, members))
+        _send(state, _cuttable(state, members), PowerLevel.L1)
+        if state.served_w <= state.capacity_w:
+            return
         candidates = members[fleet.smart[members] & (emergency | ~fleet.ls_lh[members])]
         watts = fleet.watts(candidates)
         order = np.lexsort((candidates, -watts))
@@ -286,7 +260,10 @@ def alg2_step(state: RoundState, k: int) -> None:
         top, count = eligible_lower_runs(
             fleet.level[candidates], watts / rating_w[fleet.cls[candidates]], emergency
         )
-        _step_down_batch(state, candidates, watts, top, count)
+        eligible = count > 0
+        if eligible.any():
+            new = top[eligible] - state.rng.integers(0, count[eligible])
+            _send(state, candidates[eligible], new, until_fits=True)
 
     _walk_groups(state, shed)
     if state.served_w > state.capacity_w:

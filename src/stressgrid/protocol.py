@@ -160,23 +160,6 @@ class CommandChannel:
         # a link that always delivers draws no random number
         self._p = p if p is not None and p < 1.0 else None
 
-    @property
-    def lossless(self) -> bool:
-        """True when every command is delivered and no random number is drawn."""
-        return self._p is None
-
-    def next_deliveries(self, n: int) -> np.ndarray:
-        """Whether each of the next `n` commands will be delivered, without
-        sending them: `apply` draws the same uniforms again, one per
-        command, since the stream is rewound here. A lossless link draws
-        nothing."""
-        if self.lossless:
-            return np.ones(n, dtype=bool)
-        start = self.rng.bit_generator.state
-        delivered = self.rng.random(n) < self._p
-        self.rng.bit_generator.state = start
-        return delivered
-
     def apply(self, home, level) -> bool:
         self.sent += 1
         if self._p is not None and self.rng.random() >= self._p:

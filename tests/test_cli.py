@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from stressgrid.cli import (
 )
 from stressgrid.consumption import load_corpus
 from stressgrid.corpus import write_synthetic_corpus
+from stressgrid.engine import SimConfig
 
 TINY = """
 [simulation]
@@ -77,6 +79,8 @@ class TestParseConfig:
         assert spec.runs == 10
         assert spec.base.n_homes == 1000
         assert spec.base.supply.mode == "fractional_gap"
+        # every CLI default equals the value types' own; 42 is the CLI's base seed
+        assert spec == ExperimentSpec(base=replace(SimConfig(), seed=42))
 
     def test_empty_file_equals_defaults(self, tmp_path):
         spec = parse_config(write_config(tmp_path, ""))
@@ -269,6 +273,10 @@ class TestMain:
         pytest.param(TINY, ["--gap", "20"], id="gap-without-single"),
         pytest.param(TINY, ["--ap", "0.9"], id="ap-without-single"),
         pytest.param(TINY, ["--gap", "150", "--ap", "7"], id="bad-cell-flags-without-single"),
+        pytest.param(TINY.replace("gaps = 20", "gaps = 20, 20"), [], id="gaps-duplicate"),
+        pytest.param(TINY.replace("aps = 0.9", "aps = 0.9, 0.9000001"), [], id="aps-near-duplicate"),
+        pytest.param(TINY + "\n[policy]\npolicies = baseline, centralized, baseline\n", [],
+                     id="policies-duplicate"),
     ])
     def test_bad_settings_are_config_errors(self, tmp_path, capsys, ini, args, validate):
         p = write_config(tmp_path, ini(tmp_path) if callable(ini) else ini)

@@ -599,11 +599,11 @@ def test_array_bound_draw_equals_scalar_draws(ks, seed, odd_start):
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(0, 200), seed=st.integers(0, 2**64 - 1), odd_start=st.booleans())
 def test_random_block_equals_scalar_draws(n, seed, odd_start):
-    """`CommandChannel.next_deliveries` draws the next n commands' uniforms
-    as one `rng.random(n)` and rewinds; `apply` then draws them one scalar
-    `rng.random()` at a time. That needs the block to give the values of,
-    and leave the generator as, n scalar calls. A numpy that breaks this
-    fails here."""
+    """One `rng.random(n)` gives the values of, and leaves the generator as,
+    n scalar `rng.random()` calls. A batched send that draws the delivery
+    uniforms of n commands as one block, in place of one `apply` draw per
+    command, keeps the channel stream only while this holds. A numpy that
+    breaks it fails here."""
     block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     if odd_start:  # half of a 64-bit output left buffered
         block.integers(0, 3)

@@ -164,24 +164,6 @@ class TestCommandChannel:
         assert home.current_level is PowerLevel.L3
         assert channel.sent == 1 and channel.lost == 0
 
-    def test_lossless_unless_a_command_can_be_lost(self):
-        rng = np.random.default_rng(0)
-        assert CommandChannel().lossless
-        assert CommandChannel(LinkModel(), 10.0, rng).lossless  # PRR 1.0
-        assert not CommandChannel(LinkModel(), 50.0, rng).lossless
-
-    @pytest.mark.parametrize("distance_m", [10.0, 50.0])
-    def test_next_deliveries_foretell_apply(self, class_models, distance_m):
-        home = self.make_home(class_models)
-        rng = np.random.default_rng(8)
-        channel = CommandChannel(LinkModel(), distance_m, rng)
-        start = rng.bit_generator.state
-        ahead = channel.next_deliveries(300)
-        assert rng.bit_generator.state == start  # looking ahead sends and draws nothing
-        assert channel.sent == 0
-        assert [channel.apply(home, PowerLevel.L4) for _ in range(300)] == ahead.tolist()
-        assert ahead.all() == channel.lossless
-
     def test_lossy_link_drops_commands(self, class_models):
         home = self.make_home(class_models)
         channel = CommandChannel(LinkModel(), 50.0, np.random.default_rng(5))
