@@ -1,12 +1,13 @@
 """Experiment runner.
 
 Configs are plain INI-style ``key = value`` files with bracketed section
-headers. Every key has a documented default, so an empty file is a valid
-config; unknown sections or keys are rejected. The sweep is the cross
-product of policies, supply gaps and smart-home penetrations, with a fixed
-number of runs per cell. Per-run seeds come from the base seed, gap, AP and
-run index alone, not the policy, so re-running any single cell reproduces
-the exact files of the full sweep and the policies of a cell share theirs.
+headers. Every key defaults to the default of the field it sets, so an
+empty file is a valid config; unknown sections or keys are rejected. The
+sweep is the cross product of policies, supply gaps and smart-home
+penetrations, with a fixed number of runs per cell. Per-run seeds come from
+the base seed, gap, AP and run index alone, not the policy, so re-running
+any single cell reproduces the exact files of the full sweep and the
+policies of a cell share theirs.
 """
 
 from __future__ import annotations
@@ -115,6 +116,23 @@ def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
         return spec.configs()
 
 
+def _parser(convert, kind: str):
+    """A parser of one key's raw value that reports a bad value as a ConfigError."""
+
+    def parse(raw: str, key: str):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"bad {kind} for {key}: {raw!r}") from None
+
+    return parse
+
+
+_parse_int = _parser(int, "integer")
+_parse_float = _parser(float, "number")
+_parse_bool = _parser(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "boolean")
+
+
 def _parse_float_list(raw: str, key: str) -> list[float]:
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
@@ -122,32 +140,22 @@ def _parse_float_list(raw: str, key: str) -> list[float]:
         raise ConfigError(f"bad number in {key}: {raw!r}") from None
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"bad boolean for {key}: {raw!r}")
+def _parse_names(raw: str, key: str) -> list[str]:
+    return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
-# section -> key -> default (None means: documented default computed below)
-_SCHEMA: dict[str, dict[str, str]] = {
-    "simulation": {"horizon_hours": "24", "seed": "42", "runs": "10"},
-    "topology": {
-        "homes": "1000",
-        "feeders": "50",
-        "group_size": "10",
-        "homes_per_transformer": "5",
-        "class_mix": "",
-        "data_dir": "builtin",
-    },
-    "supply": {"mode": "fractional_gap", "gaps": "10,20,30,40", "capacity_w": ""},
-    "policy": {"policies": "baseline,distributed,centralized", "dp": "", "reduction_factor": "0.5"},
-    "sweep": {"aps": "0.3,0.6,0.9"},
-    "utility": {"u_max": "1.0", "th_u": "0.6", "th_l": "0.4"},
-    "protocol": {"emulate": "false", "distance_m": "10"},
-    "output": {"out_dir": "results"},
+# The base seed of a sweep; every other default is that of the field a key sets.
+BASE_SEED = 42
+
+_SCHEMA: dict[str, tuple[str, ...]] = {
+    "simulation": ("horizon_hours", "seed", "runs"),
+    "topology": ("homes", "feeders", "group_size", "homes_per_transformer", "class_mix", "data_dir"),
+    "supply": ("mode", "gaps", "capacity_w"),
+    "policy": ("policies", "dp", "reduction_factor"),
+    "sweep": ("aps",),
+    "utility": ("u_max", "th_u", "th_l"),
+    "protocol": ("emulate", "distance_m"),
+    "output": ("out_dir",),
 }
 
 
@@ -173,7 +181,7 @@ def parse_config(path: Path | str | None) -> ExperimentSpec:
     """Parse a config file into an ExperimentSpec and check every run it
     describes.
 
-    With no path every documented default applies. Raises ConfigError on
+    With no path every key keeps its default. Raises ConfigError on
     unknown keys, malformed values or out-of-range settings.
     """
     spec = _read_spec(path)
@@ -182,75 +190,66 @@ def parse_config(path: Path | str | None) -> ExperimentSpec:
 
 
 def _read_spec(path: Path | str | None) -> ExperimentSpec:
-    """`parse_config` without the check of the runs (`checked_configs`)."""
-    values: dict[str, dict[str, str]] = {}
-    if path is not None:
-        values = _read_ini(Path(path))
+    """`parse_config` without the check of the runs (`checked_configs`).
+    A key left out, or an empty `class_mix` or `dp`, keeps the default of
+    the field it sets."""
+    values = _read_ini(Path(path)) if path is not None else {}
+    spec = ExperimentSpec(base=SimConfig(seed=BASE_SEED))
+    base = spec.base
 
-    def get(section: str, key: str) -> str:
-        return values.get(section, {}).get(key, _SCHEMA[section][key])
+    def get(section: str, key: str, default, parse=lambda raw, key: raw):
+        raw = values.get(section, {}).get(key)
+        return default if raw is None else parse(raw, key)
 
-    def get_int(section: str, key: str) -> int:
-        raw = get(section, key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"bad integer for {key}: {raw!r}") from None
-
-    def get_float(section: str, key: str) -> float:
-        raw = get(section, key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"bad number for {key}: {raw!r}") from None
-
-    mode = get("supply", "mode")
-    capacity_w, gaps = 0.0, [float("nan")]
+    mode = get("supply", "mode", base.supply.mode)
+    capacity_w, gaps = base.supply.capacity_w, [float("nan")]
     if mode == "fixed_capacity":
-        if not get("supply", "capacity_w"):
+        if not get("supply", "capacity_w", ""):
             raise ConfigError("missing required key 'capacity_w' for fixed_capacity supply")
         if "gaps" in values.get("supply", {}):
             raise ConfigError("key 'gaps' does not apply to fixed_capacity supply")
-        capacity_w = get_float("supply", "capacity_w")
+        capacity_w = get("supply", "capacity_w", capacity_w, _parse_float)
     else:
-        gaps = _parse_float_list(get("supply", "gaps"), "gaps")
+        gaps = get("supply", "gaps", spec.gaps_percent, _parse_float_list)
 
-    mix_raw = get("topology", "class_mix")
-    mix = tuple(_parse_float_list(mix_raw, "class_mix")) if mix_raw else (1 / 3, 1 / 3, 1 / 3)
+    mix_raw = get("topology", "class_mix", "")
+    mix = tuple(_parse_float_list(mix_raw, "class_mix")) if mix_raw else base.class_mix
 
-    dp_raw = get("policy", "dp")
-    alphas = _parse_float_list(dp_raw, "dp") if dp_raw else [0.4, 0.3, 0.3]
-    if len(alphas) != 3:
+    dp_raw = get("policy", "dp", "")
+    alphas = _parse_float_list(dp_raw, "dp") if dp_raw else None
+    if alphas is not None and len(alphas) != 3:
         raise ConfigError("dp needs three fractions (L4,L3,L2)")
 
     with _config_errors():
-        base = SimConfig(
-            horizon_hours=get_int("simulation", "horizon_hours"),
-            n_homes=get_int("topology", "homes"),
-            n_feeders=get_int("topology", "feeders"),
-            group_size=get_int("topology", "group_size"),
-            homes_per_transformer=get_int("topology", "homes_per_transformer"),
+        base = replace(
+            base,
+            horizon_hours=get("simulation", "horizon_hours", base.horizon_hours, _parse_int),
+            n_homes=get("topology", "homes", base.n_homes, _parse_int),
+            n_feeders=get("topology", "feeders", base.n_feeders, _parse_int),
+            group_size=get("topology", "group_size", base.group_size, _parse_int),
+            homes_per_transformer=get("topology", "homes_per_transformer", base.homes_per_transformer, _parse_int),
             class_mix=mix,
-            data_dir=get("topology", "data_dir"),
+            data_dir=get("topology", "data_dir", base.data_dir),
             supply=SupplyModel(mode=mode, capacity_w=capacity_w),
-            dp=DistributionProfile(*alphas),
-            reduction_factor=get_float("policy", "reduction_factor"),
+            dp=base.dp if alphas is None else DistributionProfile(*alphas),
+            reduction_factor=get("policy", "reduction_factor", base.reduction_factor, _parse_float),
             utility=UtilityParams(
-                u_max=get_float("utility", "u_max"),
-                th_u=get_float("utility", "th_u"),
-                th_l=get_float("utility", "th_l"),
+                u_max=get("utility", "u_max", base.utility.u_max, _parse_float),
+                th_u=get("utility", "th_u", base.utility.th_u, _parse_float),
+                th_l=get("utility", "th_l", base.utility.th_l, _parse_float),
             ),
-            protocol_emulation=_parse_bool(get("protocol", "emulate"), "emulate"),
-            protocol_distance_m=get_float("protocol", "distance_m"),
-            seed=get_int("simulation", "seed"),
+            protocol_emulation=get("protocol", "emulate", base.protocol_emulation, _parse_bool),
+            protocol_distance_m=get("protocol", "distance_m", base.protocol_distance_m, _parse_float),
+            seed=get("simulation", "seed", base.seed, _parse_int),
         )
-    return ExperimentSpec(
+    return replace(
+        spec,
         base=base,
-        policies=[p.strip() for p in get("policy", "policies").split(",") if p.strip()],
+        policies=get("policy", "policies", spec.policies, _parse_names),
         gaps_percent=gaps,
-        aps=_parse_float_list(get("sweep", "aps"), "aps"),
-        runs=get_int("simulation", "runs"),
-        out_dir=get("output", "out_dir"),
+        aps=get("sweep", "aps", spec.aps, _parse_float_list),
+        runs=get("simulation", "runs", spec.runs, _parse_int),
+        out_dir=get("output", "out_dir", spec.out_dir),
     )
 
 

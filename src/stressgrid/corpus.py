@@ -59,9 +59,9 @@ APPLIANCE_SPECS: dict[str, list[tuple[str, float, float]]] = {
 }
 
 
-def synthetic_samples(seed: int = CORPUS_SEED) -> dict[str, list[ApplianceSamples]]:
-    """Generate the corpus in memory, deterministically for a given seed."""
-    rng = np.random.default_rng(seed)
+def synthetic_samples() -> dict[str, list[ApplianceSamples]]:
+    """Generate the corpus in memory, deterministically from CORPUS_SEED."""
+    rng = np.random.default_rng(CORPUS_SEED)
     corpus: dict[str, list[ApplianceSamples]] = {}
     for label in sorted(APPLIANCE_SPECS):
         appliances = []
@@ -73,11 +73,10 @@ def synthetic_samples(seed: int = CORPUS_SEED) -> dict[str, list[ApplianceSample
     return corpus
 
 
-def write_synthetic_corpus(root: Path | str, seed: int = CORPUS_SEED) -> Path:
+def write_synthetic_corpus(root: Path | str) -> Path:
     """Write the corpus in the documented file format; returns the root."""
     root = Path(root)
-    corpus = synthetic_samples(seed)
-    for label, appliances in corpus.items():
+    for label, appliances in synthetic_samples().items():
         class_dir = root / f"class_{label.lower()}"
         class_dir.mkdir(parents=True, exist_ok=True)
         names = []

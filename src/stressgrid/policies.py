@@ -219,7 +219,7 @@ def alg1_round(state: RoundState, k: int) -> None:
 
 
 def eligible_lower_runs(
-    level: np.ndarray, consumption_fraction: np.ndarray, emergency: bool = False
+    level: np.ndarray, consumption_fraction: np.ndarray, emergency: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The states each home may be stepped down to: those below its `level`
     whose cap sits strictly below its consumption fraction, limited to

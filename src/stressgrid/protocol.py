@@ -21,6 +21,9 @@ RELAY_BITS = 5
 ACK_SLOT_MS = 5.0
 BASE_TIMEOUT_MS = 21.0
 RETRIES = 3
+SW_LATENCY_MS = 2.0
+SW_LATENCY_WORST_MS = 8.0
+HW_LATENCY_MS = 28.0
 
 # Measured reception rate by distance; linear in between, clamped outside.
 PRR_TABLE = {10.0: 1.00, 25.0: 0.98, 50.0: 0.50}
@@ -50,11 +53,11 @@ def decode(frame: bytes, device_id: int) -> tuple[bool, ...]:
     return tuple(bool(byte & (1 << k)) for k in range(RELAY_BITS))
 
 
-def ack_slot(device_id: int, slot_ms: float = ACK_SLOT_MS) -> float:
+def ack_slot(device_id: int) -> float:
     """Start of the device's acknowledgment slot, ms after the command."""
     if device_id < 1:
         raise ValueError("device ids are 1-based")
-    return (device_id - 1) * slot_ms
+    return (device_id - 1) * ACK_SLOT_MS
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,6 @@ class LinkModel:
     prr_by_distance: dict[float, float] = field(
         default_factory=lambda: dict(PRR_TABLE)
     )
-    retries: int = RETRIES
-    ack_slot_ms: float = ACK_SLOT_MS
-    base_timeout_ms: float = BASE_TIMEOUT_MS
-    sw_latency_ms: float = 2.0
-    sw_latency_worst_ms: float = 8.0
-    hw_latency_ms: float = 28.0
 
     def prr_at(self, distance_m: float) -> float:
         xs = sorted(self.prr_by_distance)
@@ -89,7 +86,7 @@ class LinkModel:
         """Chance a command lands within the retry budget (command and ack
         each independently survive with probability prr)."""
         p = self.prr_at(distance_m) ** 2
-        return 1.0 - (1.0 - p) ** (1 + self.retries)
+        return 1.0 - (1.0 - p) ** (1 + RETRIES)
 
 
 @dataclass
@@ -99,10 +96,10 @@ class DeliveryResult:
     latency_ms: float
 
 
-def attempt_timeout_ms(frame_devices: int, link: LinkModel) -> float:
+def attempt_timeout_ms(frame_devices: int) -> float:
     """Wait before a retry: the nominal timeout, stretched when the ack
     schedule of a large frame would not fit inside it."""
-    return max(link.base_timeout_ms, frame_devices * link.ack_slot_ms)
+    return max(BASE_TIMEOUT_MS, frame_devices * ACK_SLOT_MS)
 
 
 def deliver(
@@ -116,14 +113,14 @@ def deliver(
     if len(frame) == 0:
         raise ValueError("empty frame")
     p = link.prr_at(distance_m) ** 2
-    timeout = attempt_timeout_ms(len(frame), link)
-    sw = link.sw_latency_worst_ms if worst_case else link.sw_latency_ms
+    timeout = attempt_timeout_ms(len(frame))
+    sw = SW_LATENCY_WORST_MS if worst_case else SW_LATENCY_MS
     elapsed = 0.0
-    for attempt in range(1, link.retries + 2):
+    for attempt in range(1, RETRIES + 2):
         if rng.random() < p:
-            return DeliveryResult(True, attempt, elapsed + sw + link.hw_latency_ms)
+            return DeliveryResult(True, attempt, elapsed + sw + HW_LATENCY_MS)
         elapsed += timeout
-    return DeliveryResult(False, link.retries + 1, elapsed)
+    return DeliveryResult(False, RETRIES + 1, elapsed)
 
 
 def overhead_power(rooms: int, shed: bool = False) -> float:

@@ -19,8 +19,6 @@ import numpy as np
 
 from .homes import HOME_CLASSES, ClassModel, Fleet
 
-GROUP_SIZE = 10
-
 # Stress levels are rounded to this many decimals of a percent, so the
 # rounding of capacity, a product of the demand, cannot move a level that is
 # exactly 100 * gap (such as 40) to one ulp below it, where it would flip the
@@ -98,9 +96,9 @@ def build_topology(
     n_feeders: int,
     ap: float,
     rng: np.random.Generator,
-    homes_per_transformer: int = 5,
-    group_size: int = GROUP_SIZE,
-    class_mix: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3),
+    homes_per_transformer: int,
+    group_size: int,
+    class_mix: tuple[float, ...],
 ) -> Topology:
     """Build the tree; `ap` is the fraction of homes given smart control.
     The arguments are taken as checked, as `SimConfig` checks them."""

@@ -23,7 +23,7 @@ def class_models():
 def small_topology(class_models):
     """100 homes on 10 feeders (2 groups of 5), 90% smart, fresh each test."""
 
-    def build(ap=0.9, n_homes=100, n_feeders=10, group_size=5, seed=7, class_mix=None):
+    def build(ap=0.9, n_homes=100, n_feeders=10, group_size=5, seed=7, class_mix=(1 / 3, 1 / 3, 1 / 3)):
         rng = np.random.default_rng(seed)
         topo = build_topology(
             class_models,
@@ -31,8 +31,9 @@ def small_topology(class_models):
             n_feeders=n_feeders,
             ap=ap,
             rng=rng,
+            homes_per_transformer=5,
             group_size=group_size,
-            class_mix=class_mix if class_mix is not None else (1 / 3, 1 / 3, 1 / 3),
+            class_mix=class_mix,
         )
         helpers.fill_draws(topo.fleet, 0.8)
         return topo

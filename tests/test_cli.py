@@ -82,6 +82,11 @@ class TestParseConfig:
         # every CLI default equals the value types' own; 42 is the CLI's base seed
         assert spec == ExperimentSpec(base=replace(SimConfig(), seed=42))
 
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(write_config(tmp_path, block)) == parse_config(None)
+
     def test_empty_file_equals_defaults(self, tmp_path):
         spec = parse_config(write_config(tmp_path, ""))
         assert spec.gaps_percent == [10.0, 20.0, 30.0, 40.0]

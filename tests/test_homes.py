@@ -128,7 +128,8 @@ class TestConsumption:
 
     def test_unset_draws_rejected(self, class_models):
         topo = build_topology(
-            class_models, n_homes=10, n_feeders=2, ap=0.5, rng=np.random.default_rng(3)
+            class_models, n_homes=10, n_feeders=2, ap=0.5, rng=np.random.default_rng(3),
+            homes_per_transformer=5, group_size=10, class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
         with pytest.raises(RuntimeError, match="hour draws not set"):
             served_demand(topo)

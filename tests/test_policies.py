@@ -46,7 +46,7 @@ def equal_draw_topology(class_models, n_homes, n_feeders, ap, group_size, seed=0
     """All class-A homes with identical draws, so group demands are equal."""
     topo = build_topology(
         class_models, n_homes=n_homes, n_feeders=n_feeders, ap=ap,
-        rng=np.random.default_rng(seed), group_size=group_size,
+        rng=np.random.default_rng(seed), homes_per_transformer=5, group_size=group_size,
         class_mix=(1.0, 0.0, 0.0),
     )
     helpers.fill_draws(topo.fleet, 0.5)
@@ -379,7 +379,7 @@ def test_masked_round_matches_scalar_reference(class_models, data):
     topo = build_topology(
         class_models, n_homes=data.draw(st.integers(1, 40)), n_feeders=2,
         ap=data.draw(st.sampled_from([0.5, 1.0])), rng=np.random.default_rng(0),
-        group_size=1,
+        homes_per_transformer=5, group_size=1, class_mix=(1 / 3, 1 / 3, 1 / 3),
     )
     fleet = topo.fleet
     for i, (level, ls_lh, dlc_done, sl_init) in enumerate(
@@ -490,7 +490,8 @@ class TestAlg2Step:
     def one_home_topology(self, class_models):
         topo = build_topology(
             class_models, n_homes=1, n_feeders=1, ap=1.0,
-            rng=np.random.default_rng(5), class_mix=(1.0, 0.0, 0.0),
+            rng=np.random.default_rng(5), homes_per_transformer=5, group_size=10,
+            class_mix=(1.0, 0.0, 0.0),
         )
         rated = class_models["A"].rated_draws
         set_hour_draws(topo.fleet, np.array([0]), rated[None].copy())  # ~87% of rating
@@ -537,7 +538,8 @@ class TestAlg2Step:
     def test_descending_consumption_order(self, class_models):
         topo = build_topology(
             class_models, n_homes=3, n_feeders=1, ap=1.0,
-            rng=np.random.default_rng(8), class_mix=(1.0, 0.0, 0.0),
+            rng=np.random.default_rng(8), homes_per_transformer=5, group_size=10,
+            class_mix=(1.0, 0.0, 0.0),
         )
         rated = class_models["A"].rated_draws
         # home 1 is the biggest consumer
@@ -551,7 +553,8 @@ class TestAlg2Step:
     def test_consumption_tie_breaks_to_lower_id(self, class_models):
         topo = build_topology(
             class_models, n_homes=2, n_feeders=1, ap=1.0,
-            rng=np.random.default_rng(10), class_mix=(1.0, 0.0, 0.0),
+            rng=np.random.default_rng(10), homes_per_transformer=5, group_size=10,
+            class_mix=(1.0, 0.0, 0.0),
         )
         helpers.fill_draws(topo.fleet, 1.0)
         self.step(topo, 1.0, 11)
@@ -631,7 +634,8 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
     topo = build_topology(
         class_models, n_homes=data.draw(st.integers(1, 300)), n_feeders=n_feeders,
         ap=data.draw(st.floats(0.0, 1.0)), rng=np.random.default_rng(0),
-        group_size=data.draw(st.integers(1, n_feeders)),
+        homes_per_transformer=5, group_size=data.draw(st.integers(1, n_feeders)),
+        class_mix=(1 / 3, 1 / 3, 1 / 3),
     )
     fleet = topo.fleet
     setup = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))

@@ -94,9 +94,8 @@ class TestLinkModel:
         assert link.delivery_probability(10.0) == 1.0
 
     def test_timeout_stretches_for_large_frames(self):
-        link = LinkModel()
-        assert attempt_timeout_ms(1, link) == 21.0
-        assert attempt_timeout_ms(5, link) == 25.0
+        assert attempt_timeout_ms(1) == 21.0
+        assert attempt_timeout_ms(5) == 25.0
 
 
 class TestDeliver:

@@ -29,7 +29,8 @@ class TestBuild:
     def test_single_group(self, class_models):
         topo = build_topology(
             class_models, n_homes=100, n_feeders=10, ap=0.5,
-            rng=np.random.default_rng(0), group_size=10,
+            rng=np.random.default_rng(0), homes_per_transformer=5, group_size=10,
+            class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
         assert len(topo.group_members) == 1
         assert topo.group_members[0].tolist() == list(range(100))
@@ -37,7 +38,8 @@ class TestBuild:
     def test_desk_scale_grouping(self, class_models):
         topo = build_topology(
             class_models, n_homes=1000, n_feeders=50, ap=0.9,
-            rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0), homes_per_transformer=5, group_size=10,
+            class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
         assert len(topo.group_members) == 5
         assert all(len(m) == 200 for m in topo.group_members)
@@ -45,14 +47,16 @@ class TestBuild:
     def test_smart_quota_exact(self, class_models):
         topo = build_topology(
             class_models, n_homes=1000, n_feeders=50, ap=0.9,
-            rng=np.random.default_rng(123),
+            rng=np.random.default_rng(123), homes_per_transformer=5, group_size=10,
+            class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
         assert topo.fleet.smart.sum() == 900
 
     def test_group_partition(self, class_models):
         topo = build_topology(
             class_models, n_homes=120, n_feeders=12, ap=0.5,
-            rng=np.random.default_rng(1), group_size=5,
+            rng=np.random.default_rng(1), homes_per_transformer=5, group_size=5,
+            class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
         # 24 transformers on 12 feeders; feeders 0-4, 5-9 and 10-11 form groups
         assert len(topo.group_members) == 3
@@ -67,7 +71,8 @@ class TestBuild:
     def test_uneven_last_group(self, class_models):
         topo = build_topology(
             class_models, n_homes=50, n_feeders=7, ap=0.0,
-            rng=np.random.default_rng(2), group_size=3,
+            rng=np.random.default_rng(2), homes_per_transformer=5, group_size=3,
+            class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
         # 10 transformers of 5 homes on feeders 0-6, 0-2: feeders 0-2 carry
         # 10 homes each, feeders 3-6 carry 5; groups are feeders 0-2, 3-5, 6
@@ -77,19 +82,24 @@ class TestBuild:
     def test_class_mix_quotas(self, class_models):
         topo = build_topology(
             class_models, n_homes=300, n_feeders=10, ap=0.5,
-            rng=np.random.default_rng(3),
+            rng=np.random.default_rng(3), homes_per_transformer=5, group_size=10,
+            class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
         assert np.bincount(topo.fleet.cls).tolist() == [100, 100, 100]
 
     def test_single_class_mix(self, class_models):
         topo = build_topology(
             class_models, n_homes=30, n_feeders=3, ap=1.0,
-            rng=np.random.default_rng(4), class_mix=(1.0, 0.0, 0.0),
+            rng=np.random.default_rng(4), homes_per_transformer=5, group_size=10,
+            class_mix=(1.0, 0.0, 0.0),
         )
         assert all(topo.fleet.models[c].home_class.label == "A" for c in topo.fleet.cls)
 
     def test_deterministic_given_seed(self, class_models):
-        kwargs = dict(n_homes=200, n_feeders=10, ap=0.6)
+        kwargs = dict(
+            n_homes=200, n_feeders=10, ap=0.6,
+            homes_per_transformer=5, group_size=10, class_mix=(1 / 3, 1 / 3, 1 / 3),
+        )
         a = build_topology(class_models, rng=np.random.default_rng(9), **kwargs)
         b = build_topology(class_models, rng=np.random.default_rng(9), **kwargs)
         assert (a.fleet.smart == b.fleet.smart).all()
@@ -125,7 +135,8 @@ class TestDemand:
     def test_extremes_and_linearity(self, class_models):
         topo = build_topology(
             class_models, n_homes=40, n_feeders=4, ap=1.0,
-            rng=np.random.default_rng(5), class_mix=(1.0, 0.0, 0.0),
+            rng=np.random.default_rng(5), homes_per_transformer=5, group_size=10,
+            class_mix=(1.0, 0.0, 0.0),
         )
         helpers.fill_draws(topo.fleet, 0.5)
         level = topo.fleet.level
