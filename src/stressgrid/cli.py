@@ -18,7 +18,7 @@ import os
 import sys
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -210,6 +210,8 @@ def _read_spec(path: Path | str | None) -> ExperimentSpec:
             raise ConfigError("key 'gaps' does not apply to fixed_capacity supply")
         capacity_w = get("supply", "capacity_w", capacity_w, _parse_float)
     else:
+        if get("supply", "capacity_w", ""):
+            raise ConfigError("key 'capacity_w' does not apply to fractional_gap supply")
         gaps = get("supply", "gaps", spec.gaps_percent, _parse_float_list)
 
     mix_raw = get("topology", "class_mix", "")
@@ -280,19 +282,14 @@ def run_sweep(spec: ExperimentSpec, quiet: bool = False) -> list[MetricsLog]:
     """Run every cell of the sweep; order-independent and deterministic."""
     configs = spec.configs()
     workers = _worker_count(len(configs))
-    logs: list[MetricsLog]
-    if workers <= 1:
-        logs = []
-        for i, cfg in enumerate(configs):
-            logs.append(run(cfg))
-            if not quiet and (i + 1) % spec.runs == 0:
-                done = (i + 1) // spec.runs
-                print(f"cell {done}/{len(spec.cells())} complete")
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            logs = list(pool.map(run, configs, chunksize=1))
-        if not quiet:
-            print(f"{len(spec.cells())} cells complete ({workers} workers)")
+    n_cells = len(spec.cells())
+    logs: list[MetricsLog] = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(run, configs, chunksize=1) if pool else map(run, configs)
+        for log in results:
+            logs.append(log)
+            if not quiet and len(logs) % spec.runs == 0:
+                print(f"cell {len(logs) // spec.runs}/{n_cells} complete")
     return logs
 
 

@@ -147,8 +147,11 @@ def run(config: SimConfig) -> MetricsLog:
         group_size=config.group_size,
         class_mix=config.class_mix,
     )
-    link = LinkModel() if config.protocol_emulation else None
-    channel = CommandChannel(link, config.protocol_distance_m, channel_rng)
+    delivery_p = (
+        LinkModel().delivery_probability(config.protocol_distance_m)
+        if config.protocol_emulation else 1.0
+    )
+    channel = CommandChannel(delivery_p, channel_rng)
     policy = POLICIES[config.policy]
     state = RoundState(topo, config.dp, config.reduction_factor, policy_rng, channel)
     supply = config.supply

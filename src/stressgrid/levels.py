@@ -46,14 +46,7 @@ class UtilityParams:
             raise ValueError("utility params must satisfy u_max >= th_u >= th_l >= 0")
 
 
-def utility(level: PowerLevel, params: UtilityParams) -> float:
-    """Utility of one home held at `level` for the hour."""
-    if level is PowerLevel.L5:
-        return params.u_max
-    if level is PowerLevel.L4:
-        return params.th_u
-    if level is PowerLevel.L3:
-        return (params.th_u + params.th_l) / 2.0
-    if level is PowerLevel.L2:
-        return params.th_l
-    return 0.0
+def utility(level: int, params: UtilityParams) -> float:
+    """Utility of one home held at `level` (any integer 1..5) for the hour."""
+    th_u, th_l = params.th_u, params.th_l
+    return (0.0, th_l, (th_u + th_l) / 2.0, th_u, params.u_max)[PowerLevel(level) - 1]

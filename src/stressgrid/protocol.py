@@ -60,15 +60,11 @@ def ack_slot(device_id: int) -> float:
     return (device_id - 1) * ACK_SLOT_MS
 
 
-@dataclass(frozen=True)
-class DeviceProfile:
-    kind: str
-    power_active_w: float
-    power_shed_w: float = 0.10
-
-
-MBD = DeviceProfile("MBD", 0.36)  # bridge device, one per home
-SBD = DeviceProfile("SBD", 0.40)  # switching device, one per room
+# Device draw in watts: the bridge device (MBD, one per home) and the
+# switching device (SBD, one per room) when active; either when shed.
+MBD_ACTIVE_W = 0.36
+SBD_ACTIVE_W = 0.40
+SHED_W = 0.10
 
 
 @dataclass(frozen=True)
@@ -128,34 +124,25 @@ def overhead_power(rooms: int, shed: bool = False) -> float:
     if rooms < 1:
         raise ValueError("need at least one room")
     if shed:
-        return (rooms + 1) * MBD.power_shed_w
-    return rooms * SBD.power_active_w + MBD.power_active_w
+        return (rooms + 1) * SHED_W
+    return rooms * SBD_ACTIVE_W + MBD_ACTIVE_W
 
 
 class CommandChannel:
     """Applies power-state commands to homes.
 
-    By default delivery is perfect and instantaneous at the 1 s round
-    granularity (command latency is tens of milliseconds). With a link
-    attached, each command succeeds with the link's delivery probability
-    (one uniform per command from `rng`, a stream only the channel draws
-    from); a lost command leaves the home's state unchanged.
+    Each command lands with probability `delivery_p` (one uniform per
+    command from `rng`, a stream only the channel draws from); a lost
+    command leaves the home's state unchanged. A channel that always
+    delivers draws no random number. Delivery is instantaneous at the 1 s
+    round granularity (command latency is tens of milliseconds).
     """
 
-    def __init__(
-        self,
-        link: LinkModel | None = None,
-        distance_m: float = 10.0,
-        rng: np.random.Generator | None = None,
-    ):
-        self.link = link
-        self.distance_m = distance_m
+    def __init__(self, delivery_p: float, rng: np.random.Generator):
         self.rng = rng
         self.sent = 0
         self.lost = 0
-        p = None if link is None else link.delivery_probability(distance_m)
-        # a link that always delivers draws no random number
-        self._p = p if p is not None and p < 1.0 else None
+        self._p = delivery_p if delivery_p < 1.0 else None
 
     def apply(self, home, level) -> bool:
         self.sent += 1

@@ -265,6 +265,8 @@ class TestMain:
                      id="fixed-capacity-gaps"),
         pytest.param(TINY.replace("gaps = 20", "mode = fixed_capacity\ncapacity_w = 5000"),
                      ["--single", "--gap", "20"], id="fixed-capacity-single-gap"),
+        pytest.param(TINY.replace("gaps = 20", "gaps = 20\ncapacity_w = 5000"), [],
+                     id="capacity-under-fractional-gap"),
         pytest.param(corpus_ini(lambda d: _append(d / "refrigerator.txt", "ten\n")), [],
                      id="corpus-bad-reading"),
         pytest.param(corpus_ini(lambda d: _append(d / "refrigerator.txt", "nan\n")), [],

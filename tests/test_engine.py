@@ -72,6 +72,17 @@ class TestBuiltinModels:
                              text=True, check=True).stdout
         assert out.strip() == "[]"
 
+    def test_package_root_imports_no_submodule(self):
+        src = str(Path(stressgrid.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, stressgrid\n"
+            "print(sorted(m for m in sys.modules if m.startswith('stressgrid.')))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
+
 
 class TestDeterminism:
     def test_same_seed_same_log(self):

@@ -251,6 +251,14 @@ class TestUtility:
         assert utility(PowerLevel.L2, p) == 0.4
         assert utility(PowerLevel.L1, p) == 0.0
 
+    def test_plain_and_numpy_integer_levels(self):
+        p = UtilityParams(1.0, 0.6, 0.4)
+        want = [utility(lv, p) for lv in PowerLevel]
+        assert [utility(int(lv), p) for lv in PowerLevel] == want
+        assert [utility(np.int8(lv), p) for lv in PowerLevel] == want
+        with pytest.raises(ValueError):
+            utility(0, p)
+
     def test_nonincreasing_down_the_levels(self):
         p = UtilityParams(2.0, 1.5, 0.25)
         values = [utility(lv, p) for lv in sorted(PowerLevel, reverse=True)]

@@ -58,7 +58,7 @@ def round_state(topo, **fields) -> RoundState:
     it before an hour's first round; `fields` override the defaults."""
     defaults = dict(
         dp=DP_THIRDS, reduction_factor=0.5, rng=np.random.default_rng(0),
-        channel=CommandChannel(), served_w=served_demand(topo),
+        channel=CommandChannel(1.0, None), served_w=served_demand(topo),
     )
     return RoundState(topo, **(defaults | fields))
 
@@ -299,7 +299,7 @@ class TestAlg1Round:
         topo = equal_draw_topology(class_models, 40, 4, 1.0, 2)
         D, _ = demand(topo)
         before = topo.fleet.level.copy()
-        channel = CommandChannel()
+        channel = CommandChannel(1.0, None)
         alg1_round(round_state(topo, sl=0.0, capacity_w=D, channel=channel), 1)
         # sl=0 clamps to 5; only r in 1..4 backs off, so a handful may move
         moved = np.count_nonzero(topo.fleet.level != before)
@@ -414,7 +414,7 @@ def test_masked_round_matches_scalar_reference(class_models, data):
             commands += 1
     before = fleet.level.copy()
 
-    channel = CommandChannel()
+    channel = CommandChannel(1.0, None)
     # no draws are set, so served_w keeps its default; rounds 1, 3 and 9 of a
     # 9-round pass neither read it nor force the emergency
     state = RoundState(
@@ -617,9 +617,9 @@ def test_random_block_equals_scalar_draws(n, seed, odd_start):
 
 
 LINKS = {
-    "none": lambda rng: CommandChannel(),
-    "perfect": lambda rng: CommandChannel(LinkModel(), 10.0, rng),
-    "lossy": lambda rng: CommandChannel(LinkModel(), 50.0, rng),
+    "none": lambda rng: CommandChannel(1.0, rng),
+    "perfect": lambda rng: CommandChannel(LinkModel().delivery_probability(10.0), rng),
+    "lossy": lambda rng: CommandChannel(LinkModel().delivery_probability(50.0), rng),
 }
 
 

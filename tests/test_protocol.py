@@ -158,14 +158,22 @@ class TestCommandChannel:
 
     def test_perfect_by_default(self, class_models):
         home = self.make_home(class_models)
-        channel = CommandChannel()
+        channel = CommandChannel(1.0, None)
         assert channel.apply(home, PowerLevel.L3)
         assert home.current_level is PowerLevel.L3
         assert channel.sent == 1 and channel.lost == 0
 
+    def test_certain_delivery_draws_nothing(self, class_models):
+        home = self.make_home(class_models)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        channel = CommandChannel(LinkModel().delivery_probability(10.0), rng)
+        assert channel.apply(home, PowerLevel.L2)
+        assert rng.bit_generator.state == before
+
     def test_lossy_link_drops_commands(self, class_models):
         home = self.make_home(class_models)
-        channel = CommandChannel(LinkModel(), 50.0, np.random.default_rng(5))
+        channel = CommandChannel(LinkModel().delivery_probability(50.0), np.random.default_rng(5))
         outcomes = []
         for _ in range(2000):
             home.current_level = PowerLevel.L5
@@ -181,7 +189,7 @@ class TestCommandChannel:
         home = self.make_home(class_models)
 
         def run(seed):
-            channel = CommandChannel(LinkModel(), 50.0, np.random.default_rng(seed))
+            channel = CommandChannel(LinkModel().delivery_probability(50.0), np.random.default_rng(seed))
             return [channel.apply(home, PowerLevel.L4) for _ in range(100)]
 
         assert run(7) == run(7)
