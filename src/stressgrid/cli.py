@@ -2,12 +2,14 @@
 
 Configs are plain INI-style ``key = value`` files with bracketed section
 headers. Every key defaults to the default of the field it sets, so an
-empty file is a valid config; unknown sections or keys are rejected. The
-sweep is the cross product of policies, supply gaps and smart-home
-penetrations, with a fixed number of runs per cell. Per-run seeds come from
-the base seed, gap, AP and run index alone, not the policy, so re-running
-any single cell reproduces the exact files of the full sweep and the
-policies of a cell share theirs.
+empty file is a valid config; unknown sections (``[DEFAULT]`` too) or keys
+are rejected, and values are read literally, with no ``%`` interpolation.
+Each value flag of `main` sets the raw value of one key, so a flag and a
+file reach the spec through the same reader. The sweep is the cross
+product of policies, supply gaps and smart-home penetrations, with a fixed
+number of runs per cell. Per-run seeds come from the base seed, gap, AP and
+run index alone, not the policy, so re-running any single cell reproduces
+the exact files of the full sweep and the policies of a cell share theirs.
 """
 
 from __future__ import annotations
@@ -147,34 +149,20 @@ def _parse_names(raw: str, key: str) -> list[str]:
 # The base seed of a sweep; every other default is that of the field a key sets.
 BASE_SEED = 42
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "simulation": ("horizon_hours", "seed", "runs"),
-    "topology": ("homes", "feeders", "group_size", "homes_per_transformer", "class_mix", "data_dir"),
-    "supply": ("mode", "gaps", "capacity_w"),
-    "policy": ("policies", "dp", "reduction_factor"),
-    "sweep": ("aps",),
-    "utility": ("u_max", "th_u", "th_l"),
-    "protocol": ("emulate", "distance_m"),
-    "output": ("out_dir",),
-}
-
 
 def _read_ini(path: Path) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """The raw value of every key, by section, read literally (no `%`
+    interpolation). No header can name the default section "", so [DEFAULT]
+    is an ordinary section whose keys go into no other."""
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+    )
     try:
         with path.open() as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    values: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            values.setdefault(section, {})[key] = value
-    return values
+    return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
 def parse_config(path: Path | str | None) -> ExperimentSpec:
@@ -184,20 +172,22 @@ def parse_config(path: Path | str | None) -> ExperimentSpec:
     With no path every key keeps its default. Raises ConfigError on
     unknown keys, malformed values or out-of-range settings.
     """
-    spec = _read_spec(path)
+    spec = _read_spec(_read_ini(Path(path)) if path is not None else {})
     checked_configs(spec)
     return spec
 
 
-def _read_spec(path: Path | str | None) -> ExperimentSpec:
-    """`parse_config` without the check of the runs (`checked_configs`).
-    A key left out, or an empty `class_mix` or `dp`, keeps the default of
-    the field it sets."""
-    values = _read_ini(Path(path)) if path is not None else {}
+def _read_spec(values: dict[str, dict[str, str]]) -> ExperimentSpec:
+    """The spec that raw `values` (section -> key -> value) set, without the
+    check of the runs (`checked_configs`). A key left out, or an empty
+    `class_mix` or `dp`, keeps the default of the field it sets. The keys
+    read here are the only keys there are: any other is rejected."""
     spec = ExperimentSpec(base=SimConfig(seed=BASE_SEED))
     base = spec.base
+    read: set[tuple[str, str]] = set()
 
     def get(section: str, key: str, default, parse=lambda raw, key: raw):
+        read.add((section, key))
         raw = values.get(section, {}).get(key)
         return default if raw is None else parse(raw, key)
 
@@ -206,7 +196,7 @@ def _read_spec(path: Path | str | None) -> ExperimentSpec:
     if mode == "fixed_capacity":
         if not get("supply", "capacity_w", ""):
             raise ConfigError("missing required key 'capacity_w' for fixed_capacity supply")
-        if "gaps" in values.get("supply", {}):
+        if get("supply", "gaps", None) is not None:
             raise ConfigError("key 'gaps' does not apply to fixed_capacity supply")
         capacity_w = get("supply", "capacity_w", capacity_w, _parse_float)
     else:
@@ -244,7 +234,7 @@ def _read_spec(path: Path | str | None) -> ExperimentSpec:
             protocol_distance_m=get("protocol", "distance_m", base.protocol_distance_m, _parse_float),
             seed=get("simulation", "seed", base.seed, _parse_int),
         )
-    return replace(
+    spec = replace(
         spec,
         base=base,
         policies=get("policy", "policies", spec.policies, _parse_names),
@@ -253,6 +243,14 @@ def _read_spec(path: Path | str | None) -> ExperimentSpec:
         runs=get("simulation", "runs", spec.runs, _parse_int),
         out_dir=get("output", "out_dir", spec.out_dir),
     )
+    sections = {section for section, _ in read}
+    for section, keys in values.items():
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in keys:
+            if (section, key) not in read:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+    return spec
 
 
 def cell_config(spec: ExperimentSpec, policy: str, gap_percent: float, ap: float, run_index: int) -> SimConfig:
@@ -322,22 +320,21 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None and not args.config.exists():
             print(f"config not found: {args.config}", file=sys.stderr)
             return 2
-        spec = _read_spec(args.config)  # checked once, below, with the flags applied
-        if args.seed is not None:
-            with _config_errors():
-                spec = replace(spec, base=replace(spec.base, seed=args.seed))
-        if args.runs is not None:
-            spec = replace(spec, runs=args.runs)
-        if args.out is not None:
-            spec = replace(spec, out_dir=str(args.out))
+        values = _read_ini(args.config) if args.config is not None else {}
+        for section, key, flag in (
+            ("simulation", "seed", args.seed),
+            ("simulation", "runs", args.runs),
+            ("output", "out_dir", args.out),
+            ("policy", "policies", args.policy),
+            ("supply", "gaps", args.gap),
+            ("sweep", "aps", args.ap),
+        ):
+            if flag is not None:  # a flag replaces the raw value of the key it sets
+                values.setdefault(section, {})[key] = str(flag)
+        spec = _read_spec(values)
         if args.single:
-            if args.gap is not None and spec.base.supply.mode == "fixed_capacity":
-                raise ConfigError("--gap does not apply to fixed_capacity supply")
             spec = replace(
-                spec,
-                policies=[args.policy] if args.policy else spec.policies[:1],
-                gaps_percent=[args.gap] if args.gap is not None else spec.gaps_percent[:1],
-                aps=[args.ap] if args.ap is not None else spec.aps[:1],
+                spec, policies=spec.policies[:1], gaps_percent=spec.gaps_percent[:1], aps=spec.aps[:1]
             )
         checked_configs(spec)
         if args.validate:

@@ -139,6 +139,14 @@ class TestParseConfig:
         spec = parse_config(write_config(tmp_path, "[supply]\ngaps = 15  # tight\n"))
         assert spec.gaps_percent == [15.0]
 
+    def test_values_are_literal(self, tmp_path):
+        spec = parse_config(write_config(tmp_path, "[output]\nout_dir = results_100%\n"))
+        assert spec.out_dir == "results_100%"
+
+    def test_default_section_rejected_beside_others(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            parse_config(write_config(tmp_path, TINY + "\n[DEFAULT]\nhomes = 10\n"))
+
 
 class TestSeedDerivation:
     def test_frozen_values(self):
@@ -284,6 +292,8 @@ class TestMain:
         pytest.param(TINY.replace("aps = 0.9", "aps = 0.9, 0.9000001"), [], id="aps-near-duplicate"),
         pytest.param(TINY + "\n[policy]\npolicies = baseline, centralized, baseline\n", [],
                      id="policies-duplicate"),
+        pytest.param(TINY.replace("feeders = 5", "feeders = %(homes)s"), [], id="interpolation"),
+        pytest.param("[DEFAULT]\nhomes = 10\n", [], id="default-section"),
     ])
     def test_bad_settings_are_config_errors(self, tmp_path, capsys, ini, args, validate):
         p = write_config(tmp_path, ini(tmp_path) if callable(ini) else ini)
@@ -293,6 +303,30 @@ class TestMain:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, key_before, key_after", [
+        pytest.param(["--seed", "7"], "seed = 42", "seed = 7", id="seed"),
+        pytest.param(["--runs", "3"], "runs = 2", "runs = 3", id="runs"),
+        pytest.param(["--out", "elsewhere"], "out_dir = results", "out_dir = elsewhere", id="out"),
+        pytest.param(["--single", "--policy", "centralized"], "policies = distributed",
+                     "policies = centralized", id="policy"),
+        pytest.param(["--single", "--gap", "30"], "gaps = 20", "gaps = 30", id="gap"),
+        pytest.param(["--single", "--ap", "0.6"], "aps = 0.9", "aps = 0.6", id="ap"),
+    ])
+    def test_flag_sets_the_key_it_overrides(self, tmp_path, monkeypatch, args, key_before, key_after):
+        """A flag runs exactly the spec of the file that sets its key instead."""
+        ini = TINY + "\n[policy]\npolicies = distributed\n\n[output]\nout_dir = results\n"
+        assert key_before in ini
+        run = []
+        monkeypatch.setattr(cli, "run_sweep", lambda spec, quiet: run.append(spec) or [])
+        monkeypatch.setattr(cli, "write_report", lambda logs, out_dir: [])
+        assert main(["--config", str(write_config(tmp_path, ini)), "--quiet", *args]) == 0
+        assert run == [parse_config(write_config(tmp_path, ini.replace(key_before, key_after)))]
+
+    def test_flag_replaces_ini_value_unparsed(self, tmp_path):
+        p = write_config(tmp_path, TINY.replace("runs = 2", "runs = many"))
+        out = tmp_path / "results"
+        assert main(["--config", str(p), "--out", str(out), "--quiet", "--single", "--runs", "1"]) == 0
+        assert len(list((out / "runs").glob("*.csv"))) == 1
 
     @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["run", "validate"])
     def test_data_dir_without_manifests_is_config_error(self, tmp_path, capsys, validate):
