@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .consumption import load_corpus
-from .engine import SimConfig, run
+from .engine import SimConfig, cell_key, run_cell
 from .homes import checked_home_class
 from .levels import UtilityParams
 from .metrics import MetricsLog, ap_token, gap_token, write_report
@@ -277,17 +277,26 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def run_sweep(spec: ExperimentSpec, quiet: bool = False) -> list[MetricsLog]:
-    """Run every cell of the sweep; order-independent and deterministic."""
+    """Run every run of the sweep; deterministic, whatever the worker count.
+
+    The runs that differ in policy alone (one gap, AP and run index) form a
+    group that `engine.run_cell` runs on one grid. The logs come back in
+    `spec.configs()` order.
+    """
     configs = spec.configs()
-    workers = _worker_count(len(configs))
-    n_cells = len(spec.cells())
-    logs: list[MetricsLog] = []
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(cell_key(config), []).append(i)
+    jobs = [[configs[i] for i in group] for group in groups.values()]
+    workers = _worker_count(len(jobs))
+    logs: list[MetricsLog | None] = [None] * len(configs)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(run, configs, chunksize=1) if pool else map(run, configs)
-        for log in results:
-            logs.append(log)
-            if not quiet and len(logs) % spec.runs == 0:
-                print(f"cell {len(logs) // spec.runs}/{n_cells} complete")
+        results = pool.map(run_cell, jobs, chunksize=1) if pool else map(run_cell, jobs)
+        for done, (group, group_logs) in enumerate(zip(groups.values(), results), 1):
+            for i, log in zip(group, group_logs):
+                logs[i] = log
+            if not quiet:
+                print(f"group {done}/{len(jobs)} complete")
     return logs
 
 

@@ -7,7 +7,9 @@ demand exceeds capacity the active policy's round function runs once per
 second, k = 1, 2, ... within the hour; the engine sums served demand once,
 at the hour's start, and each round lowers it by the watts it sheds. Once
 the hour converges no state changes until the next boundary, so the engine
-skips ahead. A run is a pure function of (config, seed).
+skips ahead. A run is a pure function of (config, seed). The runs of one
+cell, whose configs differ in policy alone, share one grid and one
+redraw per hour (`run_cell`).
 
 Under-load wastage and all level statistics are recorded at the converged
 state of each hour. A policy that exhausts its round budget leaves the
@@ -22,8 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .consumption import EmpiricalCdf, filter_outliers, fit_cdf, load_corpus, sample_inverse
-from .homes import HOME_CLASSES, ClassModel, build_class_model, set_hour_draws
+from .consumption import (
+    BLOCK_ROWS,
+    EmpiricalCdf,
+    filter_outliers,
+    fit_cdf,
+    load_corpus,
+    sample_inverse,
+)
+from .homes import HOME_CLASSES, ClassModel, Fleet, build_class_model, set_hour_draws
 from .levels import PowerLevel, UtilityParams, utility
 from .metrics import HourRecord, MetricsLog, TraceEvent, ulw
 from .policies import POLICIES, DistributionProfile, RoundState, reset_hourly
@@ -117,27 +126,104 @@ def _builtin_cdfs() -> dict[str, list[EmpiricalCdf]]:
         }
 
 
-def _refresh_draws(topology: Topology, rng: np.random.Generator) -> None:
-    """Redraw every appliance for the hour, class by class in home order.
-    Each class's quantile block becomes its draws in place."""
-    fleet = topology.fleet
-    for c, model in enumerate(fleet.models):
-        homes = np.flatnonzero(fleet.cls == c)
-        if not homes.size:
-            continue
-        u = rng.random((homes.size, model.n_appliances))
-        set_hour_draws(fleet, homes, sample_inverse(model.table, u, out=u))
+def _refresh_draws(fleet: Fleet, class_homes: list[np.ndarray], rng: np.random.Generator) -> None:
+    """Redraw every appliance for the hour, class by class in home order,
+    BLOCK_ROWS homes at a time; `class_homes[c]` holds the ids of class c's
+    homes. Each block of quantiles becomes its homes' draws in place. The
+    values are those of one `rng.random` block per class: one double per
+    value, in C order."""
+    for model, homes in zip(fleet.models, class_homes):
+        for first in range(0, homes.size, BLOCK_ROWS):
+            block = homes[first : first + BLOCK_ROWS]
+            u = rng.random((block.size, model.n_appliances))
+            set_hour_draws(fleet, block, sample_inverse(model.table, u, out=u))
+
+
+def cell_key(config: SimConfig) -> tuple:
+    """Every field of `config` but its policy: configs with equal keys make
+    one cell, which `run_cell` runs on one grid."""
+    return tuple(getattr(config, f.name) for f in fields(config) if f.name != "policy")
+
+
+def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int, demand_w: float) -> None:
+    """Run the policy's rounds of the hour on `state`, whose homes are all at
+    L5 and whose `capacity_w` and `sl` are the hour's, and record the hour
+    in `log`."""
+    policy = POLICIES[config.policy]
+    capacity_w, sl = state.capacity_w, state.sl
+    log.trace.append(TraceEvent(hour, 0, "hour_start", f"sl={sl:.3f}"))
+
+    rounds = 0
+    max_rounds = policy.max_rounds(len(state.topology.group_members))
+    state.served_w = demand_w
+    is_converged = demand_w <= capacity_w
+    if not is_converged:
+        log.trace.append(TraceEvent(hour, 0, "gap_detected"))
+    while not is_converged and rounds < max_rounds:
+        was_emergency = state.emergency
+        rounds += 1
+        policy.round(state, rounds)
+        if state.emergency and not was_emergency:
+            log.trace.append(TraceEvent(hour, rounds, "emergency"))
+        is_converged = state.served_w <= capacity_w
+    log.trace.append(
+        TraceEvent(
+            hour, rounds, "converged" if is_converged else "non_convergent"
+        )
+    )
+
+    fleet = state.topology.fleet
+    level = fleet.level
+    counts = np.bincount(level, minlength=6)[1:].tolist()
+    smart_counts = np.bincount(level[fleet.smart], minlength=6)[1:].tolist()
+    shed_again = fleet.ls_lh & (level < PowerLevel.L5)
+    repeat_shed = 0 if state.emergency else int(np.count_nonzero(shed_again))
+    log.hours.append(
+        HourRecord(
+            hour=hour,
+            demand_w=demand_w,
+            capacity_w=capacity_w,
+            served_w=state.served_w,
+            ulw_w=ulw(capacity_w, state.served_w) if is_converged else 0.0,
+            level_counts=tuple(counts),
+            smart_level_counts=tuple(smart_counts),
+            mean_utility=sum(
+                utility(lv, config.utility) * counts[lv - 1] for lv in PowerLevel
+            ) / len(level),
+            convergence_seconds=rounds,
+            converged=is_converged,
+            emergency=state.emergency,
+            repeat_shed_homes=repeat_shed,
+        )
+    )
 
 
 def run(config: SimConfig) -> MetricsLog:
-    """Execute one simulation run; deterministic given (config, seed). The
-    seed spawns one random stream per purpose (topology, hourly redraw,
-    policy, channel), so a draw for one purpose moves no value of another."""
+    """Execute one simulation run; deterministic given (config, seed)."""
+    return run_cell([config])[0]
+
+
+def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
+    """Execute the runs of `configs`, which must have equal `cell_key`s (a
+    policy may repeat); log i is the log of configs[i] run alone.
+
+    The seed spawns one random stream per purpose (topology, hourly redraw,
+    policy, channel), so a draw for one purpose moves no value of another.
+    The topology and redraw streams never read the policy, so the cell
+    builds one grid and redraws it once an hour, and sums its demand and
+    sets its capacity and stress level once an hour. Each run then plays
+    the hour on its own fleet states, `RoundState`, policy stream and
+    channel stream. Raises ValueError for no configs or unequal keys.
+    """
+    if not configs:
+        raise ValueError("run_cell needs at least one config")
+    config = configs[0]
+    if any(cell_key(other) != cell_key(config) for other in configs[1:]):
+        raise ValueError("the configs of a cell may differ in policy only")
     models = load_models(config.data_dir)
-    topology_rng, draws_rng, policy_rng, channel_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(4)
-    )
-    topo = build_topology(
+    streams = np.random.SeedSequence(config.seed).spawn(4)
+    topology_rng, draws_rng = (np.random.default_rng(s) for s in streams[:2])
+    grid = build_topology(
         models,
         n_homes=config.n_homes,
         n_feeders=config.n_feeders,
@@ -147,74 +233,43 @@ def run(config: SimConfig) -> MetricsLog:
         group_size=config.group_size,
         class_mix=config.class_mix,
     )
+    fleet = grid.fleet
+    class_homes = [np.flatnonzero(fleet.cls == c) for c in range(len(fleet.models))]
     delivery_p = (
         LinkModel().delivery_probability(config.protocol_distance_m)
         if config.protocol_emulation else 1.0
     )
-    channel = CommandChannel(delivery_p, channel_rng)
-    policy = POLICIES[config.policy]
-    state = RoundState(topo, config.dp, config.reduction_factor, policy_rng, channel)
     supply = config.supply
     gap_pct = 100.0 * supply.gap_fraction if supply.mode == "fractional_gap" else float("nan")
-    log = MetricsLog(
-        policy=config.policy,
-        seed=config.seed,
-        gap_percent=gap_pct,
-        ap=config.ap,
-        config_hash=config.config_hash(),
-    )
-    max_rounds = policy.max_rounds(len(topo.group_members))
+    runs = []
+    for i, run_config in enumerate(configs):
+        topo = grid if i == 0 else Topology(fleet.sibling(), grid.group_members)
+        policy_rng, channel_rng = (np.random.default_rng(s) for s in streams[2:])
+        state = RoundState(
+            topo, config.dp, config.reduction_factor, policy_rng,
+            CommandChannel(delivery_p, channel_rng),
+        )
+        log = MetricsLog(
+            policy=run_config.policy,
+            seed=config.seed,
+            gap_percent=gap_pct,
+            ap=config.ap,
+            config_hash=run_config.config_hash(),
+        )
+        runs.append((run_config, state, log))
 
     for hour in range(config.horizon_hours):
-        state.emergency = False
-        reset_hourly(topo.fleet)
-        _refresh_draws(topo, draws_rng)
-        demand_w = served_demand(topo)  # everyone is at L5
-        capacity_w = state.capacity_w = config.supply.capacity_for(demand_w)
-        sl = state.sl = stress_level(demand_w, capacity_w) if demand_w > 0 else 0.0
-        log.trace.append(TraceEvent(hour, 0, "hour_start", f"sl={sl:.3f}"))
-
-        rounds = 0
-        state.served_w = demand_w
-        is_converged = demand_w <= capacity_w
-        if not is_converged:
-            log.trace.append(TraceEvent(hour, 0, "gap_detected"))
-        while not is_converged and rounds < max_rounds:
-            was_emergency = state.emergency
-            rounds += 1
-            policy.round(state, rounds)
-            if state.emergency and not was_emergency:
-                log.trace.append(TraceEvent(hour, rounds, "emergency"))
-            is_converged = state.served_w <= capacity_w
-        log.trace.append(
-            TraceEvent(
-                hour, rounds, "converged" if is_converged else "non_convergent"
-            )
-        )
-
-        level = topo.fleet.level
-        counts = np.bincount(level, minlength=6)[1:].tolist()
-        smart_counts = np.bincount(level[topo.fleet.smart], minlength=6)[1:].tolist()
-        shed_again = topo.fleet.ls_lh & (level < PowerLevel.L5)
-        repeat_shed = 0 if state.emergency else int(np.count_nonzero(shed_again))
-        log.hours.append(
-            HourRecord(
-                hour=hour,
-                demand_w=demand_w,
-                capacity_w=capacity_w,
-                served_w=state.served_w,
-                ulw_w=ulw(capacity_w, state.served_w) if is_converged else 0.0,
-                level_counts=tuple(counts),
-                smart_level_counts=tuple(smart_counts),
-                mean_utility=sum(
-                    utility(lv, config.utility) * counts[lv - 1] for lv in PowerLevel
-                ) / len(level),
-                convergence_seconds=rounds,
-                converged=is_converged,
-                emergency=state.emergency,
-                repeat_shed_homes=repeat_shed,
-            )
-        )
-    log.commands_sent = channel.sent
-    log.commands_lost = channel.lost
-    return log
+        for _, state, _ in runs:
+            state.emergency = False
+            reset_hourly(state.topology.fleet)
+        _refresh_draws(fleet, class_homes, draws_rng)
+        demand_w = served_demand(grid)  # everyone is at L5
+        capacity_w = supply.capacity_for(demand_w)
+        sl = stress_level(demand_w, capacity_w) if demand_w > 0 else 0.0
+        for run_config, state, log in runs:
+            state.capacity_w, state.sl = capacity_w, sl
+            _play_hour(run_config, state, log, hour, demand_w)
+    for _, state, log in runs:
+        log.commands_sent = state.channel.sent
+        log.commands_lost = state.channel.lost
+    return [log for _, _, log in runs]

@@ -122,13 +122,21 @@ class Fleet:
     draws this hour at state L(k+1) (NaN until the hour's draws are set).
     ls_lh, dlc_done and sl_init (NaN for unset) belong to the distributed
     backoff scheme.
+
+    `smart_homes` holds the smart home ids, ascending, and `rating_w[c]`
+    the meter rating of class c (NaN for a class no home has).
+
+    The fleets of the policies of one grid share every array but the states
+    and the backoff state (`sibling`).
     """
 
     models: tuple[ClassModel | None, ...]
     cls: np.ndarray
     smart: np.ndarray
+    level_watts: np.ndarray | None = field(default=None, repr=False)
+    smart_homes: np.ndarray | None = field(default=None, repr=False)
+    rating_w: np.ndarray = field(init=False, repr=False)
     level: np.ndarray = field(init=False)
-    level_watts: np.ndarray = field(init=False, repr=False)
     ls_lh: np.ndarray = field(init=False)
     dlc_done: np.ndarray = field(init=False)
     sl_init: np.ndarray = field(init=False)
@@ -136,13 +144,23 @@ class Fleet:
     def __post_init__(self) -> None:
         n = len(self.cls)
         self.level = np.full(n, PowerLevel.L5, dtype=np.int8)
-        self.level_watts = np.full((n, len(PowerLevel)), np.nan)
+        if self.level_watts is None:
+            self.level_watts = np.full((n, len(PowerLevel)), np.nan)
+        if self.smart_homes is None:
+            self.smart_homes = np.flatnonzero(self.smart)
+        self.rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in self.models])
         self.ls_lh = np.zeros(n, dtype=bool)
         self.dlc_done = np.zeros(n, dtype=bool)
         self.sl_init = np.full(n, np.nan)
 
     def __len__(self) -> int:
         return len(self.cls)
+
+    def sibling(self) -> Fleet:
+        """A fleet of the same homes, with this hour's draws shared and its
+        own states at L5 and backoff state unset: another policy's fleet on
+        the same grid."""
+        return Fleet(self.models, self.cls, self.smart, self.level_watts, self.smart_homes)
 
     def watts(self, homes) -> np.ndarray:
         """What `homes` draw at their current states."""

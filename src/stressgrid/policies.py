@@ -158,8 +158,9 @@ def alg1_decisions(
     fresh = active & ~done
     eff = np.where(np.isnan(sl_init) & (sl < MIN_STRESS), MIN_STRESS, sl)
     backs = fresh & (r < eff)
-    l3 = (dp.alpha_l2 * eff < r) & (r < (dp.alpha_l3 + dp.alpha_l2) * eff)
-    target = np.where(r > (1.0 - dp.alpha_l4) * eff, PowerLevel.L4, np.where(l3, PowerLevel.L3, PowerLevel.L2))
+    target = np.full(len(homes), PowerLevel.L2, dtype=np.int8)
+    target[(dp.alpha_l2 * eff < r) & (r < (dp.alpha_l3 + dp.alpha_l2) * eff)] = PowerLevel.L3
+    target[r > (1.0 - dp.alpha_l4) * eff] = PowerLevel.L4
     target[~backs] = 0
 
     steps = active & done & (level != PowerLevel.L1) & (emergency | (r < sl_init))
@@ -206,7 +207,7 @@ def alg1_round(state: RoundState, k: int) -> None:
         cut_nonsmart_groups(state)
         return
     fleet = state.topology.fleet
-    smart = np.flatnonzero(fleet.smart)
+    smart = fleet.smart_homes
     if not smart.size:
         return
     r = state.rng.integers(1, 101, size=smart.size)
@@ -247,7 +248,6 @@ def alg2_step(state: RoundState, k: int) -> None:
     """
     fleet = state.topology.fleet
     emergency = state.emergency
-    rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in fleet.models])
 
     def shed(members: np.ndarray) -> None:
         _send(state, _cuttable(state, members), PowerLevel.L1)
@@ -258,7 +258,7 @@ def alg2_step(state: RoundState, k: int) -> None:
         order = np.lexsort((candidates, -watts))
         candidates, watts = candidates[order], watts[order]
         top, count = eligible_lower_runs(
-            fleet.level[candidates], watts / rating_w[fleet.cls[candidates]], emergency
+            fleet.level[candidates], watts / fleet.rating_w[fleet.cls[candidates]], emergency
         )
         eligible = count > 0
         if eligible.any():

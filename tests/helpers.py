@@ -3,6 +3,7 @@ and the acceptance suite."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import product
 
@@ -44,6 +45,18 @@ def write_builtin_cdfs(path=BUILTIN_CDFS) -> None:
         PYTHONPATH=src:tests python -c "import helpers; helpers.write_builtin_cdfs()"
     """
     np.savez_compressed(path, **builtin_cdf_arrays(fit_builtin_cdfs()))
+
+
+def hour_digest(logs) -> str:
+    """Digest of every hour record and command counter of `logs`, in run
+    order; the same digest as `perfbench/checks.log_digest`."""
+    h = hashlib.sha256()
+    for log in logs:
+        h.update(repr((log.policy, log.seed, log.gap_percent, log.ap,
+                       log.commands_sent, log.commands_lost)).encode())
+        for rec in log.hours:
+            h.update(repr(tuple(vars(rec).values())).encode())
+    return h.hexdigest()[:16]
 
 
 def make_fleet(model, n: int = 1, smart: bool = True) -> Fleet:

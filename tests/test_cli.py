@@ -381,6 +381,17 @@ class TestRunSweep:
         keys = {(lg.policy, lg.gap_percent, lg.ap, lg.seed) for lg in logs}
         assert len(keys) == 6
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_logs_equal_solo_runs_in_config_order(self, tmp_path, monkeypatch, capsys, threads):
+        spec = parse_config(write_config(tmp_path, TINY.replace("gaps = 20", "gaps = 10, 40")))
+        monkeypatch.setenv("STRESSGRID_THREADS", threads)
+        logs = run_sweep(spec)
+        solo = [engine.run(config) for config in spec.configs()]
+        assert [repr(log) for log in logs] == [repr(log) for log in solo]
+        groups = 2 * spec.runs  # one per gap and run; the policies share it
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"group {i}/{groups} complete" for i in range(1, groups + 1)]
+
     def test_seed_override_changes_runs(self, tmp_path):
         spec = parse_config(write_config(tmp_path, TINY))
         c0 = cell_config(spec, "baseline", 20.0, 0.9, 0)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ import helpers
 import stressgrid
 from stressgrid import engine
 from stressgrid.cli import ExperimentSpec, cell_config
-from stressgrid.engine import BUILTIN_CDFS, SimConfig, load_models, run
-from stressgrid.homes import build_class_model
+from stressgrid.consumption import BLOCK_ROWS, sample_inverse
+from stressgrid.engine import BUILTIN_CDFS, SimConfig, load_models, run, run_cell
+from stressgrid.homes import build_class_model, set_hour_draws
 from stressgrid.levels import PowerLevel
 from stressgrid.metrics import write_run_csv
 from stressgrid.policies import POLICIES
@@ -277,6 +279,81 @@ class TestRandomStreams:
             assert lossy.commands_lost > 0
             assert [rec.demand_w for rec in lossy.hours] == [rec.demand_w for rec in plain.hours]
             assert np.array_equal(smart[0], smart[1])
+
+
+class TestRunCell:
+    """The runs of one cell share a grid and its hourly draws; each must
+    still log exactly what it logs when run alone."""
+
+    SUPPLIES = {
+        "gap10": SupplyModel(gap_fraction=0.1),
+        "gap40": SupplyModel(gap_fraction=0.4),
+        "gap60": SupplyModel(gap_fraction=0.6),
+        "fixed": SupplyModel(mode="fixed_capacity", capacity_w=200_000.0),
+    }
+
+    @staticmethod
+    def cell(supply, distance_m, seed, policies=tuple(POLICIES)):
+        return [
+            SimConfig(
+                horizon_hours=12, n_homes=600, n_feeders=30, group_size=4, ap=0.7,
+                supply=supply, policy=policy, seed=seed,
+                protocol_emulation=distance_m is not None,
+                protocol_distance_m=10.0 if distance_m is None else distance_m,
+            )
+            for policy in policies
+        ]
+
+    @pytest.mark.parametrize("seed", [5, 99])
+    @pytest.mark.parametrize("distance_m", [None, 50.0], ids=["no-link", "50m"])
+    @pytest.mark.parametrize("supply", sorted(SUPPLIES))
+    def test_grouped_runs_equal_solo_runs(self, supply, distance_m, seed):
+        configs = self.cell(self.SUPPLIES[supply], distance_m, seed)
+        grouped = run_cell(configs)
+        solo = [run(config) for config in configs]
+        assert helpers.hour_digest(grouped) == helpers.hour_digest(solo)
+        # repr compares every field exactly, the NaN gap of fixed capacity too
+        assert [repr(log) for log in grouped] == [repr(log) for log in solo]
+        assert [log.config_hash for log in grouped] == [c.config_hash() for c in configs]
+        if distance_m is not None:
+            assert all(log.commands_lost > 0 for log in grouped if log.policy != "baseline")
+
+    def test_a_policy_may_repeat(self):
+        configs = self.cell(self.SUPPLIES["gap40"], 50.0, 5, ("distributed", "centralized", "distributed"))
+        logs = run_cell(configs)
+        assert repr(logs[0]) == repr(logs[2]) == repr(run(configs[0]))
+        assert repr(logs[1]) == repr(run(configs[1]))
+
+    def test_configs_must_differ_in_policy_only(self):
+        configs = self.cell(self.SUPPLIES["gap40"], None, 5, ("baseline", "centralized"))
+        for other in (replace(configs[1], seed=6), replace(configs[1], ap=0.5),
+                      replace(configs[1], supply=self.SUPPLIES["gap10"])):
+            with pytest.raises(ValueError, match="policy only"):
+                run_cell([configs[0], other])
+        with pytest.raises(ValueError, match="at least one"):
+            run_cell([])
+
+    def test_blocked_redraws_equal_one_block_per_class(self, class_models):
+        config = cfg(n_homes=3 * BLOCK_ROWS + 500, n_feeders=50)
+        fleets, rngs = [], []
+        for _ in range(2):
+            topo = build_topology(
+                class_models, n_homes=config.n_homes, n_feeders=config.n_feeders, ap=config.ap,
+                rng=np.random.default_rng(1), homes_per_transformer=config.homes_per_transformer,
+                group_size=config.group_size, class_mix=config.class_mix,
+            )
+            fleets.append(topo.fleet)
+            rngs.append(np.random.default_rng(2))
+        blocked, whole = fleets
+        class_homes = [np.flatnonzero(blocked.cls == c) for c in range(len(blocked.models))]
+        assert min(homes.size for homes in class_homes) > BLOCK_ROWS
+        for _ in range(2):  # two hours
+            engine._refresh_draws(blocked, class_homes, rngs[0])
+            for model, homes in zip(whole.models, class_homes):
+                u = rngs[1].random((homes.size, model.n_appliances))
+                set_hour_draws(whole, homes, sample_inverse(model.table, u))
+            assert np.array_equal(blocked.level_watts, whole.level_watts)
+            assert not np.isnan(blocked.level_watts).any()
 
 
 class TestConfig:
