@@ -37,7 +37,7 @@ from .levels import PowerLevel, UtilityParams, utility
 from .metrics import HourRecord, MetricsLog, TraceEvent, ulw
 from .policies import POLICIES, DistributionProfile, RoundState, reset_hourly
 from .protocol import CommandChannel, LinkModel
-from .topology import SupplyModel, Topology, build_topology, served_demand, stress_level
+from .topology import SupplyModel, build_topology, served_demand, stress_level
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,12 @@ def _builtin_cdfs() -> dict[str, list[EmpiricalCdf]]:
         }
 
 
-def _refresh_draws(fleet: Fleet, class_homes: list[np.ndarray], rng: np.random.Generator) -> None:
+def _refresh_draws(fleet: Fleet, rng: np.random.Generator) -> None:
     """Redraw every appliance for the hour, class by class in home order,
-    BLOCK_ROWS homes at a time; `class_homes[c]` holds the ids of class c's
-    homes. Each block of quantiles becomes its homes' draws in place. The
-    values are those of one `rng.random` block per class: one double per
-    value, in C order."""
-    for model, homes in zip(fleet.models, class_homes):
+    BLOCK_ROWS homes at a time. Each block of quantiles becomes its homes'
+    draws in place. The values are those of one `rng.random` block per
+    class: one double per value, in C order."""
+    for model, homes in zip(fleet.models, fleet.class_homes):
         for first in range(0, homes.size, BLOCK_ROWS):
             block = homes[first : first + BLOCK_ROWS]
             u = rng.random((block.size, model.n_appliances))
@@ -154,7 +153,7 @@ def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int,
     log.trace.append(TraceEvent(hour, 0, "hour_start", f"sl={sl:.3f}"))
 
     rounds = 0
-    max_rounds = policy.max_rounds(len(state.topology.group_members))
+    max_rounds = policy.max_rounds(len(state.fleet.groups))
     state.served_w = demand_w
     is_converged = demand_w <= capacity_w
     if not is_converged:
@@ -172,7 +171,7 @@ def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int,
         )
     )
 
-    fleet = state.topology.fleet
+    fleet = state.fleet
     level = fleet.level
     counts = np.bincount(level, minlength=6)[1:].tolist()
     smart_counts = np.bincount(level[fleet.smart], minlength=6)[1:].tolist()
@@ -233,8 +232,6 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
         group_size=config.group_size,
         class_mix=config.class_mix,
     )
-    fleet = grid.fleet
-    class_homes = [np.flatnonzero(fleet.cls == c) for c in range(len(fleet.models))]
     delivery_p = (
         LinkModel().delivery_probability(config.protocol_distance_m)
         if config.protocol_emulation else 1.0
@@ -243,11 +240,10 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
     gap_pct = 100.0 * supply.gap_fraction if supply.mode == "fractional_gap" else float("nan")
     runs = []
     for i, run_config in enumerate(configs):
-        topo = grid if i == 0 else Topology(fleet.sibling(), grid.group_members)
         policy_rng, channel_rng = (np.random.default_rng(s) for s in streams[2:])
         state = RoundState(
-            topo, config.dp, config.reduction_factor, policy_rng,
-            CommandChannel(delivery_p, channel_rng),
+            grid if i == 0 else grid.sibling(), config.dp, config.reduction_factor,
+            policy_rng, CommandChannel(delivery_p, channel_rng),
         )
         log = MetricsLog(
             policy=run_config.policy,
@@ -261,8 +257,8 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
     for hour in range(config.horizon_hours):
         for _, state, _ in runs:
             state.emergency = False
-            reset_hourly(state.topology.fleet)
-        _refresh_draws(fleet, class_homes, draws_rng)
+            reset_hourly(state.fleet)
+        _refresh_draws(grid, draws_rng)
         demand_w = served_demand(grid)  # everyone is at L5
         capacity_w = supply.capacity_for(demand_w)
         sl = stress_level(demand_w, capacity_w) if demand_w > 0 else 0.0

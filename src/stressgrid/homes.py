@@ -9,6 +9,7 @@ fitted distribution.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +114,8 @@ def build_class_model(label: str, cdfs: list[EmpiricalCdf]) -> ClassModel:
 
 @dataclass(eq=False)
 class Fleet:
-    """State of every home, one array entry per home id.
+    """The grid: state of every home, one array entry per home id, and the
+    home ids of each feeder group (`groups`, each ascending).
 
     `models[cls[i]]` is home i's class model (None for a class no home
     has). `smart` marks homes equipped with the in-home multi-level
@@ -121,20 +123,18 @@ class Fleet:
     `level` is a home's current power state and `level_watts[i, k]` what it
     draws this hour at state L(k+1) (NaN until the hour's draws are set).
     ls_lh, dlc_done and sl_init (NaN for unset) belong to the distributed
-    backoff scheme.
-
-    `smart_homes` holds the smart home ids, ascending, and `rating_w[c]`
-    the meter rating of class c (NaN for a class no home has).
-
-    The fleets of the policies of one grid share every array but the states
-    and the backoff state (`sibling`).
+    backoff scheme. Derived once: `smart_homes` and `class_homes[c]` (the
+    ids of the smart homes and of class c's homes, ascending) and
+    `rating_w[c]` (class c's meter rating, NaN for a class no home has).
     """
 
     models: tuple[ClassModel | None, ...]
     cls: np.ndarray
     smart: np.ndarray
-    level_watts: np.ndarray | None = field(default=None, repr=False)
-    smart_homes: np.ndarray | None = field(default=None, repr=False)
+    groups: list[np.ndarray]
+    level_watts: np.ndarray = field(init=False, repr=False)
+    smart_homes: np.ndarray = field(init=False, repr=False)
+    class_homes: list[np.ndarray] = field(init=False, repr=False)
     rating_w: np.ndarray = field(init=False, repr=False)
     level: np.ndarray = field(init=False)
     ls_lh: np.ndarray = field(init=False)
@@ -142,13 +142,15 @@ class Fleet:
     sl_init: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        self.level_watts = np.full((len(self.cls), len(PowerLevel)), np.nan)
+        self.smart_homes = np.flatnonzero(self.smart)
+        self.class_homes = [np.flatnonzero(self.cls == c) for c in range(len(self.models))]
+        self.rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in self.models])
+        self._reset_states()
+
+    def _reset_states(self) -> None:
         n = len(self.cls)
         self.level = np.full(n, PowerLevel.L5, dtype=np.int8)
-        if self.level_watts is None:
-            self.level_watts = np.full((n, len(PowerLevel)), np.nan)
-        if self.smart_homes is None:
-            self.smart_homes = np.flatnonzero(self.smart)
-        self.rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in self.models])
         self.ls_lh = np.zeros(n, dtype=bool)
         self.dlc_done = np.zeros(n, dtype=bool)
         self.sl_init = np.full(n, np.nan)
@@ -157,10 +159,11 @@ class Fleet:
         return len(self.cls)
 
     def sibling(self) -> Fleet:
-        """A fleet of the same homes, with this hour's draws shared and its
-        own states at L5 and backoff state unset: another policy's fleet on
-        the same grid."""
-        return Fleet(self.models, self.cls, self.smart, self.level_watts, self.smart_homes)
+        """Another policy's fleet on the same grid: every array shared, this
+        hour's draws too, but its own states at L5 and backoff state unset."""
+        other = copy.copy(self)
+        other._reset_states()
+        return other
 
     def watts(self, homes) -> np.ndarray:
         """What `homes` draw at their current states."""

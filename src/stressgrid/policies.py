@@ -30,7 +30,6 @@ import numpy as np
 from .homes import Fleet, Home
 from .levels import CAP_FRACTION, PowerLevel
 from .protocol import CommandChannel
-from .topology import Topology
 
 MIN_STRESS = 5.0
 LATE_ROUNDS_PER_PASS = 5  # smart-home rounds after the first two
@@ -67,7 +66,7 @@ class RoundState:
     rounds alone read and move it, and it carries over from hour to hour.
     """
 
-    topology: Topology
+    fleet: Fleet
     dp: DistributionProfile
     reduction_factor: float
     rng: np.random.Generator
@@ -84,7 +83,7 @@ def _walk_groups(state: RoundState, shed: Callable[[np.ndarray], None]) -> None:
     most once, while `served_w` exceeds `capacity_w`; `shed(members)` sheds
     in one group and lowers `served_w` by the watts shed. Moves
     `next_group` past every group visited."""
-    groups = state.topology.group_members
+    groups = state.fleet.groups
     visited = 0
     while visited < len(groups) and state.served_w > state.capacity_w:
         shed(groups[(state.next_group + visited) % len(groups)])
@@ -97,7 +96,7 @@ def _send(state: RoundState, homes: np.ndarray, levels, until_fits: bool = False
     order, one command each, and lower `served_w` by the watts each
     delivered command sheds. With `until_fits`, stop after the first
     delivered command that brings `served_w` to or under `capacity_w`."""
-    fleet, apply = state.topology.fleet, state.channel.apply
+    fleet, apply = state.fleet, state.channel.apply
     levels = np.full(homes.shape, levels)
     shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
     for i, level, watts in zip(homes.tolist(), levels.tolist(), shed_w.tolist()):
@@ -110,7 +109,7 @@ def _send(state: RoundState, homes: np.ndarray, levels, until_fits: bool = False
 def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
     """The non-smart homes among `homes` not yet off, less those shed last
     hour unless an emergency is in force."""
-    fleet = state.topology.fleet
+    fleet = state.fleet
     keep = ~fleet.smart[homes] & (fleet.level[homes] != PowerLevel.L1)
     if not state.emergency:
         keep &= ~fleet.ls_lh[homes]
@@ -124,7 +123,7 @@ def baseline_step(state: RoundState, k: int) -> None:
     rotates by one group per hour."""
     start = state.next_group
     _walk_groups(state, lambda members: _send(state, members, PowerLevel.L1))
-    state.next_group = (start + (k == 1)) % len(state.topology.group_members)
+    state.next_group = (start + (k == 1)) % len(state.fleet.groups)
 
 
 def alg1_decisions(
@@ -199,14 +198,14 @@ def alg1_round(state: RoundState, k: int) -> None:
     Commands go out in home-id order, only to homes that change state;
     `served_w` falls by the watts the delivered ones shed.
     """
-    n = pass_rounds(len(state.topology.group_members))
+    n = pass_rounds(len(state.fleet.groups))
     if k > n:
         state.emergency = True
     round_index = (k - 1) % n + 1
     if round_index == 2:
         cut_nonsmart_groups(state)
         return
-    fleet = state.topology.fleet
+    fleet = state.fleet
     smart = fleet.smart_homes
     if not smart.size:
         return
@@ -246,7 +245,7 @@ def alg2_step(state: RoundState, k: int) -> None:
     Homes shed last hour are skipped unless emergency. `next_group`
     advances past every group visited.
     """
-    fleet = state.topology.fleet
+    fleet = state.fleet
     emergency = state.emergency
 
     def shed(members: np.ndarray) -> None:

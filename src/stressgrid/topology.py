@@ -52,12 +52,6 @@ class SupplyModel:
         return (1.0 - self.gap_fraction) * demand_w
 
 
-@dataclass
-class Topology:
-    fleet: Fleet
-    group_members: list[np.ndarray]  # home ids of each feeder group, ascending
-
-
 @lru_cache(maxsize=8)
 def _class_stream(n_homes: int, class_mix: tuple[float, ...]) -> np.ndarray:
     """Deterministic interleaved class indices honoring the mix quotas: each
@@ -99,8 +93,9 @@ def build_topology(
     homes_per_transformer: int,
     group_size: int,
     class_mix: tuple[float, ...],
-) -> Topology:
-    """Build the tree; `ap` is the fraction of homes given smart control.
+) -> Fleet:
+    """Build the tree as a `Fleet`; `ap` is the fraction of homes given
+    smart control.
     The arguments are taken as checked, as `SimConfig` checks them."""
     n_transformers = math.ceil(n_homes / homes_per_transformer)
 
@@ -116,12 +111,12 @@ def build_topology(
     ends = np.cumsum(np.bincount(group, minlength=n_groups))
     members = np.split(np.argsort(group, kind="stable"), ends[:-1])
     models = tuple(class_models.get(label) for label in labels)
-    return Topology(Fleet(models, cls, smart), members)
+    return Fleet(models, cls, smart, members)
 
 
-def served_demand(topology: Topology) -> float:
+def served_demand(fleet: Fleet) -> float:
     """Served demand at the homes' current states; raises while draws are unset."""
-    total = float(topology.fleet.watts(np.arange(len(topology.fleet))).sum())
+    total = float(fleet.watts(np.arange(len(fleet))).sum())
     if math.isnan(total):
         raise RuntimeError("hour draws not set")
     return total

@@ -35,7 +35,7 @@ def small_topology(class_models):
             group_size=group_size,
             class_mix=class_mix,
         )
-        helpers.fill_draws(topo.fleet, 0.8)
+        helpers.fill_draws(topo, 0.8)
         return topo
 
     return build

@@ -60,23 +60,22 @@ def hour_digest(logs) -> str:
 
 
 def make_fleet(model, n: int = 1, smart: bool = True) -> Fleet:
-    """n homes of one class, draws not yet set."""
-    return Fleet((model,), np.zeros(n, dtype=np.intp), np.full(n, smart))
+    """n homes of one class in one feeder group, draws not yet set."""
+    return Fleet((model,), np.zeros(n, dtype=np.intp), np.full(n, smart), [np.arange(n)])
 
 
 def fill_draws(fleet: Fleet, scale: float) -> None:
     """Give every home `scale` times its appliances' rated draws."""
-    for c, model in enumerate(fleet.models):
-        homes = np.flatnonzero(fleet.cls == c)
+    for model, homes in zip(fleet.models, fleet.class_homes):
         if homes.size:
             set_hour_draws(fleet, homes, np.tile(model.rated_draws * scale, (homes.size, 1)))
 
 
-def demand(topology) -> tuple[float, float]:
+def demand(fleet) -> tuple[float, float]:
     """(unconstrained demand, served demand) in watts: what all homes would
     draw at L5, and what they draw at their current states."""
-    unconstrained = topology.fleet.level_watts[:, PowerLevel.L5 - 1].sum()
-    return float(unconstrained), served_demand(topology)
+    unconstrained = fleet.level_watts[:, PowerLevel.L5 - 1].sum()
+    return float(unconstrained), served_demand(fleet)
 
 
 def decide(fleet: Fleet, sl: float, dp: DistributionProfile, emergency: bool, r: int):
@@ -155,9 +154,8 @@ def alg2_step_reference(state: RoundState, k: int) -> None:
     id), then step the candidates down in that order, one command each
     (whose delivery the channel draws on its own stream), until served
     watts fit under capacity. Raises the emergency flag if they never do."""
-    topology, rng, channel, emergency = state.topology, state.rng, state.channel, state.emergency
-    fleet = topology.fleet
-    groups = topology.group_members
+    fleet, rng, channel, emergency = state.fleet, state.rng, state.channel, state.emergency
+    groups = fleet.groups
     visited = 0
     while visited < len(groups) and state.served_w > state.capacity_w:
         members = groups[(state.next_group + visited) % len(groups)].tolist()

@@ -268,7 +268,7 @@ class TestRandomStreams:
 
         def recording_build_topology(*args, **kwargs):
             topo = build_topology(*args, **kwargs)
-            smart.append(topo.fleet.smart.copy())
+            smart.append(topo.smart.copy())
             return topo
 
         monkeypatch.setattr(engine, "build_topology", recording_build_topology)
@@ -342,13 +342,13 @@ class TestRunCell:
                 rng=np.random.default_rng(1), homes_per_transformer=config.homes_per_transformer,
                 group_size=config.group_size, class_mix=config.class_mix,
             )
-            fleets.append(topo.fleet)
+            fleets.append(topo)
             rngs.append(np.random.default_rng(2))
         blocked, whole = fleets
         class_homes = [np.flatnonzero(blocked.cls == c) for c in range(len(blocked.models))]
         assert min(homes.size for homes in class_homes) > BLOCK_ROWS
         for _ in range(2):  # two hours
-            engine._refresh_draws(blocked, class_homes, rngs[0])
+            engine._refresh_draws(blocked, rngs[0])
             for model, homes in zip(whole.models, class_homes):
                 u = rngs[1].random((homes.size, model.n_appliances))
                 set_hour_draws(whole, homes, sample_inverse(model.table, u))

@@ -23,7 +23,7 @@ from stressgrid.homes import (
 )
 from stressgrid.levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
 from stressgrid.protocol import decode, encode
-from stressgrid.topology import Topology, build_topology, served_demand
+from stressgrid.topology import build_topology, served_demand
 
 
 class TestBuildDm:
@@ -184,6 +184,38 @@ class TestSetHourDraws:
             assert (batch.level_watts[i] == single.level_watts[0]).all()
 
 
+class TestSibling:
+    """The fleets of one grid's policies share the grid and this hour's
+    draws, and each keeps its own states and backoff state."""
+
+    SHARED = ("models", "cls", "smart", "groups", "level_watts", "smart_homes", "class_homes", "rating_w")
+    STATES = {"level": PowerLevel.L1, "ls_lh": True, "dlc_done": True, "sl_init": 7.0}
+
+    def test_shares_the_grid(self, small_topology):
+        fleet = small_topology()
+        other = fleet.sibling()
+        for name in self.SHARED:
+            assert getattr(other, name) is getattr(fleet, name), name
+
+    @pytest.mark.parametrize("name", sorted(STATES))
+    def test_writes_to_one_fleet_leave_the_other(self, small_topology, name):
+        fleet = small_topology()
+        other = fleet.sibling()
+        for written, kept in ((fleet, other), (other, fleet)):
+            before = getattr(kept, name).copy()
+            getattr(written, name)[::3] = self.STATES[name]
+            assert np.array_equal(getattr(kept, name), before, equal_nan=True), name
+
+    def test_starts_at_l5_with_backoff_unset(self, small_topology):
+        fleet = small_topology()
+        for name, value in self.STATES.items():
+            getattr(fleet, name)[:] = value
+        other = fleet.sibling()
+        assert (other.level == PowerLevel.L5).all()
+        assert not other.ls_lh.any() and not other.dlc_done.any()
+        assert np.isnan(other.sl_init).all()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     label=st.sampled_from(sorted(HOME_CLASSES)),
@@ -214,7 +246,7 @@ def test_installed_watts_are_exact(label, n_homes, overload, seed):
 
     fleet.level[:] = rng.integers(PowerLevel.L1, PowerLevel.L5 + 1, n_homes)
     watts = fleet.watts(np.arange(n_homes)).tolist()
-    served = served_demand(Topology(fleet, [np.arange(n_homes)]))
+    served = served_demand(fleet)
     assert served == math.fsum(watts) == sum(reversed(watts))
     rng.shuffle(watts)
     assert served == sum(watts)

@@ -41,11 +41,11 @@ def test_rounds_start_from_served_demand_and_never_raise_a_level(config):
     def checked_round(state, k):
         nonlocal rounds
         rounds += 1
-        assert state.served_w == served_demand(state.topology), k
-        before = state.topology.fleet.level.copy()
+        assert state.served_w == served_demand(state.fleet), k
+        before = state.fleet.level.copy()
         policy.round(state, k)
-        assert (state.topology.fleet.level <= before).all(), k
-        assert state.served_w == served_demand(state.topology), k
+        assert (state.fleet.level <= before).all(), k
+        assert state.served_w == served_demand(state.fleet), k
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(POLICIES, config.policy, policy._replace(round=checked_round))

@@ -49,7 +49,7 @@ def equal_draw_topology(class_models, n_homes, n_feeders, ap, group_size, seed=0
         rng=np.random.default_rng(seed), homes_per_transformer=5, group_size=group_size,
         class_mix=(1.0, 0.0, 0.0),
     )
-    helpers.fill_draws(topo.fleet, 0.5)
+    helpers.fill_draws(topo, 0.5)
     return topo
 
 
@@ -65,8 +65,8 @@ def round_state(topo, **fields) -> RoundState:
 
 def blacked_out(topo) -> set[int]:
     """The groups that have homes, all of them off."""
-    level = topo.fleet.level
-    return {g for g, members in enumerate(topo.group_members)
+    level = topo.level
+    return {g for g, members in enumerate(topo.groups)
             if members.size and (level[members] == PowerLevel.L1).all()}
 
 
@@ -209,13 +209,13 @@ class TestBaselineStep:
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         baseline_step(round_state(topo, capacity_w=1e12), 1)
         assert blacked_out(topo) == set()
-        assert (topo.fleet.level == PowerLevel.L5).all()
+        assert (topo.level == PowerLevel.L5).all()
 
     def test_zero_capacity_blacks_all(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         baseline_step(round_state(topo, capacity_w=0.0), 1)
         assert blacked_out(topo) == {0, 1, 2, 3, 4}
-        assert (topo.fleet.level == PowerLevel.L1).all()
+        assert (topo.level == PowerLevel.L1).all()
 
     def test_exactly_one_group_for_twenty_percent_gap(self, class_models):
         # Brute-force oracle: with five equal-demand groups, m blackouts
@@ -236,7 +236,7 @@ class TestBaselineStep:
         baseline_step(state, 1)
         assert blacked_out(topo) == {0}
         assert state.next_group == 1
-        reset_hourly(topo.fleet)
+        reset_hourly(topo)
         state.served_w = served_demand(topo)
         baseline_step(state, 1)
         assert blacked_out(topo) == {1}
@@ -258,9 +258,9 @@ class TestEmptyGroups:
 
     def topology(self, class_models):
         topo = equal_draw_topology(class_models, 20, 12, 0.0, 4)
-        assert [len(m) for m in topo.group_members] == [20, 0, 0]
+        assert [len(m) for m in topo.groups] == [20, 0, 0]
         pass_rounds = 2 + 3 + LATE_ROUNDS_PER_PASS
-        budgets = {name: p.max_rounds(len(topo.group_members)) for name, p in POLICIES.items()}
+        budgets = {name: p.max_rounds(len(topo.groups)) for name, p in POLICIES.items()}
         assert budgets == {"baseline": pass_rounds, "distributed": 2 * pass_rounds, "centralized": 3}
         return topo
 
@@ -270,7 +270,7 @@ class TestEmptyGroups:
         baseline_step(state, 1)
         assert blacked_out(topo) == {0}
         assert state.next_group == 2
-        reset_hourly(topo.fleet)
+        reset_hourly(topo)
         state.served_w = served_demand(topo)
         baseline_step(state, 1)
         assert blacked_out(topo) == {0}
@@ -286,8 +286,8 @@ class TestEmptyGroups:
         cut_nonsmart_groups(state)
         assert blacked_out(topo) == {0}
         assert state.next_group == 1
-        reset_hourly(topo.fleet)
-        topo.fleet.ls_lh[:] = False
+        reset_hourly(topo)
+        topo.ls_lh[:] = False
         state.served_w = served_demand(topo)
         cut_nonsmart_groups(state)
         assert blacked_out(topo) == {0}
@@ -298,12 +298,12 @@ class TestAlg1Round:
     def test_converged_round_changes_nothing(self, class_models):
         topo = equal_draw_topology(class_models, 40, 4, 1.0, 2)
         D, _ = demand(topo)
-        before = topo.fleet.level.copy()
+        before = topo.level.copy()
         channel = CommandChannel(1.0, None)
         alg1_round(round_state(topo, sl=0.0, capacity_w=D, channel=channel), 1)
         # sl=0 clamps to 5; only r in 1..4 backs off, so a handful may move
-        moved = np.count_nonzero(topo.fleet.level != before)
-        assert moved <= len(topo.fleet) * 0.15
+        moved = np.count_nonzero(topo.level != before)
+        assert moved <= len(topo) * 0.15
         assert channel.sent == moved  # commands go only to homes that move
 
     def test_round_one_mass_backoff_to_l2(self, class_models):
@@ -314,7 +314,7 @@ class TestAlg1Round:
             topo, dp=DistributionProfile(0.0, 0.0, 1.0), sl=100.0, rng=np.random.default_rng(1)
         )
         alg1_round(state, 1)
-        fleet = topo.fleet
+        fleet = topo
         assert set(fleet.level.tolist()) <= {PowerLevel.L2, PowerLevel.L5}
         stragglers = fleet.level == PowerLevel.L5
         # r == 100 has probability 1/100 per home
@@ -326,7 +326,7 @@ class TestAlg1Round:
     def test_no_smart_homes_round_one_is_inert(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
         alg1_round(round_state(topo, sl=80.0, rng=np.random.default_rng(2)), 1)
-        assert (topo.fleet.level == PowerLevel.L5).all()
+        assert (topo.level == PowerLevel.L5).all()
 
     def test_round_two_matches_baseline_cutoffs(self, class_models):
         # with no smart homes the second round is the baseline group cut
@@ -336,7 +336,7 @@ class TestAlg1Round:
         capacity = 0.7 * D
         alg1_round(round_state(topo_a, sl=30.0, capacity_w=capacity, rng=np.random.default_rng(3)), 2)
         baseline_step(round_state(topo_b, capacity_w=capacity), 1)
-        assert topo_a.fleet.level.tolist() == topo_b.fleet.level.tolist()
+        assert topo_a.level.tolist() == topo_b.level.tolist()
 
     def test_late_rounds_step_down_done_homes(self, class_models):
         # one group, so a pass is 2 + 1 + 5 rounds; the contract is
@@ -346,7 +346,7 @@ class TestAlg1Round:
         capacity = 0.5 * D
         state = round_state(topo, sl=50.0, capacity_w=capacity, rng=np.random.default_rng(4))
         pass_rounds = 2 + 1 + 5
-        assert POLICIES["distributed"].max_rounds(len(topo.group_members)) == 2 * pass_rounds
+        assert POLICIES["distributed"].max_rounds(len(topo.groups)) == 2 * pass_rounds
         after_round_2 = None
         converged_at = None
         for k in range(1, 2 * pass_rounds + 1):
@@ -361,7 +361,7 @@ class TestAlg1Round:
         assert converged_at is not None
         assert served_demand(topo) < after_round_2  # late rounds made progress
         if converged_at <= pass_rounds:
-            assert (topo.fleet.level[topo.fleet.smart] >= PowerLevel.L2).all()
+            assert (topo.level[topo.smart] >= PowerLevel.L2).all()
 
 
 STRESS = st.floats(0.0, 100.0)
@@ -381,7 +381,7 @@ def test_masked_round_matches_scalar_reference(class_models, data):
         ap=data.draw(st.sampled_from([0.5, 1.0])), rng=np.random.default_rng(0),
         homes_per_transformer=5, group_size=1, class_mix=(1 / 3, 1 / 3, 1 / 3),
     )
-    fleet = topo.fleet
+    fleet = topo
     for i, (level, ls_lh, dlc_done, sl_init) in enumerate(
         data.draw(st.lists(FRESH_HOME | BACKED_OFF_HOME, min_size=len(fleet), max_size=len(fleet)))
     ):
@@ -434,17 +434,17 @@ def test_masked_round_matches_scalar_reference(class_models, data):
 class TestCutNonSmartGroups:
     def test_respects_last_hour_exemption(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
-        level, members = topo.fleet.level, topo.group_members
-        topo.fleet.ls_lh[members[0]] = True
+        level, members = topo.level, topo.groups
+        topo.ls_lh[members[0]] = True
         cut_nonsmart_groups(round_state(topo, capacity_w=0.0))
         assert (level[members[0]] == PowerLevel.L5).all()
         assert all((level[members[gi]] == PowerLevel.L1).all() for gi in (1, 2, 3, 4))
 
     def test_emergency_overrides_exemption(self, class_models):
         topo = equal_draw_topology(class_models, 50, 5, 0.0, 1)
-        topo.fleet.ls_lh[:] = True
+        topo.ls_lh[:] = True
         cut_nonsmart_groups(round_state(topo, capacity_w=0.0, emergency=True))
-        assert (topo.fleet.level == PowerLevel.L1).all()
+        assert (topo.level == PowerLevel.L1).all()
 
 
 class TestEligibleLowerLevels:
@@ -494,8 +494,8 @@ class TestAlg2Step:
             class_mix=(1.0, 0.0, 0.0),
         )
         rated = class_models["A"].rated_draws
-        set_hour_draws(topo.fleet, np.array([0]), rated[None].copy())  # ~87% of rating
-        return topo, topo.fleet
+        set_hour_draws(topo, np.array([0]), rated[None].copy())  # ~87% of rating
+        return topo, topo
 
     @staticmethod
     def step(topo, gap_w: float, seed: int, **fields) -> RoundState:
@@ -515,11 +515,11 @@ class TestAlg2Step:
 
     def test_non_smart_group_cut_first(self, class_models):
         topo = equal_draw_topology(class_models, 50, 10, 0.0, 5)  # 2 groups
-        group0_demand = topo.fleet.level_watts[topo.group_members[0], PowerLevel.L5 - 1].sum()
+        group0_demand = topo.level_watts[topo.groups[0], PowerLevel.L5 - 1].sum()
         state = self.step(topo, group0_demand / 2, 7)
         assert not state.emergency
-        assert (topo.fleet.level[topo.group_members[0]] == PowerLevel.L1).all()
-        assert (topo.fleet.level[topo.group_members[1]] == PowerLevel.L5).all()
+        assert (topo.level[topo.groups[0]] == PowerLevel.L1).all()
+        assert (topo.level[topo.groups[1]] == PowerLevel.L5).all()
         assert state.next_group == 1
 
     def test_uniform_choice_over_eligible_levels(self, class_models):
@@ -543,9 +543,9 @@ class TestAlg2Step:
         )
         rated = class_models["A"].rated_draws
         # home 1 is the biggest consumer
-        set_hour_draws(topo.fleet, np.arange(3), np.array([rated * 0.85, rated, rated * 0.80]))
+        set_hour_draws(topo, np.arange(3), np.array([rated * 0.85, rated, rated * 0.80]))
         self.step(topo, 1.0, 9)
-        level = topo.fleet.level
+        level = topo.level
         assert level[1] < PowerLevel.L5
         assert level[0] == PowerLevel.L5
         assert level[2] == PowerLevel.L5
@@ -556,10 +556,10 @@ class TestAlg2Step:
             rng=np.random.default_rng(10), homes_per_transformer=5, group_size=10,
             class_mix=(1.0, 0.0, 0.0),
         )
-        helpers.fill_draws(topo.fleet, 1.0)
+        helpers.fill_draws(topo, 1.0)
         self.step(topo, 1.0, 11)
-        assert topo.fleet.level[0] < PowerLevel.L5
-        assert topo.fleet.level[1] == PowerLevel.L5
+        assert topo.level[0] < PowerLevel.L5
+        assert topo.level[1] == PowerLevel.L5
 
     def test_shed_last_hour_skipped_without_emergency(self, class_models):
         topo, fleet = self.one_home_topology(class_models)
@@ -637,7 +637,7 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
         homes_per_transformer=5, group_size=data.draw(st.integers(1, n_feeders)),
         class_mix=(1 / 3, 1 / 3, 1 / 3),
     )
-    fleet = topo.fleet
+    fleet = topo
     setup = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for c, model in enumerate(fleet.models):
         homes = np.flatnonzero(fleet.cls == c)
@@ -649,7 +649,7 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
     served = served_demand(topo)
     gap = data.draw(st.floats(-0.1, 1.2)) * served
     emergency = data.draw(st.booleans())
-    start = data.draw(st.integers(0, len(topo.group_members) - 1))
+    start = data.draw(st.integers(0, len(topo.groups) - 1))
     link = data.draw(st.sampled_from(sorted(LINKS)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     level = fleet.level.copy()

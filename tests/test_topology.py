@@ -18,9 +18,9 @@ from stressgrid.topology import (
 
 
 def home_groups(topo) -> np.ndarray:
-    """Each home's feeder group, read off `group_members` (-1 for none)."""
-    group = np.full(len(topo.fleet), -1)
-    for gi, homes in enumerate(topo.group_members):
+    """Each home's feeder group, read off `groups` (-1 for none)."""
+    group = np.full(len(topo), -1)
+    for gi, homes in enumerate(topo.groups):
         group[homes] = gi
     return group
 
@@ -32,8 +32,8 @@ class TestBuild:
             rng=np.random.default_rng(0), homes_per_transformer=5, group_size=10,
             class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
-        assert len(topo.group_members) == 1
-        assert topo.group_members[0].tolist() == list(range(100))
+        assert len(topo.groups) == 1
+        assert topo.groups[0].tolist() == list(range(100))
 
     def test_desk_scale_grouping(self, class_models):
         topo = build_topology(
@@ -41,8 +41,8 @@ class TestBuild:
             rng=np.random.default_rng(0), homes_per_transformer=5, group_size=10,
             class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
-        assert len(topo.group_members) == 5
-        assert all(len(m) == 200 for m in topo.group_members)
+        assert len(topo.groups) == 5
+        assert all(len(m) == 200 for m in topo.groups)
 
     def test_smart_quota_exact(self, class_models):
         topo = build_topology(
@@ -50,7 +50,7 @@ class TestBuild:
             rng=np.random.default_rng(123), homes_per_transformer=5, group_size=10,
             class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
-        assert topo.fleet.smart.sum() == 900
+        assert topo.smart.sum() == 900
 
     def test_group_partition(self, class_models):
         topo = build_topology(
@@ -59,12 +59,12 @@ class TestBuild:
             class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
         # 24 transformers on 12 feeders; feeders 0-4, 5-9 and 10-11 form groups
-        assert len(topo.group_members) == 3
-        members = np.concatenate(topo.group_members)
+        assert len(topo.groups) == 3
+        members = np.concatenate(topo.groups)
         assert sorted(members) == list(range(120))
         group = home_groups(topo)
         assert group.tolist() == [i % 24 % 12 // 5 for i in range(120)]
-        for gi, homes in enumerate(topo.group_members):
+        for gi, homes in enumerate(topo.groups):
             assert (group[homes] == gi).all()
             assert list(homes) == sorted(homes)
 
@@ -76,7 +76,7 @@ class TestBuild:
         )
         # 10 transformers of 5 homes on feeders 0-6, 0-2: feeders 0-2 carry
         # 10 homes each, feeders 3-6 carry 5; groups are feeders 0-2, 3-5, 6
-        sizes = [len(m) for m in topo.group_members]
+        sizes = [len(m) for m in topo.groups]
         assert sizes == [30, 15, 5]
 
     def test_class_mix_quotas(self, class_models):
@@ -85,7 +85,7 @@ class TestBuild:
             rng=np.random.default_rng(3), homes_per_transformer=5, group_size=10,
             class_mix=(1 / 3, 1 / 3, 1 / 3),
         )
-        assert np.bincount(topo.fleet.cls).tolist() == [100, 100, 100]
+        assert np.bincount(topo.cls).tolist() == [100, 100, 100]
 
     def test_single_class_mix(self, class_models):
         topo = build_topology(
@@ -93,7 +93,7 @@ class TestBuild:
             rng=np.random.default_rng(4), homes_per_transformer=5, group_size=10,
             class_mix=(1.0, 0.0, 0.0),
         )
-        assert all(topo.fleet.models[c].home_class.label == "A" for c in topo.fleet.cls)
+        assert all(topo.models[c].home_class.label == "A" for c in topo.cls)
 
     def test_deterministic_given_seed(self, class_models):
         kwargs = dict(
@@ -102,8 +102,8 @@ class TestBuild:
         )
         a = build_topology(class_models, rng=np.random.default_rng(9), **kwargs)
         b = build_topology(class_models, rng=np.random.default_rng(9), **kwargs)
-        assert (a.fleet.smart == b.fleet.smart).all()
-        assert (a.fleet.cls == b.fleet.cls).all()
+        assert (a.smart == b.smart).all()
+        assert (a.cls == b.cls).all()
         assert (home_groups(a) == home_groups(b)).all()
 
     def test_class_stream_matches_sorted_deficits(self):
@@ -138,8 +138,8 @@ class TestDemand:
             rng=np.random.default_rng(5), homes_per_transformer=5, group_size=10,
             class_mix=(1.0, 0.0, 0.0),
         )
-        helpers.fill_draws(topo.fleet, 0.5)
-        level = topo.fleet.level
+        helpers.fill_draws(topo, 0.5)
+        level = topo.level
 
         level[:] = PowerLevel.L1
         unconstrained, served = helpers.demand(topo)
@@ -157,14 +157,14 @@ class TestDemand:
         topo = small_topology()
         _, served_before = helpers.demand(topo)
         assert served_demand(topo) == pytest.approx(served_before)
-        topo.fleet.level[0] = PowerLevel.L1
+        topo.level[0] = PowerLevel.L1
         drop = helpers.demand(topo)[1]
         assert drop < served_before
 
     def test_served_never_exceeds_unconstrained(self, small_topology):
         topo = small_topology()
         rng = np.random.default_rng(6)
-        topo.fleet.level[:] = rng.integers(1, 6, len(topo.fleet))
+        topo.level[:] = rng.integers(1, 6, len(topo))
         unconstrained, served = helpers.demand(topo)
         assert served <= unconstrained + 1e-9
 
