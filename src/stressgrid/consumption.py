@@ -207,7 +207,8 @@ def _invert(table: CdfTable, u: np.ndarray, out: np.ndarray | None = None) -> np
 
 
 def read_samples_file(path: Path | str) -> ApplianceSamples:
-    """Read one appliance sample file (header line, then watt readings)."""
+    """Read one appliance sample file (header line, then at least one finite,
+    non-negative watt reading)."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or not lines[0].startswith("appliance,"):
@@ -219,8 +220,12 @@ def read_samples_file(path: Path | str) -> ApplianceSamples:
         values = np.array([float(s) for s in lines[1:] if s.strip()])
     except ValueError as exc:
         raise ValueError(f"{path}: bad reading ({exc})") from None
+    if not values.size:
+        raise ValueError(f"{path}: no readings")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: non-finite reading")
+    if np.any(values < 0):
+        raise ValueError(f"{path}: negative reading")
     return ApplianceSamples(name, values)
 
 

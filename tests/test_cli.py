@@ -64,6 +64,10 @@ def _append(path: Path, line: str) -> None:
     path.write_text(path.read_text() + line)
 
 
+def _keep_header(path: Path) -> None:
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
 def write_config(tmp_path: Path, text: str) -> Path:
     p = tmp_path / "exp.ini"
     p.write_text(text)
@@ -279,6 +283,10 @@ class TestMain:
                      id="corpus-bad-reading"),
         pytest.param(corpus_ini(lambda d: _append(d / "refrigerator.txt", "nan\n")), [],
                      id="corpus-non-finite-reading"),
+        pytest.param(corpus_ini(lambda d: _append(d / "refrigerator.txt", "-5.0\n")), [],
+                     id="corpus-negative-reading"),
+        pytest.param(corpus_ini(lambda d: _keep_header(d / "refrigerator.txt")), [],
+                     id="corpus-no-readings"),
         pytest.param(corpus_ini(lambda d: (d / "refrigerator.txt").unlink()), [],
                      id="corpus-missing-file"),
         pytest.param(corpus_ini(lambda d: _append(d / "manifest.txt", "refrigerator.txt\n")), [],

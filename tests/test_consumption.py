@@ -309,6 +309,16 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="bad reading"):
             read_samples_file(p)
 
+    @pytest.mark.parametrize("body, problem", [
+        ("10\n-5.0\n", "negative reading"),  # fit_cdf would raise at the first fit
+        ("\n", "no readings"),  # so would filter_outliers
+    ])
+    def test_unfittable_readings_name_file(self, tmp_path, body, problem):
+        p = tmp_path / "fan.txt"
+        p.write_text("appliance,fan\n" + body)
+        with pytest.raises(ValueError, match=f"fan.txt: {problem}"):
+            read_samples_file(p)
+
     def test_class_manifest(self, tmp_path):
         d = tmp_path / "class_a"
         d.mkdir()

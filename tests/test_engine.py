@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -23,6 +24,8 @@ from stressgrid.levels import PowerLevel
 from stressgrid.metrics import write_run_csv
 from stressgrid.policies import POLICIES
 from stressgrid.topology import SupplyModel, build_topology
+
+CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
 
 def cfg(**overrides):
@@ -317,6 +320,15 @@ class TestRunCell:
         assert [log.config_hash for log in grouped] == [c.config_hash() for c in configs]
         if distance_m is not None:
             assert all(log.commands_lost > 0 for log in grouped if log.policy != "baseline")
+
+    def test_hour_digest_is_the_benchmark_digest(self):
+        """The digest these tests compare is the one the benchmark compares."""
+        spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        logs = run_cell(self.cell(self.SUPPLIES["gap40"], 50.0, 5))
+        assert helpers.hour_digest(logs) == checks.log_digest(logs)
+        assert helpers.hour_digest(logs[1:]) == checks.log_digest(logs[1:]) != checks.log_digest(logs)
 
     def test_a_policy_may_repeat(self):
         configs = self.cell(self.SUPPLIES["gap40"], 50.0, 5, ("distributed", "centralized", "distributed"))
