@@ -94,9 +94,8 @@ def build_topology(
     group_size: int,
     class_mix: tuple[float, ...],
 ) -> Fleet:
-    """Build the tree as a `Fleet`; `ap` is the fraction of homes given
-    smart control.
-    The arguments are taken as checked, as `SimConfig` checks them."""
+    """Build the tree as a `Fleet`; `ap` is the fraction of homes given smart
+    control. The arguments are taken as checked, as `SimConfig` checks them."""
     n_transformers = math.ceil(n_homes / homes_per_transformer)
 
     labels = sorted(HOME_CLASSES)
