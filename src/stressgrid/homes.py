@@ -9,8 +9,7 @@ fitted distribution.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -161,7 +160,10 @@ class Fleet:
     def sibling(self) -> Fleet:
         """Another policy's fleet on the same grid: every array shared, this
         hour's draws too, but its own states at L5 and backoff state unset."""
-        other = copy.copy(self)
+        # not copy.copy: a __dict__ on both fleets slows each attribute read
+        other = object.__new__(Fleet)
+        for f in fields(self):
+            setattr(other, f.name, getattr(self, f.name))
         other._reset_states()
         return other
 
