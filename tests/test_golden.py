@@ -65,7 +65,8 @@ GAPS = (0.1, 0.4, 0.6)
 LINKS = {"nolink": {}, "50m": dict(protocol_emulation=True, protocol_distance_m=50.0),
          "30m": dict(protocol_emulation=True, protocol_distance_m=30.0)}
 SEEDS = (5, 99)
-CELLS = [f"gap{round(100 * gap)}-{link}-seed{seed}" for gap, link, seed in product(GAPS, LINKS, SEEDS)]
+CELLS = {f"gap{round(100 * gap)}-{link}-seed{seed}": (gap, link, seed)
+         for gap, link, seed in product(GAPS, LINKS, SEEDS)}
 
 
 def fingerprint(name: str) -> dict:
@@ -85,9 +86,8 @@ def log_fingerprint(log) -> dict:
 def cell_digests(cell: str) -> dict[str, str]:
     """{policy: digest} of the runs of one matrix cell, named as in CELLS.
     A digest is the sha256 of the run's fingerprint less its floats."""
-    gap, link, seed = cell.split("-")
-    base = dict(_MATRIX, **LINKS[link], supply=SupplyModel(gap_fraction=int(gap[3:]) / 100),
-                seed=int(seed[4:]))
+    gap, link, seed = CELLS[cell]
+    base = dict(_MATRIX, **LINKS[link], supply=SupplyModel(gap_fraction=gap), seed=seed)
     logs = run_cell([SimConfig(**base, policy=policy) for policy in POLICIES])
     digests = {}
     for log in logs:
