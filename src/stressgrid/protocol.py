@@ -128,25 +128,39 @@ def overhead_power(rooms: int, shed: bool = False) -> float:
     return rooms * SBD_ACTIVE_W + MBD_ACTIVE_W
 
 
+# Delivery uniforms a lossy channel draws from its stream at a time.
+DRAW_BLOCK = 1024
+
+
+def _uniforms(rng: np.random.Generator):
+    """rng's uniforms one at a time, drawn DRAW_BLOCK at a time: the same
+    values, in the same order, as one `rng.random()` per value."""
+    while True:
+        yield from rng.random(DRAW_BLOCK).tolist()
+
+
 class CommandChannel:
     """Applies power-state commands to homes.
 
-    Each command lands with probability `delivery_p` (one uniform per
-    command from `rng`, a stream only the channel draws from); a lost
-    command leaves the home's state unchanged. A channel that always
-    delivers draws no random number. Delivery is instantaneous at the 1 s
-    round granularity (command latency is tens of milliseconds).
+    Each command lands with probability `delivery_p`: it takes the next
+    uniform of `rng`, a stream only the channel draws from, and lands if
+    that is below `delivery_p`. The uniforms are drawn in blocks of
+    `DRAW_BLOCK` and are the values of one `rng.random()` per command;
+    `rng` may end up to one block past the last value used. A lost command
+    leaves the home's state unchanged. A channel that always delivers draws
+    no random number, and its `rng` may be None. Delivery is instantaneous
+    at the 1 s round granularity (command latency is tens of milliseconds).
     """
 
-    def __init__(self, delivery_p: float, rng: np.random.Generator):
-        self.rng = rng
+    def __init__(self, delivery_p: float, rng: np.random.Generator | None):
         self.sent = 0
         self.lost = 0
         self._p = delivery_p if delivery_p < 1.0 else None
+        self._uniform = _uniforms(rng).__next__
 
     def apply(self, home, level) -> bool:
         self.sent += 1
-        if self._p is not None and self.rng.random() >= self._p:
+        if self._p is not None and self._uniform() >= self._p:
             self.lost += 1
             return False
         home.current_level = level

@@ -603,10 +603,10 @@ def test_array_bound_draw_equals_scalar_draws(ks, seed, odd_start):
 @given(n=st.integers(0, 200), seed=st.integers(0, 2**64 - 1), odd_start=st.booleans())
 def test_random_block_equals_scalar_draws(n, seed, odd_start):
     """One `rng.random(n)` gives the values of, and leaves the generator as,
-    n scalar `rng.random()` calls. A batched send that draws the delivery
-    uniforms of n commands as one block, in place of one `apply` draw per
-    command, keeps the channel stream only while this holds. A numpy that
-    breaks it fails here."""
+    n scalar `rng.random()` calls. `CommandChannel` draws its delivery
+    uniforms in blocks of `DRAW_BLOCK` and hands them out one per command;
+    its decisions equal those of one scalar draw per command only while
+    this holds. A numpy that breaks it fails here."""
     block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     if odd_start:  # half of a 64-bit output left buffered
         block.integers(0, 3)
@@ -628,8 +628,10 @@ LINKS = {
 def test_alg2_step_matches_scalar_reference(class_models, data):
     """alg2_step steps each group down in one batch, with or without a lossy
     link; it must agree with the scalar reference on levels, served watts,
-    emergency flag, next group, commands and where it leaves both streams:
-    the policy's step draws and the channel's delivery draws."""
+    emergency flag, next group, commands sent and lost, and where it leaves
+    both streams. The policy stream's end state counts its step draws; the
+    channel draws its uniforms in blocks, so its stream's end state counts
+    blocks, and `sent` pins the command count."""
     n_feeders = data.draw(st.integers(1, 30))
     topo = build_topology(
         class_models, n_homes=data.draw(st.integers(1, 300)), n_feeders=n_feeders,

@@ -15,6 +15,7 @@ import helpers
 from stressgrid.homes import Home
 from stressgrid.levels import PowerLevel
 from stressgrid.protocol import (
+    DRAW_BLOCK,
     CommandChannel,
     LinkModel,
     ack_slot,
@@ -193,3 +194,15 @@ class TestCommandChannel:
             return [channel.apply(home, PowerLevel.L4) for _ in range(100)]
 
         assert run(7) == run(7)
+
+    @pytest.mark.parametrize("blocks", range(4))
+    @pytest.mark.parametrize("remainder", [0, 1, DRAW_BLOCK - 1])
+    def test_outcomes_are_per_command_draws_across_blocks(self, class_models, blocks, remainder):
+        home = self.make_home(class_models)
+        n, p, seed = blocks * DRAW_BLOCK + remainder, LinkModel().delivery_probability(50.0), 19
+        channel = CommandChannel(p, np.random.default_rng(seed))
+        outcomes = [channel.apply(home, PowerLevel.L3) for _ in range(n)]
+        expected = (np.random.default_rng(seed).random(n) < p).tolist()
+        assert outcomes == expected
+        assert channel.sent == n
+        assert channel.lost == expected.count(False)
