@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import pytest
 
+from stressgrid.cli import ExperimentSpec, run_sweep
 from stressgrid.engine import SimConfig, run
 from stressgrid.levels import PowerLevel, UtilityParams, utility
 from stressgrid.metrics import (
@@ -17,6 +19,8 @@ from stressgrid.metrics import (
     day_ulw_wh,
     fractional_decrease,
     sci,
+    ap_token,
+    gap_token,
     ulw,
     write_report,
     write_run_csv,
@@ -182,6 +186,51 @@ class TestReportFiles:
         for p1, p2 in zip(w1, w2):
             assert p1.name == p2.name
             assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("policies", [
+        pytest.param(["baseline", "distributed", "centralized"], id="with-baseline"),
+        pytest.param(["distributed", "centralized"], id="without-baseline"),
+    ])
+    def test_every_matrix_entry(self, tmp_path, policies):
+        """Each entry of the four matrices, recomputed from the sweep's logs;
+        dec and SCI entries are nan where the baseline cell is missing."""
+        base = SimConfig(horizon_hours=3, n_homes=60, n_feeders=6, group_size=2, seed=5)
+        spec = ExperimentSpec(base=base, policies=policies, gaps_percent=[20.0, 40.0],
+                              aps=[0.3, 0.9], runs=2)
+        logs = run_sweep(spec, quiet=True)
+        write_report(logs, tmp_path)
+
+        def means(policy, gap, ap):
+            cell = sorted((lg for lg in logs if (lg.policy, lg.gap_percent, lg.ap) == (policy, gap, ap)),
+                          key=lambda lg: lg.seed)
+            assert len(cell) == spec.runs
+            fractions = [day_fractions(lg) for lg in cell]
+            return (
+                EdgeFractions(sum(f[PowerLevel.L1] for f in fractions) / len(cell),
+                              sum(f[PowerLevel.L5] for f in fractions) / len(cell)),
+                sum(day_ulw_wh(lg) for lg in cell) / len(cell),
+            )
+
+        checked = 0
+        for policy in set(policies) - {"baseline"}:
+            for gap in spec.gaps_percent:
+                for ap in spec.aps:
+                    algo, ulw_mean = means(policy, gap, ap)
+                    expected = {"dec_l1": math.nan, "dec_l5": math.nan, "sci": math.nan,
+                                "ulw_day_wh": ulw_mean}
+                    if "baseline" in policies:
+                        b, _ = means("baseline", gap, ap)
+                        expected["dec_l1"] = fractional_decrease(b.l1, algo.l1)
+                        expected["dec_l5"] = fractional_decrease(b.l5, algo.l5)
+                        expected["sci"] = sci(b, algo)
+                    for metric, value in expected.items():
+                        rows = list(csv.reader((tmp_path / f"matrix_{policy}_{metric}.csv").open()))
+                        assert rows[0] == ["gap_percent"] + [ap_token(a) for a in spec.aps]
+                        assert [r[0] for r in rows[1:]] == [gap_token(g) for g in spec.gaps_percent]
+                        entry = rows[1 + spec.gaps_percent.index(gap)][1 + spec.aps.index(ap)]
+                        assert entry == ("nan" if math.isnan(value) else f"{value:.6g}"), (policy, metric, gap, ap)
+                        checked += 1
+        assert checked == 4 * 2 * 2 * 2
 
     def test_empty_logs_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no logs"):
