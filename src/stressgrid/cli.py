@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .consumption import load_corpus
-from .engine import SimConfig, cell_key, run_cell
+from .engine import SimConfig, run_cell
 from .homes import checked_home_class
 from .levels import UtilityParams
 from .metrics import MetricsLog, ap_token, gap_token, write_report
@@ -279,25 +279,22 @@ def _worker_count(n_jobs: int) -> int:
 def run_sweep(spec: ExperimentSpec, quiet: bool = False) -> list[MetricsLog]:
     """Run every run of the sweep; deterministic, whatever the worker count.
 
-    The runs that differ in policy alone (one gap, AP and run index) form a
-    group that `engine.run_cell` runs on one grid. The logs come back in
-    `spec.configs()` order.
+    `spec.configs()` lists each policy's block of (gap, AP, run) coordinates
+    in the same order, so with n coordinates `configs[k::n]` are the runs
+    that differ in policy alone: a group that `engine.run_cell` runs on one
+    grid. The logs come back in `spec.configs()` order.
     """
     configs = spec.configs()
-    groups: dict[tuple, list[int]] = {}
-    for i, config in enumerate(configs):
-        groups.setdefault(cell_key(config), []).append(i)
-    jobs = [[configs[i] for i in group] for group in groups.values()]
-    workers = _worker_count(len(jobs))
-    logs: list[MetricsLog | None] = [None] * len(configs)
+    n = spec.runs * len(spec.gaps_percent) * len(spec.aps)
+    jobs = [configs[k::n] for k in range(n)]
+    workers = _worker_count(n)
+    results = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(run_cell, jobs, chunksize=1) if pool else map(run_cell, jobs)
-        for done, (group, group_logs) in enumerate(zip(groups.values(), results), 1):
-            for i, log in zip(group, group_logs):
-                logs[i] = log
+        for group_logs in pool.map(run_cell, jobs, chunksize=1) if pool else map(run_cell, jobs):
+            results.append(group_logs)
             if not quiet:
-                print(f"group {done}/{len(jobs)} complete")
-    return logs
+                print(f"group {len(results)}/{n} complete")
+    return [logs[p] for p in range(len(spec.policies)) for logs in results]
 
 
 def main(argv: list[str] | None = None) -> int:

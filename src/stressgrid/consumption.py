@@ -244,12 +244,16 @@ def load_class_samples(class_dir: Path | str) -> tuple[str, list[ApplianceSample
 
 
 def load_corpus(root: Path | str) -> dict[str, list[ApplianceSamples]]:
-    """Load every class directory under `root` (found by its manifest)."""
+    """Load every class directory under `root` (found by its manifest).
+    Raises ValueError if two manifests name one class."""
     root = Path(root)
     corpus: dict[str, list[ApplianceSamples]] = {}
+    manifests: dict[str, Path] = {}
     for manifest in sorted(root.glob(f"*/{MANIFEST_NAME}")):
         label, samples = load_class_samples(manifest.parent)
-        corpus[label] = samples
+        if label in manifests:
+            raise ValueError(f"{manifests[label]} and {manifest} both name class {label}")
+        corpus[label], manifests[label] = samples, manifest
     if not corpus:
         raise ValueError(f"no class manifests under {root}")
     return corpus

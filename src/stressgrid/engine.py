@@ -19,7 +19,7 @@ hour marked non-convergent and the run carries on.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .levels import PowerLevel, UtilityParams, utility
 from .metrics import HourRecord, MetricsLog, TraceEvent, ulw
 from .policies import POLICIES, DistributionProfile, RoundState, reset_hourly
 from .protocol import CommandChannel, LinkModel
-from .topology import SupplyModel, build_topology, served_demand, stress_level
+from .topology import STRESS_DECIMALS, SupplyModel, build_topology, served_demand, stress_level
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,6 @@ def _refresh_draws(fleet: Fleet, rng: np.random.Generator) -> None:
             set_hour_draws(fleet, block, sample_inverse(model.table, u, out=u))
 
 
-def cell_key(config: SimConfig) -> tuple:
-    """Every field of `config` but its policy: configs with equal keys make
-    one cell, which `run_cell` runs on one grid."""
-    return tuple(getattr(config, f.name) for f in fields(config) if f.name != "policy")
-
-
 def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int, demand_w: float) -> None:
     """Run the policy's rounds of the hour on `state`, whose homes are all at
     L5 and whose `capacity_w` and `sl` are the hour's, and record the hour
@@ -203,8 +197,8 @@ def run(config: SimConfig) -> MetricsLog:
 
 
 def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
-    """Execute the runs of `configs`, which must have equal `cell_key`s (a
-    policy may repeat); log i is the log of configs[i] run alone.
+    """Execute the runs of `configs`, which must be equal but for their
+    policies (a policy may repeat); log i is the log of configs[i] run alone.
 
     The seed spawns one random stream per purpose (topology, hourly redraw,
     policy, channel), so a draw for one purpose moves no value of another.
@@ -212,12 +206,13 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
     builds one grid and redraws it once an hour, and sums its demand and
     sets its capacity and stress level once an hour. Each run then plays
     the hour on its own fleet states, `RoundState`, policy stream and
-    channel stream. Raises ValueError for no configs or unequal keys.
+    channel stream. Raises ValueError for no configs or configs that differ
+    in more than the policy.
     """
     if not configs:
         raise ValueError("run_cell needs at least one config")
     config = configs[0]
-    if any(cell_key(other) != cell_key(config) for other in configs[1:]):
+    if any(replace(other, policy=config.policy) != config for other in configs[1:]):
         raise ValueError("the configs of a cell may differ in policy only")
     models = load_models(config.data_dir)
     streams = np.random.SeedSequence(config.seed).spawn(4)
@@ -237,7 +232,10 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
         if config.protocol_emulation else 1.0
     )
     supply = config.supply
-    gap_pct = 100.0 * supply.gap_fraction if supply.mode == "fractional_gap" else float("nan")
+    gap_pct = (
+        round(100.0 * supply.gap_fraction, STRESS_DECIMALS)  # as stress_level rounds
+        if supply.mode == "fractional_gap" else float("nan")
+    )
     runs = []
     for i, run_config in enumerate(configs):
         policy_rng, channel_rng = (np.random.default_rng(s) for s in streams[2:])

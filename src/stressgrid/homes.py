@@ -9,7 +9,8 @@ fitted distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,7 +112,7 @@ def build_class_model(label: str, cdfs: list[EmpiricalCdf]) -> ClassModel:
     )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Fleet:
     """The grid: state of every home, one array entry per home id, and the
     home ids of each feeder group (`groups`, each ascending).
@@ -160,10 +161,7 @@ class Fleet:
     def sibling(self) -> Fleet:
         """Another policy's fleet on the same grid: every array shared, this
         hour's draws too, but its own states at L5 and backoff state unset."""
-        # not copy.copy: a __dict__ on both fleets slows each attribute read
-        other = object.__new__(Fleet)
-        for f in fields(self):
-            setattr(other, f.name, getattr(self, f.name))
+        other = copy.copy(self)
         other._reset_states()
         return other
 

@@ -155,11 +155,9 @@ def _aggregate(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def write_summary_csv(
-    cell_logs: list[MetricsLog], fractions: list[dict[PowerLevel, float]], path: Path
-) -> None:
-    """Seed-aggregated metrics for one sweep cell; `fractions[j]` is the
-    `day_fractions` of cell_logs[j]."""
+def write_summary_csv(cell_logs: list[MetricsLog], path: Path) -> dict[str, float]:
+    """Seed-aggregated metrics for one sweep cell; returns each metric's mean."""
+    fractions = [day_fractions(lg) for lg in cell_logs]
     metrics: dict[str, list[float]] = {
         "ulw_day_wh": [day_ulw_wh(lg) for lg in cell_logs],
         "mean_utility": [day_mean_utility(lg) for lg in cell_logs],
@@ -175,21 +173,14 @@ def write_summary_csv(
     }
     for lv in LEVELS:
         metrics[f"frac_l{int(lv)}"] = [f[lv] for f in fractions]
+    means: dict[str, float] = {}
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["metric", "mean", "std", "runs"])
         for name, values in metrics.items():
-            mean, std = _aggregate(values)
-            w.writerow([name, _fmt(mean), _fmt(std), len(values)])
-
-
-def _mean_fractions(fractions: list[dict[PowerLevel, float]]) -> EdgeFractions:
-    """The L1 and L5 fractions averaged over a cell's runs."""
-    n = len(fractions)
-    return EdgeFractions(
-        sum(f[PowerLevel.L1] for f in fractions) / n,
-        sum(f[PowerLevel.L5] for f in fractions) / n,
-    )
+            means[name], std = _aggregate(values)
+            w.writerow([name, _fmt(means[name]), _fmt(std), len(values)])
+    return means
 
 
 def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
@@ -209,17 +200,15 @@ def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
     for key in cells:
         cells[key].sort(key=lambda lg: lg.seed)
 
-    edges: dict[tuple[str, str, float], EdgeFractions] = {}
+    means: dict[tuple[str, str, float], dict[str, float]] = {}
     for (policy, gt, ap), cell_logs in sorted(cells.items()):
         at = ap_token(ap)
         for lg in cell_logs:
             p = runs_dir / f"run_{policy}_{gt}_{at}_s{lg.seed}.csv"
             write_run_csv(lg, p)
             written.append(p)
-        fractions = [day_fractions(lg) for lg in cell_logs]
-        edges[(policy, gt, ap)] = _mean_fractions(fractions)
         p = out_dir / f"summary_{policy}_{gt}_{at}.csv"
-        write_summary_csv(cell_logs, fractions, p)
+        means[(policy, gt, ap)] = write_summary_csv(cell_logs, p)
         written.append(p)
 
     policies = sorted({k[0] for k in cells} - {"baseline"})
@@ -229,14 +218,14 @@ def write_report(logs: list[MetricsLog], out_dir: Path | str) -> list[Path]:
         tables = {"dec_l1": {}, "dec_l5": {}, "sci": {}, "ulw_day_wh": {}}
         for gap in gaps:
             for ap in aps:
-                algo = cells.get((policy, gap, ap))
-                if not algo:
+                algo, base = means.get((policy, gap, ap)), means.get(("baseline", gap, ap))
+                if algo is None:
                     continue
-                ulw_mean = sum(day_ulw_wh(lg) for lg in algo) / len(algo)
-                tables["ulw_day_wh"][(gap, ap)] = ulw_mean
-                if ("baseline", gap, ap) not in cells:
+                tables["ulw_day_wh"][(gap, ap)] = algo["ulw_day_wh"]
+                if base is None:
                     continue  # its dec and SCI cells are written as nan
-                b, a = edges[("baseline", gap, ap)], edges[(policy, gap, ap)]
+                b = EdgeFractions(base["frac_l1"], base["frac_l5"])
+                a = EdgeFractions(algo["frac_l1"], algo["frac_l5"])
                 tables["dec_l1"][(gap, ap)] = fractional_decrease(b.l1, a.l1)
                 tables["dec_l5"][(gap, ap)] = fractional_decrease(b.l5, a.l5)
                 tables["sci"][(gap, ap)] = sci(b, a)

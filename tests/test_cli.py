@@ -345,6 +345,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error: data_dir") and "Traceback" not in err
 
+    @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["run", "validate"])
+    def test_two_manifests_of_one_class_are_config_error(self, tmp_path, capsys, validate):
+        corpus = write_synthetic_corpus(tmp_path / "corpus")
+        copy = shutil.copytree(corpus / "class_a", corpus / "class_z")
+        (copy / "refrigerator.txt").write_text("appliance,refrigerator\n" + "5000.0\n" * 50)
+        p = write_config(tmp_path, tiny_with_data_dir(corpus))
+        out = tmp_path / "results"
+        assert main(["--config", str(p), "--out", str(out), "--quiet", *validate]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data_dir") and "Traceback" not in err
+        assert str(corpus / "class_a" / "manifest.txt") in err and str(copy / "manifest.txt") in err
+        assert not out.exists()
+
     def test_corpus_needs_only_the_classes_homes_get(self, tmp_path, capsys):
         corpus = write_synthetic_corpus(tmp_path / "corpus")
         shutil.rmtree(corpus / "class_b")

@@ -210,6 +210,13 @@ class TestStressExtremes:
         log = run(cfg(supply=SupplyModel(mode="fixed_capacity", capacity_w=1e9), horizon_hours=1))
         assert math.isnan(log.gap_percent)
 
+    def test_log_gap_is_the_configured_gap(self):
+        # cell_config divides the gap by 100; the log's gap must not be an
+        # ulp off it, as 100 * (7 / 100) is
+        spec = ExperimentSpec(base=cfg(horizon_hours=1, n_homes=5, n_feeders=1, group_size=1))
+        for gap in [q / 4 for q in range(400)]:
+            assert run(cell_config(spec, "baseline", gap, 0.9, 0)).gap_percent == gap
+
 
 class TestSmartHomeGuarantees:
     def test_no_smart_home_below_l2_without_emergency(self):
