@@ -228,7 +228,8 @@ class TestReportFiles:
                         assert rows[0] == ["gap_percent"] + [ap_token(a) for a in spec.aps]
                         assert [r[0] for r in rows[1:]] == [gap_token(g) for g in spec.gaps_percent]
                         entry = rows[1 + spec.gaps_percent.index(gap)][1 + spec.aps.index(ap)]
-                        assert entry == ("nan" if math.isnan(value) else f"{value:.6g}"), (policy, metric, gap, ap)
+                        want = "nan" if math.isnan(value) else f"{value:.6g}"
+                        assert entry == want, (policy, metric, gap, ap)
                         checked += 1
         assert checked == 4 * 2 * 2 * 2
 
