@@ -4,12 +4,13 @@ Configs are plain INI-style ``key = value`` files with bracketed section
 headers. Every key defaults to the default of the field it sets, so an
 empty file is a valid config; unknown sections (``[DEFAULT]`` too) or keys
 are rejected, and values are read literally, with no ``%`` interpolation.
-Each value flag of `main` sets the raw value of one key, so a flag and a
-file reach the spec through the same reader. The sweep is the cross
-product of policies, supply gaps and smart-home penetrations, with a fixed
-number of runs per cell. Per-run seeds come from the base seed, gap, AP and
-run index alone, not the policy, so re-running any single cell reproduces
-the exact files of the full sweep and the policies of a cell share theirs.
+Each value flag of `main` (`FLAGS`) writes its string over the raw value
+of one key before the one reader parses it, so a flag and its key give the
+same runs and the same errors. The sweep is the cross product of policies,
+supply gaps and smart-home penetrations, with a fixed number of runs per
+cell. Per-run seeds come from the base seed, gap, AP and run index alone,
+not the policy, so re-running any single cell reproduces the exact files of
+the full sweep and the policies of a cell share theirs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .engine import SimConfig, run_cell
 from .homes import checked_home_class
 from .levels import UtilityParams
 from .metrics import MetricsLog, ap_token, gap_token, write_report
-from .policies import POLICIES, DistributionProfile
+from .policies import DistributionProfile
 from .topology import SupplyModel, check_classes
 
 
@@ -115,7 +116,17 @@ def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data_dir {data_dir!r}: {exc}") from None
     with _config_errors():
-        return spec.configs()
+        configs = spec.configs()
+    # One policy's block, by position: -0 and 0 are equal but name two cells.
+    cells = [(gap, ap) for gap in spec.gaps_percent for ap in spec.aps]
+    first: dict[int, int] = {}
+    for k, config in enumerate(configs[: len(cells) * spec.runs]):
+        j = first.setdefault(config.seed, k)
+        if j != k:
+            raise ConfigError(
+                f"cells (gap, ap) {cells[j // spec.runs]} and {cells[k // spec.runs]} share every seed"
+            )
+    return configs
 
 
 def _parser(convert, kind: str):
@@ -297,46 +308,38 @@ def run_sweep(spec: ExperimentSpec, quiet: bool = False) -> list[MetricsLog]:
     return [logs[p] for p in range(len(spec.policies)) for logs in results]
 
 
+# Each value flag of `main` and the key whose raw value it replaces.
+FLAGS = {
+    "--out": ("output", "out_dir"),
+    "--seed": ("simulation", "seed"),
+    "--runs": ("simulation", "runs"),
+    "--policy": ("policy", "policies"),
+    "--gap": ("supply", "gaps"),
+    "--ap": ("sweep", "aps"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="stressgrid",
         description="Simulate load-control policies on a stressed distribution grid.",
     )
     parser.add_argument("--config", type=Path, default=None, help="INI config file")
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="base seed override")
-    parser.add_argument("--runs", type=int, default=None, help="runs per cell override")
+    for flag, (section, key) in FLAGS.items():
+        parser.add_argument(flag, help=f"sets [{section}] {key}")
     parser.add_argument("--single", action="store_true",
-                        help="run one (policy, gap, ap) cell instead of the sweep")
-    parser.add_argument("--policy", choices=sorted(POLICIES), default=None,
-                        help="cell policy (with --single)")
-    parser.add_argument("--gap", type=float, default=None,
-                        help="cell supply gap in percent (with --single)")
-    parser.add_argument("--ap", type=float, default=None,
-                        help="cell smart-home penetration in [0,1] (with --single)")
+                        help="run one cell: the first value of policies, gaps and aps")
     parser.add_argument("--validate", action="store_true",
                         help="check every run the other flags select, then exit")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
     try:
-        loose = [f"--{name}" for name in ("policy", "gap", "ap") if getattr(args, name) is not None]
-        if loose and not args.single:
-            raise ConfigError(f"{', '.join(loose)}: read only with --single")
-        if args.config is not None and not args.config.exists():
-            print(f"config not found: {args.config}", file=sys.stderr)
-            return 2
         values = _read_ini(args.config) if args.config is not None else {}
-        for section, key, flag in (
-            ("simulation", "seed", args.seed),
-            ("simulation", "runs", args.runs),
-            ("output", "out_dir", args.out),
-            ("policy", "policies", args.policy),
-            ("supply", "gaps", args.gap),
-            ("sweep", "aps", args.ap),
-        ):
-            if flag is not None:  # a flag replaces the raw value of the key it sets
-                values.setdefault(section, {})[key] = str(flag)
+        for flag, (section, key) in FLAGS.items():
+            raw = getattr(args, flag[2:])
+            if raw is not None:  # a flag replaces the raw value of the key it sets
+                values.setdefault(section, {})[key] = raw
         spec = _read_spec(values)
         if args.single:
             spec = replace(
@@ -347,12 +350,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config ok: {len(spec.cells())} cells x {spec.runs} runs")
             return 0
 
-        logs = run_sweep(spec, quiet=args.quiet)
-        try:
-            written = write_report(logs, spec.out_dir)
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            return 2
+        written = write_report(run_sweep(spec, quiet=args.quiet), spec.out_dir)
         if not args.quiet:
             print(f"wrote {len(written)} files under {spec.out_dir}")
         return 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -199,8 +200,18 @@ class TestMain:
         assert code == 0
         assert "config ok" in capsys.readouterr().out
 
-    def test_missing_config_is_io_error(self, tmp_path):
+    def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.ini")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "nope.ini" in err
+
+    def test_out_under_a_file_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        p = write_config(tmp_path, TINY.replace("runs = 2", "runs = 1"))
+        assert main(["--config", str(p), "--out", str(blocker / "results"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
 
     def test_bad_config_is_config_error(self, tmp_path):
         p = write_config(tmp_path, "[policy]\ndp = 0.9,0.3,0.3\n")
@@ -292,12 +303,16 @@ class TestMain:
         pytest.param(corpus_ini(lambda d: _append(d / "manifest.txt", "refrigerator.txt\n")), [],
                      id="corpus-extra-appliance"),
         pytest.param(corpus_ini(shutil.rmtree), [], id="corpus-missing-class"),
-        pytest.param(TINY, ["--policy", "baseline"], id="policy-without-single"),
-        pytest.param(TINY, ["--gap", "20"], id="gap-without-single"),
-        pytest.param(TINY, ["--ap", "0.9"], id="ap-without-single"),
+        pytest.param(TINY, ["--runs", "abc"], id="runs-word"),
+        pytest.param(TINY, ["--seed", "1.5"], id="seed-fraction"),
+        pytest.param(TINY, ["--policy", "foo"], id="policy-unknown"),
+        pytest.param(TINY, ["--gap", "x"], id="gap-word"),
         pytest.param(TINY, ["--gap", "150", "--ap", "7"], id="bad-cell-flags-without-single"),
         pytest.param(TINY.replace("gaps = 20", "gaps = 20, 20"), [], id="gaps-duplicate"),
         pytest.param(TINY.replace("aps = 0.9", "aps = 0.9, 0.9000001"), [], id="aps-near-duplicate"),
+        pytest.param(TINY.replace("gaps = 20", "gaps = 7.001, 7.002"), [], id="gaps-one-seed"),
+        pytest.param(TINY.replace("aps = 0.9", "aps = 0.30001, 0.30002"), [], id="aps-one-seed"),
+        pytest.param(TINY.replace("gaps = 20", "gaps = 0, -0"), [], id="gaps-signed-zero"),
         pytest.param(TINY + "\n[policy]\npolicies = baseline, centralized, baseline\n", [],
                      id="policies-duplicate"),
         pytest.param(TINY.replace("feeders = 5", "feeders = %(homes)s"), [], id="interpolation"),
@@ -329,6 +344,29 @@ class TestMain:
         monkeypatch.setattr(cli, "write_report", lambda logs, out_dir: [])
         assert main(["--config", str(write_config(tmp_path, ini)), "--quiet", *args]) == 0
         assert run == [parse_config(write_config(tmp_path, ini.replace(key_before, key_after)))]
+
+    @pytest.mark.parametrize("single, flag, value, key_before, key_after", [
+        pytest.param(["--single"], "--gap", "20,30", "gaps = 20", "gaps = 20,30", id="single-gap-list"),
+        pytest.param([], "--policy", "distributed,centralized", "policies = distributed",
+                     "policies = distributed,centralized", id="policy-list"),
+        pytest.param([], "--gap", "30", "gaps = 20", "gaps = 30", id="gap-without-single"),
+    ])
+    def test_list_flag_runs_as_its_key(self, tmp_path, monkeypatch, single, flag, value, key_before, key_after):
+        """A flag's list value gives the run logs of the same list in the file."""
+        ini = TINY.replace("runs = 2", "runs = 1") + "\n[policy]\npolicies = distributed\n"
+        logs = []
+        monkeypatch.setattr(cli, "run_sweep", lambda spec, quiet: logs.append(run_sweep(spec, quiet)) or logs[-1])
+        by_flag = ["--config", str(write_config(tmp_path, ini)), "--out", str(tmp_path / "a"), flag, value]
+        assert main([*by_flag, "--quiet", *single]) == 0
+        by_key = ["--config", str(write_config(tmp_path, ini.replace(key_before, key_after)))]
+        assert main([*by_key, "--out", str(tmp_path / "b"), "--quiet", *single]) == 0
+        assert len(logs) == 2 and logs[0] and repr(logs[0]) == repr(logs[1])
+
+    def test_readme_flag_table_is_the_flag_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(--[a-z]+)[^|]*\| sets `\[(\w+)\] (\w+)`", readme, re.MULTILINE)
+        assert {flag: (section, key) for flag, section, key in rows} == cli.FLAGS
+        assert len(rows) == len(cli.FLAGS)
 
     def test_flag_replaces_ini_value_unparsed(self, tmp_path):
         p = write_config(tmp_path, TINY.replace("runs = 2", "runs = many"))

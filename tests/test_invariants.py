@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,3 +53,20 @@ def test_rounds_start_from_served_demand_and_never_raise_a_level(config):
         mp.setitem(POLICIES, config.policy, policy._replace(round=checked_round))
         log = engine.run(config)
     assert rounds == sum(rec.convergence_seconds for rec in log.hours)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=small_configs().map(lambda c: replace(c, horizon_hours=3)))
+def test_hour_records_keep_criterion_6_invariants(config):
+    """Acceptance criterion 6's per-hour state invariants, for any input;
+    three hours, so that the last hour's exemptions are in play."""
+    log = engine.run(config)
+    for rec in log.hours:
+        assert sum(rec.level_counts) == config.n_homes
+        assert all(s <= c for s, c in zip(rec.smart_level_counts, rec.level_counts))
+        assert rec.level_counts[1:4] == rec.smart_level_counts[1:4]  # only smart homes sit at L2-L4
+        if rec.converged:
+            assert rec.served_w <= rec.capacity_w
+        if config.policy != "baseline" and not rec.emergency:
+            assert rec.smart_level_counts[0] == 0, "smart home blacked out without emergency"
+            assert rec.repeat_shed_homes == 0, "back-to-back shed without emergency"
