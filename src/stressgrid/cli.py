@@ -164,14 +164,15 @@ BASE_SEED = 42
 def _read_ini(path: Path) -> dict[str, dict[str, str]]:
     """The raw value of every key, by section, read literally (no `%`
     interpolation). No header can name the default section "", so [DEFAULT]
-    is an ordinary section whose keys go into no other."""
+    is an ordinary section whose keys go into no other. A file that is not
+    UTF-8 INI text is a ConfigError."""
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
     )
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
@@ -350,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config ok: {len(spec.cells())} cells x {spec.runs} runs")
             return 0
 
+        # an unwritable output directory fails here, before any run
+        Path(spec.out_dir, "runs").mkdir(parents=True, exist_ok=True)
         written = write_report(run_sweep(spec, quiet=args.quiet), spec.out_dir)
         if not args.quiet:
             print(f"wrote {len(written)} files under {spec.out_dir}")

@@ -24,8 +24,6 @@ MANIFEST_NAME = "manifest.txt"
 # Buckets of a guide table. A power of two, so int(u * GUIDE_BUCKETS) is
 # exactly the bucket of u.
 GUIDE_BUCKETS = 4096
-# Rows of quantiles inverted at a time, which bounds the temporaries.
-BLOCK_ROWS = 2048
 
 # Bandwidth used when the rule of thumb degenerates (all samples equal).
 _DEGENERATE_BANDWIDTH = 1e-2
@@ -162,47 +160,43 @@ def sample_inverse(cdf: EmpiricalCdf | CdfTable, u, out: np.ndarray | None = Non
 
 
 def _invert(table: CdfTable, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """`sample_inverse` of a (rows, CDFs) block, BLOCK_ROWS rows at a time,
-    into `out` if given. Each block of u is read in full before its rows of
-    `out` are written, so `out` may be `u`.
+    """`sample_inverse` of a (rows, CDFs) block in one pass, into `out` if
+    given. The temporaries grow with the block, so callers bound its rows.
+    All of u is read before `out` is written, so `out` may be `u`.
 
     Each u starts at its bucket's guide entry, which is the answer for
     most draws, and steps once while F there is below u; the few draws in
     buckets holding two or more grid points bisect up to the next entry.
     """
+    least = u.min(initial=1.0)  # the initial values let an empty u through
+    if not (least >= 0.0 and u.max(initial=0.0) < 1.0):
+        raise ValueError("u must lie in [0, 1)")
     n, points = table.grid_f.shape
     flat_x, flat_f, guide = table.grid_x.ravel(), table.grid_f.ravel(), table.guide.ravel()
-    guide_row = np.arange(n) * (GUIDE_BUCKETS + 1)
     starts = np.arange(n) * points
-    start_f = table.grid_f[:, 0].max()
+    # exact: GUIDE_BUCKETS is a power of two
+    key = (u * GUIDE_BUCKETS).astype(np.intp) + np.arange(n) * (GUIDE_BUCKETS + 1)
+    idx = guide[key] + starts
+    idx += flat_f[idx] < u
+    f_hi = flat_f[idx]
+    lag = np.flatnonzero(f_hi < u)
+    if lag.size:
+        # F[lo] < u <= F[hi] throughout
+        lo, u_lag = idx.ravel()[lag], u.ravel()[lag]
+        hi = guide[key.ravel()[lag] + 1] + starts[lag % n]
+        while np.any(hi - lo > 1):
+            mid = (lo + hi) >> 1
+            below = flat_f[mid] < u_lag
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        idx.ravel()[lag] = hi
+        f_hi.ravel()[lag] = flat_f[hi]
+    # the point before a grid start is another CDF's; fixed below
+    f_lo, x_lo, x_hi = flat_f[idx - 1], flat_x[idx - 1], flat_x[idx]
     if out is None:
         out = np.empty(u.shape)
-    for first in range(0, len(u), BLOCK_ROWS):
-        block = u[first : first + BLOCK_ROWS]
-        least = block.min()
-        if not (least >= 0.0 and block.max() < 1.0):
-            raise ValueError("u must lie in [0, 1)")
-        # exact: GUIDE_BUCKETS is a power of two
-        key = (block * GUIDE_BUCKETS).astype(np.intp) + guide_row
-        idx = guide[key] + starts
-        idx += flat_f[idx] < block
-        f_hi = flat_f[idx]
-        lag = np.flatnonzero(f_hi < block)
-        if lag.size:
-            # F[lo] < u <= F[hi] throughout
-            lo, u_lag = idx.ravel()[lag], block.ravel()[lag]
-            hi = guide[key.ravel()[lag] + 1] + starts[lag % n]
-            while np.any(hi - lo > 1):
-                mid = (lo + hi) >> 1
-                below = flat_f[mid] < u_lag
-                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-            idx.ravel()[lag] = hi
-            f_hi.ravel()[lag] = flat_f[hi]
-        # the point before a grid start is another CDF's; fixed below
-        f_lo, x_lo, x_hi = flat_f[idx - 1], flat_x[idx - 1], flat_x[idx]
-        out[first : first + BLOCK_ROWS] = x_lo + (block - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
-        if least <= start_f:
-            np.copyto(out[first : first + BLOCK_ROWS], x_hi, where=idx == starts)
+    out[...] = x_lo + (u - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
+    if least <= table.grid_f[:, 0].max():
+        np.copyto(out, x_hi, where=idx == starts)
     return out
 
 

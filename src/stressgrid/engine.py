@@ -24,17 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .consumption import (
-    BLOCK_ROWS,
-    EmpiricalCdf,
-    filter_outliers,
-    fit_cdf,
-    load_corpus,
-    sample_inverse,
-)
+from .consumption import EmpiricalCdf, filter_outliers, fit_cdf, load_corpus, sample_inverse
 from .homes import HOME_CLASSES, ClassModel, Fleet, build_class_model, set_hour_draws
 from .levels import PowerLevel, UtilityParams, utility
-from .metrics import HourRecord, MetricsLog, TraceEvent, ulw
+from .metrics import HourRecord, MetricsLog, ulw
 from .policies import POLICIES, DistributionProfile, RoundState, reset_hourly
 from .protocol import CommandChannel, LinkModel
 from .topology import STRESS_DECIMALS, SupplyModel, build_topology, served_demand, stress_level
@@ -126,6 +119,10 @@ def _builtin_cdfs() -> dict[str, list[EmpiricalCdf]]:
         }
 
 
+# Homes redrawn at a time, which bounds the temporaries of the hourly redraw.
+BLOCK_ROWS = 2048
+
+
 def _refresh_draws(fleet: Fleet, rng: np.random.Generator) -> None:
     """Redraw every appliance for the hour, class by class in home order,
     BLOCK_ROWS homes at a time. Each block of quantiles becomes its homes'
@@ -143,27 +140,15 @@ def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int,
     L5 and whose `capacity_w` and `sl` are the hour's, and record the hour
     in `log`."""
     policy = POLICIES[config.policy]
-    capacity_w, sl = state.capacity_w, state.sl
-    log.trace.append(TraceEvent(hour, 0, "hour_start", f"sl={sl:.3f}"))
-
+    capacity_w = state.capacity_w
     rounds = 0
     max_rounds = policy.max_rounds(len(state.fleet.groups))
     state.served_w = demand_w
     is_converged = demand_w <= capacity_w
-    if not is_converged:
-        log.trace.append(TraceEvent(hour, 0, "gap_detected"))
     while not is_converged and rounds < max_rounds:
-        was_emergency = state.emergency
         rounds += 1
         policy.round(state, rounds)
-        if state.emergency and not was_emergency:
-            log.trace.append(TraceEvent(hour, rounds, "emergency"))
         is_converged = state.served_w <= capacity_w
-    log.trace.append(
-        TraceEvent(
-            hour, rounds, "converged" if is_converged else "non_convergent"
-        )
-    )
 
     fleet = state.fleet
     level = fleet.level

@@ -29,14 +29,6 @@ class HourRecord:
 
 
 @dataclass
-class TraceEvent:
-    hour: int
-    second: int
-    kind: str
-    detail: str = ""
-
-
-@dataclass
 class MetricsLog:
     policy: str
     seed: int
@@ -44,7 +36,6 @@ class MetricsLog:
     ap: float
     config_hash: str
     hours: list[HourRecord] = field(default_factory=list)
-    trace: list[TraceEvent] = field(default_factory=list)
     commands_sent: int = 0
     commands_lost: int = 0
 

@@ -69,9 +69,9 @@ def _keep_header(path: Path) -> None:
     path.write_text(path.read_text().splitlines()[0] + "\n")
 
 
-def write_config(tmp_path: Path, text: str) -> Path:
+def write_config(tmp_path: Path, text: str | bytes) -> Path:
     p = tmp_path / "exp.ini"
-    p.write_text(text)
+    p.write_bytes(text.encode() if isinstance(text, str) else text)
     return p
 
 
@@ -205,13 +205,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("i/o error:") and "nope.ini" in err
 
-    def test_out_under_a_file_is_io_error(self, tmp_path, capsys):
+    def test_out_under_a_file_is_io_error(self, tmp_path, capsys, monkeypatch):
+        """An unwritable output directory is found before any run."""
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         p = write_config(tmp_path, TINY.replace("runs = 2", "runs = 1"))
+        swept, sweep = [], cli.run_sweep
+        monkeypatch.setattr(cli, "run_sweep", lambda spec, quiet: swept.append(spec) or sweep(spec, quiet))
         assert main(["--config", str(p), "--out", str(blocker / "results"), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("i/o error:") and "Traceback" not in err
+        assert swept == []
 
     def test_bad_config_is_config_error(self, tmp_path):
         p = write_config(tmp_path, "[policy]\ndp = 0.9,0.3,0.3\n")
@@ -317,6 +321,7 @@ class TestMain:
                      id="policies-duplicate"),
         pytest.param(TINY.replace("feeders = 5", "feeders = %(homes)s"), [], id="interpolation"),
         pytest.param("[DEFAULT]\nhomes = 10\n", [], id="default-section"),
+        pytest.param(b"\xff\xfe[simulation]\n", [], id="not-utf-8"),
     ])
     def test_bad_settings_are_config_errors(self, tmp_path, capsys, ini, args, validate):
         p = write_config(tmp_path, ini(tmp_path) if callable(ini) else ini)

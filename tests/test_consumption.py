@@ -16,7 +16,6 @@ from scipy import stats
 
 import helpers
 from stressgrid.consumption import (
-    BLOCK_ROWS,
     GUIDE_BUCKETS,
     ApplianceSamples,
     CdfTable,
@@ -30,6 +29,7 @@ from stressgrid.consumption import (
     silverman_bandwidth,
 )
 from stressgrid.corpus import write_synthetic_corpus
+from stressgrid.engine import BLOCK_ROWS
 
 
 def make(values, name="x"):
@@ -226,7 +226,7 @@ class TestCdfTable:
     def test_block_matches_one_home_at_a_time(self, class_models):
         model = class_models["C"]
         u = np.random.default_rng(15).random((BLOCK_ROWS + 1, model.n_appliances))
-        u[0, 0] = u[BLOCK_ROWS, -1] = 0.0  # grid starts in both row chunks
+        u[0, 0] = u[BLOCK_ROWS, -1] = 0.0  # grid starts in both of the engine's blocks
         block = sample_inverse(model.table, u)
         rows = np.vstack([sample_inverse(model.table, row[None]) for row in u])
         assert (bits(block) == bits(rows)).all()

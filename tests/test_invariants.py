@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from stressgrid import engine
 from stressgrid.engine import SimConfig
-from stressgrid.policies import POLICIES
+from stressgrid.policies import POLICIES, pass_rounds
 from stressgrid.topology import SupplyModel, served_demand
 
 
@@ -70,3 +71,21 @@ def test_hour_records_keep_criterion_6_invariants(config):
         if config.policy != "baseline" and not rec.emergency:
             assert rec.smart_level_counts[0] == 0, "smart home blacked out without emergency"
             assert rec.repeat_shed_homes == 0, "back-to-back shed without emergency"
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=small_configs())
+def test_emergency_starts_at_a_fixed_round(config):
+    """An hour runs rounds exactly when demand exceeds capacity, and its
+    emergency starts at a fixed round: never under baseline, after the
+    first distributed pass, and after the first centralized round."""
+    log = engine.run(config)
+    n_groups = math.ceil(config.n_feeders / config.group_size)  # as build_topology groups feeders
+    for rec in log.hours:
+        assert (rec.convergence_seconds == 0) == (rec.demand_w <= rec.capacity_w)
+        if config.policy == "baseline":
+            assert not rec.emergency
+        elif config.policy == "distributed":
+            assert rec.emergency == (rec.convergence_seconds > pass_rounds(n_groups))
+        else:
+            assert rec.emergency == (rec.convergence_seconds >= 2)
