@@ -172,7 +172,10 @@ class Fleet:
 
 @dataclass(slots=True)
 class Home:
-    """Handle on one home of a fleet: what a power-state command addresses."""
+    """Handle on one home of a fleet: what a power-state command addresses.
+
+    A sender may re-point one handle at each home in turn (set `id`), so a
+    channel reads it only during `apply` and must not keep it."""
 
     fleet: Fleet
     id: int

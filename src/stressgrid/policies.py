@@ -78,42 +78,85 @@ class RoundState:
     next_group: int = 0
 
 
-def _walk_groups(state: RoundState, shed: Callable[[np.ndarray], None]) -> None:
-    """Visit the feeder groups round-robin from `state.next_group`, each at
-    most once, while `served_w` exceeds `capacity_w`; `shed(members)` sheds
-    in one group and lowers `served_w` by the watts shed. Moves
-    `next_group` past every group visited."""
-    groups = state.fleet.groups
-    visited = 0
-    while visited < len(groups) and state.served_w > state.capacity_w:
-        shed(groups[(state.next_group + visited) % len(groups)])
-        visited += 1
-    state.next_group = (state.next_group + visited) % len(groups)
-
-
 def _send(state: RoundState, homes: np.ndarray, levels, until_fits: bool = False) -> None:
     """Command homes[j] to levels[j] (or every home to one level), in
-    order, one command each, and lower `served_w` by the watts each
-    delivered command sheds. With `until_fits`, stop after the first
-    delivered command that brings `served_w` to or under `capacity_w`."""
+    order, one `apply` call each, and lower `served_w` by the watts the
+    delivered commands shed. With `until_fits`, stop after the first
+    delivered command that brings `served_w` to or under `capacity_w`.
+
+    Commands go out in runs through one `Home` handle, re-pointed at each
+    command's home, and each run lowers `served_w` once. Without
+    `until_fits` every command is one run. With it, a run is the certain
+    prefix: up to and including the first command at which
+    `served_w - cumsum(shed)` would be at or under `capacity_w` if every
+    command landed. No command before it can fit, whatever lands; if it
+    landed and fits the send ends, else the next run starts after it. So
+    exactly the commands of a one-at-a-time loop go out. Draws are
+    multiples of `homes.QUANTUM_W`, so these sums are exact in any order;
+    only `served_w - cumsum`, never a rounded `served_w - capacity_w`, is
+    compared with capacity.
+    """
     fleet, apply = state.fleet, state.channel.apply
-    levels = np.full(homes.shape, levels)
+    levels = np.broadcast_to(levels, homes.shape)
     shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
-    for i, level, watts in zip(homes.tolist(), levels.tolist(), shed_w.tolist()):
-        if apply(Home(fleet, i), level):
-            state.served_w -= watts
-            if until_fits and state.served_w <= state.capacity_w:
-                return
+    home = Home(fleet, 0)
+    start = 0
+    while start < homes.size:
+        stop = homes.size
+        if until_fits:
+            fits = np.flatnonzero(state.served_w - np.cumsum(shed_w[start:]) <= state.capacity_w)
+            if fits.size:
+                stop = start + int(fits[0]) + 1
+        run = slice(start, stop)
+        delivered = [apply(home, level) for home.id, level in zip(homes[run].tolist(), levels[run].tolist())]
+        state.served_w -= float(shed_w[run][delivered].sum())
+        if until_fits and delivered[-1] and state.served_w <= state.capacity_w:
+            return
+        start = stop
 
 
 def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
-    """The non-smart homes among `homes` not yet off, less those shed last
-    hour unless an emergency is in force."""
+    """Which of `homes` are non-smart and not yet off, less those shed last
+    hour unless an emergency is in force (a mask over `homes`)."""
     fleet = state.fleet
     keep = ~fleet.smart[homes] & (fleet.level[homes] != PowerLevel.L1)
     if not state.emergency:
         keep &= ~fleet.ls_lh[homes]
-    return homes[keep]
+    return keep
+
+
+def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> None:
+    """Shut off homes group by group, round-robin from `next_group`, each
+    group at most once, while `served_w` exceeds `capacity_w`: every member
+    of a group, or with `nonsmart_only` its `_cuttable` members. Moves
+    `next_group` past every group visited, empty ones included.
+
+    The walk is one batch over the groups concatenated in walk order: a
+    group's cuts change no other group's homes, so every group's cut and
+    shed watts are known up front. Each `_send` takes the certain prefix of
+    whole groups, up to and including the first group at which
+    `served_w - cumsum(group shed)` would be at or under `capacity_w` if
+    every command landed (exact, as in `_send`). If lost commands leave
+    `served_w` above capacity there, the walk goes on from the next group,
+    so it visits exactly the groups a group-at-a-time walk visits."""
+    fleet = state.fleet
+    n = len(fleet.groups)
+    order = fleet.groups[state.next_group :] + fleet.groups[: state.next_group]
+    homes = np.concatenate(order)
+    walk = np.repeat(np.arange(n), [members.size for members in order])
+    if nonsmart_only:
+        keep = _cuttable(state, homes)
+        homes, walk = homes[keep], walk[keep]
+    shed_w = fleet.watts(homes) - fleet.level_watts[homes, PowerLevel.L1 - 1]
+    group_w = np.bincount(walk, weights=shed_w, minlength=n)
+    visited = 0
+    while visited < n and state.served_w > state.capacity_w:
+        fits = np.flatnonzero(state.served_w - np.cumsum(group_w[visited:]) <= state.capacity_w)
+        stop = visited + int(fits[0]) + 1 if fits.size else n
+        lo, hi = np.searchsorted(walk, (visited, stop))
+        _send(state, homes[lo:hi], PowerLevel.L1)
+        visited = stop
+    state.next_group = (state.next_group + visited) % n
 
 
 def baseline_step(state: RoundState, k: int) -> None:
@@ -122,7 +165,7 @@ def baseline_step(state: RoundState, k: int) -> None:
     moves `next_group` on by one and later rounds leave it, so the burden
     rotates by one group per hour."""
     start = state.next_group
-    _walk_groups(state, lambda members: _send(state, members, PowerLevel.L1))
+    _shut_off_groups(state, nonsmart_only=False)
     state.next_group = (start + (k == 1)) % len(state.fleet.groups)
 
 
@@ -177,7 +220,7 @@ def cut_nonsmart_groups(state: RoundState) -> None:
     under capacity or every group has been tried. Homes shed last hour are
     skipped unless an emergency is in force. `next_group` moves past the
     groups tried."""
-    _walk_groups(state, lambda members: _send(state, _cuttable(state, members), PowerLevel.L1))
+    _shut_off_groups(state, nonsmart_only=True)
 
 
 def pass_rounds(n_groups: int) -> int:
@@ -247,11 +290,14 @@ def alg2_step(state: RoundState, k: int) -> None:
     """
     fleet = state.fleet
     emergency = state.emergency
-
-    def shed(members: np.ndarray) -> None:
-        _send(state, _cuttable(state, members), PowerLevel.L1)
+    groups = fleet.groups
+    visited = 0
+    while visited < len(groups) and state.served_w > state.capacity_w:
+        members = groups[(state.next_group + visited) % len(groups)]
+        visited += 1
+        _send(state, members[_cuttable(state, members)], PowerLevel.L1)
         if state.served_w <= state.capacity_w:
-            return
+            break
         candidates = members[fleet.smart[members] & (emergency | ~fleet.ls_lh[members])]
         watts = fleet.watts(candidates)
         order = np.lexsort((candidates, -watts))
@@ -263,8 +309,7 @@ def alg2_step(state: RoundState, k: int) -> None:
         if eligible.any():
             new = top[eligible] - state.rng.integers(0, count[eligible])
             _send(state, candidates[eligible], new, until_fits=True)
-
-    _walk_groups(state, shed)
+    state.next_group = (state.next_group + visited) % len(groups)
     if state.served_w > state.capacity_w:
         state.emergency = True
 

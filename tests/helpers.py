@@ -14,7 +14,7 @@ from stressgrid.corpus import synthetic_samples
 from stressgrid.engine import BUILTIN_CDFS
 from stressgrid.homes import HOME_CLASSES, Fleet, Home, set_hour_draws
 from stressgrid.levels import CAP_FRACTION, PowerLevel
-from stressgrid.policies import MIN_STRESS, DistributionProfile, RoundState, alg1_decisions
+from stressgrid.policies import MIN_STRESS, DistributionProfile, RoundState, _cuttable, alg1_decisions
 from stressgrid.protocol import decode, encode
 from stressgrid.topology import served_demand
 
@@ -143,6 +143,51 @@ def eligible_lower_levels(
     if emergency:
         levels.append(PowerLevel.L1)
     return [lv for lv in levels if CAP_FRACTION[lv] < consumption_fraction]
+
+
+def send_reference(state: RoundState, homes: np.ndarray, levels, until_fits: bool = False) -> None:
+    """Scalar reference of `policies._send`: command homes[j] to levels[j]
+    (or every home to one level), one command and one `Home` handle at a
+    time, and lower `served_w` by the watts of each delivered command as it
+    lands. With `until_fits`, stop after the first delivered command that
+    brings `served_w` to or under `capacity_w`."""
+    fleet, apply = state.fleet, state.channel.apply
+    levels = np.full(homes.shape, levels)
+    shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
+    for i, level, watts in zip(homes.tolist(), levels.tolist(), shed_w.tolist()):
+        if apply(Home(fleet, i), level):
+            state.served_w -= watts
+            if until_fits and state.served_w <= state.capacity_w:
+                return
+
+
+def shut_off_groups_reference(state: RoundState, nonsmart_only: bool) -> None:
+    """Scalar reference of the batched shut-off walk: visit the feeder
+    groups one at a time, round-robin from `next_group`, each at most once,
+    while served watts exceed capacity, and send L1 to every member (or,
+    with `nonsmart_only`, every cuttable member) through `send_reference`.
+    Moves `next_group` past every group visited, empty ones included."""
+    groups = state.fleet.groups
+    visited = 0
+    while visited < len(groups) and state.served_w > state.capacity_w:
+        members = groups[(state.next_group + visited) % len(groups)]
+        if nonsmart_only:
+            members = members[_cuttable(state, members)]
+        send_reference(state, members, PowerLevel.L1)
+        visited += 1
+    state.next_group = (state.next_group + visited) % len(groups)
+
+
+def baseline_step_reference(state: RoundState, k: int) -> None:
+    """`policies.baseline_step` on the group-at-a-time walk."""
+    start = state.next_group
+    shut_off_groups_reference(state, nonsmart_only=False)
+    state.next_group = (start + (k == 1)) % len(state.fleet.groups)
+
+
+def cut_nonsmart_groups_reference(state: RoundState) -> None:
+    """`policies.cut_nonsmart_groups` on the group-at-a-time walk."""
+    shut_off_groups_reference(state, nonsmart_only=True)
 
 
 def alg2_step_reference(state: RoundState, k: int) -> None:

@@ -6,10 +6,11 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stressgrid import engine
+import helpers
+from stressgrid import engine, policies
 from stressgrid.engine import SimConfig
 from stressgrid.policies import POLICIES, pass_rounds
 from stressgrid.topology import SupplyModel, served_demand
@@ -89,3 +90,41 @@ def test_emergency_starts_at_a_fixed_round(config):
             assert rec.emergency == (rec.convergence_seconds > pass_rounds(n_groups))
         else:
             assert rec.emergency == (rec.convergence_seconds >= 2)
+
+
+# lossy links, emergency hours and feeder groups without homes under each
+# policy: 12 transformers on 40 feeders in groups of 4 fill groups 0-2 and
+# leave groups 3-9 empty, so a walk that stops in groups 0-2 starts the
+# next one elsewhere if it miscounts the empty groups it passed
+SHUT_OFF_EXAMPLES = [
+    SimConfig(
+        horizon_hours=3, n_homes=60, n_feeders=40, group_size=4, homes_per_transformer=5,
+        ap=ap, supply=SupplyModel(gap_fraction=0.5), policy=policy, protocol_emulation=True,
+        protocol_distance_m=55.0, seed=7,
+    )
+    for policy, ap in (("baseline", 0.5), ("distributed", 0.5), ("centralized", 0.9))
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=small_configs(), lossy_m=st.one_of(st.none(), st.floats(40.0, 60.0)))
+@example(config=SHUT_OFF_EXAMPLES[0], lossy_m=None)
+@example(config=SHUT_OFF_EXAMPLES[1], lossy_m=None)
+@example(config=SHUT_OFF_EXAMPLES[2], lossy_m=None)
+def test_batched_commands_equal_per_command_reference(config, lossy_m):
+    """The policies send commands in runs and walk the shut-off groups as
+    one batch; a run with the one-command-at-a-time `_send` and the
+    group-at-a-time walks of `helpers` gives the same hour records, the
+    same commands sent and lost, and so the same channel stream. Half the
+    examples move the link to `lossy_m` metres, where commands get lost."""
+    if lossy_m is not None:
+        config = replace(config, protocol_emulation=True, protocol_distance_m=lossy_m)
+    log = engine.run(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policies, "_send", helpers.send_reference)
+        mp.setattr(policies, "baseline_step", helpers.baseline_step_reference)
+        mp.setattr(policies, "cut_nonsmart_groups", helpers.cut_nonsmart_groups_reference)
+        reference = engine.run(config)
+    assert helpers.hour_digest([log]) == helpers.hour_digest([reference])
+    assert log.commands_sent == reference.commands_sent
+    assert log.commands_lost == reference.commands_lost

@@ -21,6 +21,7 @@ from stressgrid.policies import (
     POLICIES,
     DistributionProfile,
     RoundState,
+    _send,
     alg1_round,
     alg2_step,
     baseline_step,
@@ -671,6 +672,47 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
         ))
     assert outcomes[1] == outcomes[0]
     assert state.served_w == served_demand(topo)
+
+
+def seed_delivering(pattern, p: float) -> int:
+    """The first seed on which a channel with delivery chance p lands
+    command j exactly when pattern[j] is true."""
+    return next(s for s in range(10_000) if ((np.random.default_rng(s).random(len(pattern)) < p) == pattern).all())
+
+
+@pytest.mark.parametrize(
+    "n_sent, capacity_homes, pattern, lost",
+    [
+        (5, 3, [True, False, True], 1),  # lost where two landed would fit: on to the next that fits
+        (0, 3, [], 0),  # no homes: nothing sent, no uniform drawn
+        (5, 5, [False, False, True], 2),  # fitting already: on to the first that lands
+    ],
+)
+def test_send_until_fits_on_a_lossy_link(class_models, n_sent, capacity_homes, pattern, lost):
+    """`_send(until_fits=True)` cuts the first `n_sent` of five equal homes,
+    each shedding w, from a served 5w against a capacity of
+    `capacity_homes` * w, on a link that lands commands as `pattern` says.
+    It sends what the one-command-at-a-time reference sends, and leaves
+    the channel where the reference leaves it: the next uniform is the one
+    after the last command's."""
+    p = 0.5
+    seed = seed_delivering(pattern, p)
+    outcomes = []
+    for send in (helpers.send_reference, _send):
+        fleet = fresh_home(class_models["A"], n=5)
+        w = float(fleet.watts(0))
+        state = round_state(
+            fleet, capacity_w=capacity_homes * w, channel=CommandChannel(p, np.random.default_rng(seed))
+        )
+        send(state, np.arange(n_sent), PowerLevel.L1, until_fits=True)
+        channel = state.channel
+        outcomes.append((fleet.level.tolist(), state.served_w, channel.sent, channel.lost, channel._uniform()))
+    assert outcomes[1] == outcomes[0]
+    levels, served_w, sent, got_lost, next_uniform = outcomes[1]
+    assert (sent, got_lost) == (len(pattern), lost)
+    assert served_w == 5 * w - (sent - lost) * w
+    assert levels == [PowerLevel.L1 if landed else PowerLevel.L5 for landed in pattern] + [PowerLevel.L5] * (5 - sent)
+    assert next_uniform == np.random.default_rng(seed).random(sent + 1)[-1]
 
 
 class TestResetHourly:

@@ -36,21 +36,27 @@ def test_traced_functions_exist(tracer):
     assert list(inspect.signature(CommandChannel.apply).parameters) == ["self", "home", "level"]
 
 
+STEPS = [
+    ("baseline", "policies.baseline_step"),
+    ("distributed", "policies.alg1_round"),
+    ("centralized", "policies.alg2_step"),
+]
+LOSSY = {"protocol_emulation": True, "protocol_distance_m": 50.0}
+LOSSLESS = {"protocol_emulation": False}
+
+
 @pytest.mark.parametrize(
-    "policy, step",
-    [
-        ("baseline", "policies.baseline_step"),
-        ("distributed", "policies.alg1_round"),
-        ("centralized", "policies.alg2_step"),
-    ],
+    "policy, step, link",
+    [pytest.param(policy, step, LOSSY, id=f"{policy}-{step}") for policy, step in STEPS]
+    + [pytest.param(policy, step, LOSSLESS, id=f"{policy}-{step}-lossless") for policy, step in STEPS],
 )
-def test_traced_run_counts_every_round(tracer, policy, step):
+def test_traced_run_counts_every_round(tracer, policy, step, link):
     """One span per round of the policy's step, one `apply` per command, and
-    one served-demand sum per hour: the rounds keep it up to date."""
+    one served-demand sum per hour: the rounds keep it up to date. On a
+    lossy link and on a lossless one, whose runs of commands all land."""
     config = SimConfig(
         horizon_hours=4, n_homes=200, n_feeders=10, group_size=5, policy=policy,
-        supply=SupplyModel(gap_fraction=0.3), protocol_emulation=True,
-        protocol_distance_m=50.0, seed=3,
+        supply=SupplyModel(gap_fraction=0.3), seed=3, **link,
     )
     spans = tracer.Tracer()
     spans.install()
