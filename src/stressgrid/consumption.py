@@ -123,11 +123,20 @@ class CdfTable:
     b / GUIDE_BUCKETS, for b = 0 .. GUIDE_BUCKETS, stored in the smallest
     unsigned type that holds it. The first point with F >= u therefore
     lies between the entries of u's bucket and of the next bucket.
+
+    dx and df are each point's steps from the point before it in the
+    flattened grids, x[i] - x[i - 1] and F[i] - F[i - 1], contiguous and
+    flat: the doubles the inversion would otherwise subtract at every
+    draw. A CDF's first point steps from the previous CDF's last (CDF 0's
+    from the table's last point); a draw that lands on a first point
+    gets the grid start instead.
     """
 
     grid_x: np.ndarray
     grid_f: np.ndarray
     guide: np.ndarray
+    dx: np.ndarray
+    df: np.ndarray
 
     @classmethod
     def stack(cls, cdfs: list[EmpiricalCdf]) -> CdfTable:
@@ -135,7 +144,9 @@ class CdfTable:
         grid_f = np.stack([c.grid_f for c in cdfs])
         edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
         guide = np.stack([np.searchsorted(f, edges, side="left") for f in grid_f])
-        return cls(grid_x, grid_f, guide.astype(np.min_scalar_type(grid_f.shape[1])))
+        guide = guide.astype(np.min_scalar_type(grid_f.shape[1]))
+        flat_x, flat_f = grid_x.ravel(), grid_f.ravel()
+        return cls(grid_x, grid_f, guide, flat_x - np.roll(flat_x, 1), flat_f - np.roll(flat_f, 1))
 
 
 def sample_inverse(cdf: EmpiricalCdf | CdfTable, u, out: np.ndarray | None = None):
@@ -165,38 +176,40 @@ def _invert(table: CdfTable, u: np.ndarray, out: np.ndarray | None = None) -> np
     All of u is read before `out` is written, so `out` may be `u`.
 
     Each u starts at its bucket's guide entry, which is the answer for
-    most draws, and steps once while F there is below u; the few draws in
-    buckets holding two or more grid points bisect up to the next entry.
+    most draws, and steps once while F there is below u. The few draws
+    still short, in buckets holding two or more grid points, take one
+    `searchsorted` per CDF they fall in. The point i found is the first
+    with F >= u, and the result is (u - F[i-1]) / df[i] * dx[i] + x[i-1]:
+    the same operations in the same order on the same doubles as
+    x[i-1] + (u - F[i-1]) / (F[i] - F[i-1]) * (x[i] - x[i-1]), so the same
+    bits.
     """
     least = u.min(initial=1.0)  # the initial values let an empty u through
     if not (least >= 0.0 and u.max(initial=0.0) < 1.0):
         raise ValueError("u must lie in [0, 1)")
     n, points = table.grid_f.shape
-    flat_x, flat_f, guide = table.grid_x.ravel(), table.grid_f.ravel(), table.guide.ravel()
+    flat_x, flat_f = table.grid_x.ravel(), table.grid_f.ravel()
     starts = np.arange(n) * points
     # exact: GUIDE_BUCKETS is a power of two
     key = (u * GUIDE_BUCKETS).astype(np.intp) + np.arange(n) * (GUIDE_BUCKETS + 1)
-    idx = guide[key] + starts
-    idx += flat_f[idx] < u
-    f_hi = flat_f[idx]
-    lag = np.flatnonzero(f_hi < u)
+    idx = table.guide.take(key) + starts
+    idx += flat_f.take(idx) < u
+    lag = np.flatnonzero(flat_f.take(idx) < u)
     if lag.size:
-        # F[lo] < u <= F[hi] throughout
-        lo, u_lag = idx.ravel()[lag], u.ravel()[lag]
-        hi = guide[key.ravel()[lag] + 1] + starts[lag % n]
-        while np.any(hi - lo > 1):
-            mid = (lo + hi) >> 1
-            below = flat_f[mid] < u_lag
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        idx.ravel()[lag] = hi
-        f_hi.ravel()[lag] = flat_f[hi]
+        cdf, u_lag = lag % n, u.ravel()[lag]
+        for j in np.unique(cdf):
+            of_j = cdf == j
+            idx.ravel()[lag[of_j]] = np.searchsorted(table.grid_f[j], u_lag[of_j], side="left") + starts[j]
     # the point before a grid start is another CDF's; fixed below
-    f_lo, x_lo, x_hi = flat_f[idx - 1], flat_x[idx - 1], flat_x[idx]
+    before = idx - 1
     if out is None:
         out = np.empty(u.shape)
-    out[...] = x_lo + (u - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
+    np.subtract(u, flat_f.take(before), out=out)
+    out /= table.df.take(idx)
+    out *= table.dx.take(idx)
+    out += flat_x.take(before)
     if least <= table.grid_f[:, 0].max():
-        np.copyto(out, x_hi, where=idx == starts)
+        np.copyto(out, flat_x.take(idx), where=idx == starts)
     return out
 
 

@@ -175,7 +175,9 @@ class Home:
     """Handle on one home of a fleet: what a power-state command addresses.
 
     A sender may re-point one handle at each home in turn (set `id`), so a
-    channel reads it only during `apply` and must not keep it."""
+    channel reads it only during `apply` and must not keep it. A channel
+    writes `fleet.level[id]` directly; `current_level` is for readers, and
+    its setter does the same write."""
 
     fleet: Fleet
     id: int

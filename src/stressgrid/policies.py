@@ -85,7 +85,8 @@ def _send(state: RoundState, homes: np.ndarray, levels, until_fits: bool = False
     delivered command that brings `served_w` to or under `capacity_w`.
 
     Commands go out in runs through one `Home` handle, re-pointed at each
-    command's home, and each run lowers `served_w` once. Without
+    command's home, and each run lowers `served_w` once by its delivered
+    commands' shed watts (the whole run's unless one was lost). Without
     `until_fits` every command is one run. With it, a run is the certain
     prefix: up to and including the first command at which
     `served_w - cumsum(shed)` would be at or under `capacity_w` if every
@@ -109,7 +110,8 @@ def _send(state: RoundState, homes: np.ndarray, levels, until_fits: bool = False
                 stop = start + int(fits[0]) + 1
         run = slice(start, stop)
         delivered = [apply(home, level) for home.id, level in zip(homes[run].tolist(), levels[run].tolist())]
-        state.served_w -= float(shed_w[run][delivered].sum())
+        shed = shed_w[run] if all(delivered) else shed_w[run][delivered]
+        state.served_w -= float(shed.sum())
         if until_fits and delivered[-1] and state.served_w <= state.capacity_w:
             return
         start = stop
@@ -198,12 +200,17 @@ def alg1_decisions(
     active = np.full(len(homes), True) if emergency else ~fleet.ls_lh[homes]
 
     fresh = active & ~done
-    eff = np.where(np.isnan(sl_init) & (sl < MIN_STRESS), MIN_STRESS, sl)
-    backs = fresh & (r < eff)
-    target = np.full(len(homes), PowerLevel.L2, dtype=np.int8)
-    target[(dp.alpha_l2 * eff < r) & (r < (dp.alpha_l3 + dp.alpha_l2) * eff)] = PowerLevel.L3
-    target[r > (1.0 - dp.alpha_l4) * eff] = PowerLevel.L4
-    target[~backs] = 0
+    if sl < MIN_STRESS:
+        eff = np.where(np.isnan(sl_init), MIN_STRESS, sl)
+    else:
+        eff = np.broadcast_to(sl, len(homes))
+    backs = np.flatnonzero(fresh & (r < eff))  # only these pick a state
+    r_b, eff_b = r[backs], eff[backs]
+    pick = np.full(backs.size, PowerLevel.L2, dtype=np.int8)
+    pick[(dp.alpha_l2 * eff_b < r_b) & (r_b < (dp.alpha_l3 + dp.alpha_l2) * eff_b)] = PowerLevel.L3
+    pick[r_b > (1.0 - dp.alpha_l4) * eff_b] = PowerLevel.L4
+    target = np.zeros(len(homes), dtype=np.int8)
+    target[backs] = pick
 
     steps = active & done & (level != PowerLevel.L1) & (emergency | (r < sl_init))
     if not emergency:

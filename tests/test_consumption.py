@@ -236,6 +236,46 @@ class TestCdfTable:
         with pytest.raises(ValueError, match="CdfTable only"):
             sample_inverse(model.cdfs[0], 0.5, out=np.empty(1))
 
+    def test_search_path_matches_reference(self, uniform_cdf):
+        """Draws in buckets holding two or more grid points, past the guide
+        entry's one step, go to the per-CDF search. A steep CDF between two
+        smooth ones holds many such buckets in a middle row, and a row with
+        a plateau of equal F inside one bucket tells the first point at F
+        from the last. Every column also gets u = 0, whose point is its
+        row's start, and every grid F."""
+        smooth = fit_cdf(make(np.random.default_rng(13).normal(80, 10, 2000)))
+        edge, step = 1000 / GUIDE_BUCKETS, 2.0**-30  # five steps stay in bucket 1000
+        points = uniform_cdf.grid_f.size  # stacked rows share a grid size
+        plateau = [0.0, *(edge + k * step for k in (1, 2, 3, 4, 4, 4, 5))]
+        plateau += np.linspace(0.5, 1.0, points - len(plateau)).tolist()
+        cdfs = [
+            uniform_cdf,
+            fit_cdf(make([42.0] * 100)),
+            EmpiricalCdf(np.arange(points, dtype=float), np.array(plateau), 1.0),
+            smooth,
+        ]
+        table = CdfTable.stack(cdfs)
+        rng = np.random.default_rng(14)
+        below_one = np.nextafter(1.0, 0.0)
+        u = np.concatenate([
+            [0.0, below_one],
+            *(cdf.grid_f[cdf.grid_f < 1.0] for cdf in cdfs),
+            rng.random(300) / GUIDE_BUCKETS,  # first bucket
+            np.minimum((GUIDE_BUCKETS - 1 + rng.random(300)) / GUIDE_BUCKETS, below_one),  # last
+            rng.random(1000),
+        ])
+        block = np.column_stack([rng.permutation(u) for _ in cdfs])
+        got = sample_inverse(table, block)
+        searched = []
+        for j, cdf in enumerate(cdfs):
+            want = helpers.sample_inverse_reference(cdf, block[:, j])
+            assert (bits(got[:, j]) == bits(want)).all(), j
+            bucket = (block[:, j] * GUIDE_BUCKETS).astype(np.intp)
+            beyond_step = np.searchsorted(cdf.grid_f, block[:, j]) > table.guide[j, bucket].astype(np.intp) + 1
+            searched.append(int(beyond_step.sum()))
+        assert min(searched) > 0, searched
+        assert (np.where(block == 0.0, got, table.grid_x[:, 0]) == table.grid_x[:, 0]).all()
+
     def test_guide_entries_start_each_bucket(self, uniform_cdf):
         table = CdfTable.stack([uniform_cdf, uniform_cdf])
         edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS

@@ -28,7 +28,8 @@ def small_configs(draw) -> SimConfig:
         supply=SupplyModel(gap_fraction=draw(st.floats(0.0, 0.9))),
         policy=draw(st.sampled_from(sorted(POLICIES))),
         protocol_emulation=draw(st.booleans()),
-        protocol_distance_m=draw(st.floats(0.0, 60.0)),
+        # half of the draws from 40-60 m, where commands get lost
+        protocol_distance_m=draw(st.one_of(st.floats(0.0, 60.0), st.floats(40.0, 60.0))),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 

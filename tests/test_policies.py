@@ -372,28 +372,53 @@ FRESH_HOME = st.tuples(
 BACKED_OFF_HOME = st.tuples(st.sampled_from(list(PowerLevel)), st.booleans(), st.just(True), STRESS)
 
 
+# Fresh homes at L5 alternating unset and set sl_init (home i stores i + 1),
+# every fourth one exempt as shed last hour. At sl = 4, below MIN_STRESS,
+# seed 9 draws r that back off homes of both kinds, at MIN_STRESS and at sl.
+MIXED_SL_INIT = [(PowerLevel.L5, i % 4 == 3, False, None if i % 2 else float(i + 1)) for i in range(40)]
+# Set sl_init 0 on every fresh home and sl = 0: nobody backs off, while
+# backed-off homes may still step down.
+NO_BACKOFF = [
+    (PowerLevel.L5, False, False, 0.0) if i % 2 else (PowerLevel(i % 5 + 1), False, True, 50.0)
+    for i in range(12)
+]
+ALG1_EXAMPLE = dict(ap=1.0, dp=(0.2, 0.3, 0.5), round_index=1, reduction_factor=0.5, seed=9)
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_masked_round_matches_scalar_reference(class_models, data):
+@given(
+    homes=st.lists(FRESH_HOME | BACKED_OFF_HOME, min_size=1, max_size=40),
+    ap=st.sampled_from([0.5, 1.0]),
+    sl=STRESS,
+    dp=st.sampled_from(helpers.alpha_grid()),
+    emergency=st.booleans(),
+    round_index=st.sampled_from([1, 3, 9]),
+    reduction_factor=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(homes=MIXED_SL_INIT, sl=4.0, emergency=False, **ALG1_EXAMPLE)
+@example(homes=MIXED_SL_INIT, sl=4.0, emergency=True, **ALG1_EXAMPLE)
+@example(homes=MIXED_SL_INIT, sl=8.0, emergency=False, **{**ALG1_EXAMPLE, "round_index": 3})
+@example(homes=MIXED_SL_INIT, sl=20.0, emergency=False, **ALG1_EXAMPLE)
+@example(homes=NO_BACKOFF, sl=0.0, emergency=False, **ALG1_EXAMPLE)
+@example(homes=NO_BACKOFF, sl=0.0, emergency=True, **ALG1_EXAMPLE)
+def test_masked_round_matches_scalar_reference(
+    class_models, homes, ap, sl, dp, emergency, round_index, reduction_factor, seed
+):
     """alg1_round decides for every smart home at once; home by home it must
-    agree with the scalar decision rule, state and commands alike."""
+    agree with the scalar decision rule, state and commands alike. The
+    examples take both ways of setting the stress each home uses (sl below
+    MIN_STRESS, with unset and set sl_init, and sl at or above it) and a
+    round where no home backs off."""
     topo = build_topology(
-        class_models, n_homes=data.draw(st.integers(1, 40)), n_feeders=2,
-        ap=data.draw(st.sampled_from([0.5, 1.0])), rng=np.random.default_rng(0),
+        class_models, n_homes=len(homes), n_feeders=2, ap=ap, rng=np.random.default_rng(0),
         homes_per_transformer=5, group_size=1, class_mix=(1 / 3, 1 / 3, 1 / 3),
     )
     fleet = topo
-    for i, (level, ls_lh, dlc_done, sl_init) in enumerate(
-        data.draw(st.lists(FRESH_HOME | BACKED_OFF_HOME, min_size=len(fleet), max_size=len(fleet)))
-    ):
+    for i, (level, ls_lh, dlc_done, sl_init) in enumerate(homes):
         fleet.level[i], fleet.ls_lh[i], fleet.dlc_done[i] = level, ls_lh, dlc_done
         fleet.sl_init[i] = np.nan if sl_init is None else sl_init
-    sl = data.draw(STRESS)
-    dp = DistributionProfile(*data.draw(st.sampled_from(helpers.alpha_grid())))
-    emergency = data.draw(st.booleans())
-    round_index = data.draw(st.sampled_from([1, 3, 9]))
-    reduction_factor = data.draw(st.floats(0.05, 1.0))
-    seed = data.draw(st.integers(0, 2**32 - 1))
+    dp = DistributionProfile(*dp)
 
     smart = np.flatnonzero(fleet.smart).tolist()
     ref = {
