@@ -204,7 +204,7 @@ def alg1_decisions(
         eff = np.where(np.isnan(sl_init), MIN_STRESS, sl)
     else:
         eff = np.broadcast_to(sl, len(homes))
-    backs = np.flatnonzero(fresh & (r < eff))  # only these pick a state
+    backs = np.flatnonzero(fresh & (r < eff))
     r_b, eff_b = r[backs], eff[backs]
     pick = np.full(backs.size, PowerLevel.L2, dtype=np.int8)
     pick[(dp.alpha_l2 * eff_b < r_b) & (r_b < (dp.alpha_l3 + dp.alpha_l2) * eff_b)] = PowerLevel.L3
