@@ -176,8 +176,7 @@ class Home:
 
     A sender may re-point one handle at each home in turn (set `id`), so a
     channel reads it only during `apply` and must not keep it. A channel
-    writes `fleet.level[id]` directly; `current_level` is for readers, and
-    its setter does the same write."""
+    writes `fleet.level[id]`; `current_level` only reads it."""
 
     fleet: Fleet
     id: int
@@ -185,10 +184,6 @@ class Home:
     @property
     def current_level(self) -> PowerLevel:
         return PowerLevel(int(self.fleet.level[self.id]))
-
-    @current_level.setter
-    def current_level(self, level: int) -> None:
-        self.fleet.level[self.id] = level
 
 
 def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:

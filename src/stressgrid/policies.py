@@ -78,43 +78,46 @@ class RoundState:
     next_group: int = 0
 
 
-def _send(state: RoundState, homes: np.ndarray, levels, until_fits: bool = False) -> None:
+def _send(state: RoundState, homes: np.ndarray, levels, ends=None) -> int:
     """Command homes[j] to levels[j] (or every home to one level), in
     order, one `apply` call each, and lower `served_w` by the watts the
-    delivered commands shed. With `until_fits`, stop after the first
-    delivered command that brings `served_w` to or under `capacity_w`.
+    delivered commands shed. The commands form consecutive units, possibly
+    empty, that end at `ends`, ascending (None: one unit of all). The send
+    ends after the first unit that leaves `served_w` at or under
+    `capacity_w`; returns the number of units sent.
 
-    Commands go out in runs through one `Home` handle, re-pointed at each
+    Units go out in runs through one `Home` handle, re-pointed at each
     command's home, and each run lowers `served_w` once by its delivered
-    commands' shed watts (the whole run's unless one was lost). Without
-    `until_fits` every command is one run. With it, a run is the certain
-    prefix: up to and including the first command at which
+    commands' shed watts (the whole run's unless one was lost). A run is
+    the certain prefix: up to and including the first unit after which
     `served_w - cumsum(shed)` would be at or under `capacity_w` if every
-    command landed. No command before it can fit, whatever lands; if it
-    landed and fits the send ends, else the next run starts after it. So
-    exactly the commands of a one-at-a-time loop go out. Draws are
-    multiples of `homes.QUANTUM_W`, so these sums are exact in any order;
-    only `served_w - cumsum`, never a rounded `served_w - capacity_w`, is
-    compared with capacity.
+    command landed. As no command raises a level, no unit before it can
+    fit, whatever lands, so exactly the units of a one-unit-at-a-time loop
+    go out. Draws are multiples of `homes.QUANTUM_W`, so these sums are
+    exact in any order; only `served_w - cumsum`, never a rounded
+    `served_w - capacity_w`, is compared with capacity.
     """
     fleet, apply = state.fleet, state.channel.apply
     levels = np.broadcast_to(levels, homes.shape)
     shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
+    ends = [homes.size] if ends is None else ends
     home = Home(fleet, 0)
-    start = 0
-    while start < homes.size:
-        stop = homes.size
-        if until_fits:
-            fits = np.flatnonzero(state.served_w - np.cumsum(shed_w[start:]) <= state.capacity_w)
+    sent = start = 0
+    while sent < len(ends):
+        last = len(ends) - 1
+        if sent < last:  # a single unit left is its own prefix
+            cum = np.concatenate(([0.0], np.cumsum(shed_w[start:])))
+            fits = np.flatnonzero(state.served_w - cum[ends[sent:] - start] <= state.capacity_w)
             if fits.size:
-                stop = start + int(fits[0]) + 1
-        run = slice(start, stop)
+                last = sent + int(fits[0])
+        run = slice(start, ends[last])
         delivered = [apply(home, level) for home.id, level in zip(homes[run].tolist(), levels[run].tolist())]
         shed = shed_w[run] if all(delivered) else shed_w[run][delivered]
         state.served_w -= float(shed.sum())
-        if until_fits and delivered[-1] and state.served_w <= state.capacity_w:
-            return
-        start = stop
+        sent, start = last + 1, ends[last]
+        if state.served_w <= state.capacity_w:
+            break
+    return sent
 
 
 def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
@@ -130,35 +133,22 @@ def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
 def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> None:
     """Shut off homes group by group, round-robin from `next_group`, each
     group at most once, while `served_w` exceeds `capacity_w`: every member
-    of a group, or with `nonsmart_only` its `_cuttable` members. Moves
-    `next_group` past every group visited, empty ones included.
-
-    The walk is one batch over the groups concatenated in walk order: a
-    group's cuts change no other group's homes, so every group's cut and
-    shed watts are known up front. Each `_send` takes the certain prefix of
-    whole groups, up to and including the first group at which
-    `served_w - cumsum(group shed)` would be at or under `capacity_w` if
-    every command landed (exact, as in `_send`). If lost commands leave
-    `served_w` above capacity there, the walk goes on from the next group,
-    so it visits exactly the groups a group-at-a-time walk visits."""
+    of a group, or with `nonsmart_only` its `_cuttable` members. One `_send`
+    takes the groups concatenated in walk order, each group one unit (a
+    group's cuts change no other group's homes, so all of them are known up
+    front), and `next_group` moves past every group it sent, empty ones
+    included."""
+    if state.served_w <= state.capacity_w:
+        return
     fleet = state.fleet
-    n = len(fleet.groups)
     order = fleet.groups[state.next_group :] + fleet.groups[: state.next_group]
     homes = np.concatenate(order)
-    walk = np.repeat(np.arange(n), [members.size for members in order])
+    ends = np.cumsum([members.size for members in order])
     if nonsmart_only:
         keep = _cuttable(state, homes)
-        homes, walk = homes[keep], walk[keep]
-    shed_w = fleet.watts(homes) - fleet.level_watts[homes, PowerLevel.L1 - 1]
-    group_w = np.bincount(walk, weights=shed_w, minlength=n)
-    visited = 0
-    while visited < n and state.served_w > state.capacity_w:
-        fits = np.flatnonzero(state.served_w - np.cumsum(group_w[visited:]) <= state.capacity_w)
-        stop = visited + int(fits[0]) + 1 if fits.size else n
-        lo, hi = np.searchsorted(walk, (visited, stop))
-        _send(state, homes[lo:hi], PowerLevel.L1)
-        visited = stop
-    state.next_group = (state.next_group + visited) % n
+        homes, ends = homes[keep], np.concatenate(([0], np.cumsum(keep)))[ends]
+    visited = _send(state, homes, PowerLevel.L1, ends)
+    state.next_group = (state.next_group + visited) % len(fleet.groups)
 
 
 def baseline_step(state: RoundState, k: int) -> None:
@@ -315,7 +305,7 @@ def alg2_step(state: RoundState, k: int) -> None:
         eligible = count > 0
         if eligible.any():
             new = top[eligible] - state.rng.integers(0, count[eligible])
-            _send(state, candidates[eligible], new, until_fits=True)
+            _send(state, candidates[eligible], new, np.arange(1, new.size + 1))
     state.next_group = (state.next_group + visited) % len(groups)
     if state.served_w > state.capacity_w:
         state.emergency = True

@@ -159,10 +159,10 @@ class CommandChannel:
         self._uniform = _uniforms(rng).__next__
 
     def apply(self, home, level) -> bool:
-        """Send one command: set `home` (a `homes.Home`) to `level` unless
-        the command is lost. Writes the home's entry of its fleet's level
-        array directly, not through `Home.current_level`, which is for
-        readers; returns whether the command landed."""
+        """Send one command: set `home` (a `homes.Home`, which a sender may
+        re-point after the call) to `level` unless the command is lost, by
+        writing the home's entry of its fleet's level array; returns
+        whether the command landed."""
         self.sent += 1
         if self._p is not None and self._uniform() >= self._p:
             self.lost += 1

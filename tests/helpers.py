@@ -145,20 +145,27 @@ def eligible_lower_levels(
     return [lv for lv in levels if CAP_FRACTION[lv] < consumption_fraction]
 
 
-def send_reference(state: RoundState, homes: np.ndarray, levels, until_fits: bool = False) -> None:
+def send_reference(state: RoundState, homes: np.ndarray, levels, ends=None) -> int:
     """Scalar reference of `policies._send`: command homes[j] to levels[j]
     (or every home to one level), one command and one `Home` handle at a
     time, and lower `served_w` by the watts of each delivered command as it
-    lands. With `until_fits`, stop after the first delivered command that
-    brings `served_w` to or under `capacity_w`."""
+    lands. The commands form consecutive units that end at `ends` (None:
+    one unit of all); stop after the first unit that leaves `served_w` at
+    or under `capacity_w`, and return the number of units sent."""
     fleet, apply = state.fleet, state.channel.apply
     levels = np.full(homes.shape, levels)
     shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
-    for i, level, watts in zip(homes.tolist(), levels.tolist(), shed_w.tolist()):
-        if apply(Home(fleet, i), level):
-            state.served_w -= watts
-            if until_fits and state.served_w <= state.capacity_w:
-                return
+    ends = [homes.size] if ends is None else ends.tolist()
+    start = 0
+    for sent, stop in enumerate(ends, 1):
+        unit = slice(start, stop)
+        for i, level, watts in zip(homes[unit].tolist(), levels[unit].tolist(), shed_w[unit].tolist()):
+            if apply(Home(fleet, i), level):
+                state.served_w -= watts
+        if state.served_w <= state.capacity_w:
+            return sent
+        start = stop
+    return len(ends)
 
 
 def shut_off_groups_reference(state: RoundState, nonsmart_only: bool) -> None:

@@ -140,7 +140,7 @@ class TestConsumption:
         fleet = make_fleet(class_models["A"], 2)
         home = Home(fleet, 1)
         assert home.current_level is PowerLevel.L5
-        home.current_level = PowerLevel.L2
+        fleet.level[1] = PowerLevel.L2
         assert fleet.level.tolist() == [PowerLevel.L5, PowerLevel.L2]
         assert home.current_level is PowerLevel.L2
 

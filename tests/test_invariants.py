@@ -117,15 +117,31 @@ def test_batched_commands_equal_per_command_reference(config, lossy_m):
     one batch; a run with the one-command-at-a-time `_send` and the
     group-at-a-time walks of `helpers` gives the same hour records, the
     same commands sent and lost, and so the same channel stream. Half the
-    examples move the link to `lossy_m` metres, where commands get lost."""
+    examples move the link to `lossy_m` metres, where commands get lost.
+    Every command of the reference run must pass through a reference, so
+    that a step that reached the batched code by another name would fail
+    here rather than compare the engine with itself."""
     if lossy_m is not None:
         config = replace(config, protocol_emulation=True, protocol_distance_m=lossy_m)
     log = engine.run(config)
+    carried = []  # commands sent within each call of a reference
+
+    def counted(reference):
+        def call(state, *args):
+            before = state.channel.sent
+            result = reference(state, *args)
+            carried.append(state.channel.sent - before)
+            return result
+
+        return call
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(policies, "_send", helpers.send_reference)
-        mp.setattr(policies, "baseline_step", helpers.baseline_step_reference)
-        mp.setattr(policies, "cut_nonsmart_groups", helpers.cut_nonsmart_groups_reference)
+        mp.setattr(policies, "_send", counted(helpers.send_reference))
+        mp.setattr(policies, "baseline_step", counted(helpers.baseline_step_reference))
+        mp.setattr(policies, "cut_nonsmart_groups", counted(helpers.cut_nonsmart_groups_reference))
         reference = engine.run(config)
+    assert carried or reference.commands_sent == 0
+    assert sum(carried) == reference.commands_sent
     assert helpers.hour_digest([log]) == helpers.hour_digest([reference])
     assert log.commands_sent == reference.commands_sent
     assert log.commands_lost == reference.commands_lost

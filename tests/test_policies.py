@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import ScalarHome, alg1_home_decision, decide, demand, eligible_lower_levels
-from stressgrid.homes import set_hour_draws
+from stressgrid.homes import Fleet, set_hour_draws
 from stressgrid.levels import PowerLevel
 from stressgrid.policies import (
     LATE_ROUNDS_PER_PASS,
@@ -251,6 +251,30 @@ class TestBaselineStep:
         assert state.served_w == served_demand(topo)
         baseline_step(state, 2)
         assert state.next_group == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_groups=st.integers(1, 12), group_size=st.integers(1, 6), gap=st.floats(0.0, 1.0))
+def test_baseline_rotation_blacks_out_every_group_alike(class_models, n_groups, group_size, gap):
+    """Over `n_groups` hours at a constant gap, with equal groups of homes
+    that draw alike on a lossless link, each group is blacked out as often
+    as every other, give or take one: the rotation spreads the burden."""
+    n = n_groups * group_size
+    fleet = Fleet((class_models["A"],), np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool),
+                  np.split(np.arange(n), n_groups))
+    helpers.fill_draws(fleet, 0.5)
+    state = round_state(fleet, capacity_w=(1.0 - gap) * served_demand(fleet))
+    policy = POLICIES["baseline"]
+    blackouts = np.zeros(n_groups, dtype=int)
+    for _ in range(n_groups):
+        reset_hourly(fleet)
+        state.served_w = served_demand(fleet)
+        k = 0
+        while state.served_w > state.capacity_w and k < policy.max_rounds(n_groups):
+            k += 1
+            policy.round(state, k)
+        blackouts += [(fleet.level[members] == PowerLevel.L1).all() for members in fleet.groups]
+    assert blackouts.max() - blackouts.min() <= 1, blackouts
 
 
 class TestEmptyGroups:
@@ -710,16 +734,16 @@ def seed_delivering(pattern, p: float) -> int:
     [
         (5, 3, [True, False, True]),  # lost where two landed would fit: on to the next that fits
         (0, 3, []),  # no homes: nothing sent, no uniform drawn
-        (5, 5, [False, False, True]),  # fitting already: on to the first that lands
+        (5, 5, [False]),  # fitting already: the first unit ends the send, landed or not
     ],
 )
 def test_send_until_fits_on_a_lossy_link(class_models, n_sent, capacity_homes, pattern):
-    """`_send(until_fits=True)` cuts the first `n_sent` of five equal homes,
-    each shedding w, from a served 5w against a capacity of
+    """`_send` with one unit per command cuts the first `n_sent` of five
+    equal homes, each shedding w, from a served 5w against a capacity of
     `capacity_homes` * w, on a link that lands commands as `pattern` says.
-    It sends what the one-command-at-a-time reference sends, and leaves
-    the channel where the reference leaves it: the next uniform is the one
-    after the last command's."""
+    It sends what the one-command-at-a-time reference sends, returns the
+    units it sent, and leaves the channel where the reference leaves it:
+    the next uniform is the one after the last command's."""
     p = 0.5
     seed = seed_delivering(pattern, p)
     outcomes = []
@@ -729,15 +753,70 @@ def test_send_until_fits_on_a_lossy_link(class_models, n_sent, capacity_homes, p
         state = round_state(
             fleet, capacity_w=capacity_homes * w, channel=CommandChannel(p, np.random.default_rng(seed))
         )
-        send(state, np.arange(n_sent), PowerLevel.L1, until_fits=True)
+        units = send(state, np.arange(n_sent), PowerLevel.L1, np.arange(1, n_sent + 1))
         channel = state.channel
-        outcomes.append((fleet.level.tolist(), state.served_w, channel.sent, channel.lost, channel._uniform()))
+        outcomes.append((units, fleet.level.tolist(), state.served_w, channel.sent, channel.lost, channel._uniform()))
     assert outcomes[1] == outcomes[0]
-    levels, served_w, sent, lost, next_uniform = outcomes[1]
-    assert (sent, lost) == (len(pattern), pattern.count(False))
+    units, levels, served_w, sent, lost, next_uniform = outcomes[1]
+    assert (units, sent, lost) == (len(pattern), len(pattern), pattern.count(False))
     assert served_w == 5 * w - (sent - lost) * w
     assert levels == [PowerLevel.L1 if landed else PowerLevel.L5 for landed in pattern] + [PowerLevel.L5] * (5 - sent)
     assert next_uniform == np.random.default_rng(seed).random(sent + 1)[-1]
+
+
+@st.composite
+def unit_ends(draw, n: int):
+    """Ends of units over n commands: none given (one unit), one unit per
+    command, or any cut points, so units may be empty or span many."""
+    kind = draw(st.sampled_from(["none", "commands", "cuts"]))
+    if kind == "none":
+        return None
+    if kind == "commands":
+        return np.arange(1, n + 1)
+    return np.array(sorted(draw(st.lists(st.integers(0, n), max_size=12))) + [n])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_send_matches_reference_on_any_units(class_models, data):
+    """`_send` sends in certain-prefix runs what the reference sends one
+    command at a time, checking capacity after each unit, for any split of
+    the commands into units, on a perfect link and on a 40-60 m lossy one.
+    Both leave the same levels and served watts, return the same units
+    sent, count the same commands sent and lost, and leave the channel at
+    the same next uniform."""
+    n_homes, model = 40, class_models["C"]
+    fleet = helpers.make_fleet(model, n_homes)
+    setup = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    draws = setup.uniform(0.0, 1.2, (n_homes, model.n_appliances)) * model.rated_draws
+    set_hour_draws(fleet, np.arange(n_homes), draws)
+    fleet.level[:] = setup.integers(PowerLevel.L1, PowerLevel.L5 + 1, n_homes)
+    homes = setup.permutation(n_homes)[: data.draw(st.integers(0, n_homes))]
+    if data.draw(st.booleans()):
+        levels = PowerLevel.L1
+    else:  # never above a home's current level, as no policy raises one
+        levels = setup.integers(PowerLevel.L1, fleet.level[homes].astype(int) + 1)
+    ends = data.draw(unit_ends(homes.size))
+    served = served_demand(fleet)
+    shed_w = fleet.watts(homes) - fleet.level_watts[homes, np.broadcast_to(levels, homes.shape) - 1]
+    capacity_w = data.draw(st.one_of(
+        st.floats(-0.1, 1.2).map(lambda gap: (1.0 - gap) * served),
+        st.integers(0, homes.size).map(lambda m: served - float(shed_w[:m].sum())),  # fits exactly
+    ))
+    distance_m = data.draw(st.one_of(st.none(), st.floats(40.0, 60.0)))
+    delivery_p = 1.0 if distance_m is None else LinkModel().delivery_probability(distance_m)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    level = fleet.level.copy()
+
+    outcomes = []
+    for send in (helpers.send_reference, _send):
+        fleet.level[:] = level
+        channel = CommandChannel(delivery_p, np.random.default_rng(seed))
+        state = round_state(fleet, capacity_w=capacity_w, channel=channel)
+        units = send(state, homes, levels, ends)
+        outcomes.append((units, fleet.level.tolist(), state.served_w, channel.sent, channel.lost, channel._uniform()))
+    assert outcomes[1] == outcomes[0]
+    assert state.served_w == served_demand(fleet)
 
 
 class TestResetHourly:

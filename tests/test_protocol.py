@@ -177,7 +177,7 @@ class TestCommandChannel:
         channel = CommandChannel(LinkModel().delivery_probability(50.0), np.random.default_rng(5))
         outcomes = []
         for _ in range(2000):
-            home.current_level = PowerLevel.L5
+            home.fleet.level[home.id] = PowerLevel.L5
             outcomes.append(channel.apply(home, PowerLevel.L2))
             if not outcomes[-1]:
                 assert home.current_level is PowerLevel.L5  # state unchanged
