@@ -86,48 +86,38 @@ def _send(state: RoundState, homes: np.ndarray, levels, ends=None) -> int:
     ends after the first unit that leaves `served_w` at or under
     `capacity_w`; returns the number of units sent.
 
-    Units go out in runs through one `Home` handle, re-pointed at each
-    command's home, and each run lowers `served_w` once by its delivered
-    commands' shed watts (the whole run's unless one was lost). A run is
-    the certain prefix: up to and including the first unit after which
-    `served_w - cumsum(shed)` would be at or under `capacity_w` if every
-    command landed. As no command raises a level, no unit before it can
-    fit, whatever lands, so exactly the units of a one-unit-at-a-time loop
-    go out. Draws are multiples of `homes.QUANTUM_W`, so these sums are
-    exact in any order; only `served_w - cumsum`, never a rounded
-    `served_w - capacity_w`, is compared with capacity.
+    The channel tells ahead which commands land, so one pass finds the
+    units to send; the commands then go out through one `Home` handle,
+    re-pointed at each command's home. Only exact `served_w - cumsum`
+    sums, never a rounded `served_w - capacity_w`, meet capacity.
     """
-    fleet, apply = state.fleet, state.channel.apply
+    ends = [homes.size] if ends is None else ends
+    if not len(ends):
+        return 0
+    fleet, channel = state.fleet, state.channel
     levels = np.broadcast_to(levels, homes.shape)
     shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
-    ends = [homes.size] if ends is None else ends
-    home = Home(fleet, 0)
-    sent = start = 0
-    while sent < len(ends):
-        last = len(ends) - 1
-        if sent < last:  # a single unit left is its own prefix
-            cum = np.concatenate(([0.0], np.cumsum(shed_w[start:])))
-            fits = np.flatnonzero(state.served_w - cum[ends[sent:] - start] <= state.capacity_w)
-            if fits.size:
-                last = sent + int(fits[0])
-        run = slice(start, ends[last])
-        delivered = [apply(home, level) for home.id, level in zip(homes[run].tolist(), levels[run].tolist())]
-        shed = shed_w[run] if all(delivered) else shed_w[run][delivered]
-        state.served_w -= float(shed.sum())
-        sent, start = last + 1, ends[last]
-        if state.served_w <= state.capacity_w:
-            break
-    return sent
+    landed = channel.landing(homes.size)
+    cum = np.concatenate(([0.0], np.cumsum(shed_w if landed is None else shed_w * landed)))
+    fits = np.flatnonzero(state.served_w - cum[ends] <= state.capacity_w)
+    last = int(fits[0]) if fits.size else len(ends) - 1
+    stop, home, apply = ends[last], Home(fleet, 0), channel.apply
+    for home.id, level in zip(homes[:stop].tolist(), levels[:stop].tolist()):
+        apply(home, level)
+    state.served_w -= float(cum[stop])
+    return last + 1
+
+
+def _sheddable(fleet: Fleet, homes: np.ndarray, emergency: bool) -> np.ndarray:
+    """Which of `homes` may be shed this hour (a mask over `homes`): every
+    one under an emergency, else those not shed last hour."""
+    return emergency | ~fleet.ls_lh[homes]
 
 
 def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
-    """Which of `homes` are non-smart and not yet off, less those shed last
-    hour unless an emergency is in force (a mask over `homes`)."""
+    """Mask of `homes` that are non-smart, not yet off and sheddable."""
     fleet = state.fleet
-    keep = ~fleet.smart[homes] & (fleet.level[homes] != PowerLevel.L1)
-    if not state.emergency:
-        keep &= ~fleet.ls_lh[homes]
-    return keep
+    return ~fleet.smart[homes] & (fleet.level[homes] != PowerLevel.L1) & _sheddable(fleet, homes, state.emergency)
 
 
 def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> None:
@@ -187,7 +177,7 @@ def alg1_decisions(
     level = fleet.level[homes]
     sl_init = fleet.sl_init[homes]
     done = fleet.dlc_done[homes]
-    active = np.full(len(homes), True) if emergency else ~fleet.ls_lh[homes]
+    active = _sheddable(fleet, homes, emergency)
 
     fresh = active & ~done
     if sl < MIN_STRESS:
@@ -295,7 +285,7 @@ def alg2_step(state: RoundState, k: int) -> None:
         _send(state, members[_cuttable(state, members)], PowerLevel.L1)
         if state.served_w <= state.capacity_w:
             break
-        candidates = members[fleet.smart[members] & (emergency | ~fleet.ls_lh[members])]
+        candidates = members[fleet.smart[members] & _sheddable(fleet, members, emergency)]
         watts = fleet.watts(candidates)
         order = np.lexsort((candidates, -watts))
         candidates, watts = candidates[order], watts[order]

@@ -13,7 +13,9 @@ latency in milliseconds.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -128,15 +130,8 @@ def overhead_power(rooms: int, shed: bool = False) -> float:
     return rooms * SBD_ACTIVE_W + MBD_ACTIVE_W
 
 
-# Delivery uniforms a lossy channel draws from its stream at a time.
+# Fewest delivery uniforms a lossy channel draws from its stream at once.
 DRAW_BLOCK = 1024
-
-
-def _uniforms(rng: np.random.Generator):
-    """rng's uniforms one at a time, drawn DRAW_BLOCK at a time: the same
-    values, in the same order, as one `rng.random()` per value."""
-    while True:
-        yield from rng.random(DRAW_BLOCK).tolist()
 
 
 class CommandChannel:
@@ -144,19 +139,30 @@ class CommandChannel:
 
     Each command lands with probability `delivery_p`: it takes the next
     uniform of `rng`, a stream only the channel draws from, and lands if
-    that is below `delivery_p`. The uniforms are drawn in blocks of
-    `DRAW_BLOCK` and are the values of one `rng.random()` per command;
-    `rng` may end up to one block past the last value used. A lost command
-    leaves the home's state unchanged. A channel that always delivers draws
-    no random number, and its `rng` may be None. Delivery is instantaneous
-    at the 1 s round granularity (command latency is tens of milliseconds).
+    that is below `delivery_p`. Buffered uniforms, topped up with
+    `rng.random(max(DRAW_BLOCK, short))`, are the values of one
+    `rng.random()` per command, though `rng` may run ahead of the last one
+    used. A lost command leaves the home's state unchanged. A channel that
+    always delivers draws no random number, and its `rng` may be None.
+    Delivery is instantaneous at the 1 s round granularity (command latency
+    is tens of milliseconds).
     """
 
     def __init__(self, delivery_p: float, rng: np.random.Generator | None):
         self.sent = 0
         self.lost = 0
         self._p = delivery_p if delivery_p < 1.0 else None
-        self._uniform = _uniforms(rng).__next__
+        self._rng = rng
+        self._buffer: deque[float] = deque()
+
+    def landing(self, n: int) -> np.ndarray | None:
+        """Whether each of the next n commands would land, None if all will;
+        consumes nothing."""
+        if self._p is None:
+            return None
+        if len(self._buffer) < n:
+            self._buffer.extend(self._rng.random(max(DRAW_BLOCK, n - len(self._buffer))).tolist())
+        return np.fromiter(islice(self._buffer, n), float, n) < self._p
 
     def apply(self, home, level) -> bool:
         """Send one command: set `home` (a `homes.Home`, which a sender may
@@ -164,8 +170,11 @@ class CommandChannel:
         writing the home's entry of its fleet's level array; returns
         whether the command landed."""
         self.sent += 1
-        if self._p is not None and self._uniform() >= self._p:
-            self.lost += 1
-            return False
+        if self._p is not None:
+            if not self._buffer:
+                self.landing(1)
+            if self._buffer.popleft() >= self._p:
+                self.lost += 1
+                return False
         home.fleet.level[home.id] = level
         return True

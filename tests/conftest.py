@@ -2,9 +2,14 @@
 
 Class models are built once per session from the bundled corpus's fitted
 CDFs; they are read-only and shared by every test that needs realistic homes.
+Every session also checks that the tests leave the checkout's root as they
+found it, less what `.gitignore` ignores.
 """
 
 from __future__ import annotations
+
+from fnmatch import fnmatch
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,24 @@ import pytest
 import helpers
 from stressgrid.engine import load_models
 from stressgrid.topology import build_topology
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session", autouse=True)
+def checkout_left_clean():
+    """Fail the session if the tests leave a new entry in the repo root that
+    no root-level `.gitignore` pattern matches (caches such as
+    `.hypothesis` are ignored there)."""
+    before = {p.name for p in ROOT.iterdir()}
+    yield
+    lines = (ROOT / ".gitignore").read_text().splitlines()
+    patterns = [line.strip().strip("/") for line in lines if line.strip() and not line.startswith("#")]
+    left = sorted(
+        p.name for p in ROOT.iterdir()
+        if p.name not in before and not any(fnmatch(p.name, pattern) for pattern in patterns)
+    )
+    assert not left, f"the tests left {left} in {ROOT}"
 
 
 @pytest.fixture(scope="session")

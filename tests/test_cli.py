@@ -342,6 +342,7 @@ class TestMain:
     ])
     def test_flag_sets_the_key_it_overrides(self, tmp_path, monkeypatch, args, key_before, key_after):
         """A flag runs exactly the spec of the file that sets its key instead."""
+        monkeypatch.chdir(tmp_path)  # main creates out_dir/runs before the stubbed sweep
         ini = TINY + "\n[policy]\npolicies = distributed\n\n[output]\nout_dir = results\n"
         assert key_before in ini
         run = []

@@ -654,9 +654,9 @@ def test_array_bound_draw_equals_scalar_draws(ks, seed, odd_start):
 def test_random_block_equals_scalar_draws(n, seed, odd_start):
     """One `rng.random(n)` gives the values of, and leaves the generator as,
     n scalar `rng.random()` calls. `CommandChannel` draws its delivery
-    uniforms in blocks of `DRAW_BLOCK` and hands them out one per command;
-    its decisions equal those of one scalar draw per command only while
-    this holds. A numpy that breaks it fails here."""
+    uniforms in blocks of at least `DRAW_BLOCK` and hands them out one per
+    command; its decisions equal those of one scalar draw per command only
+    while this holds. A numpy that breaks it fails here."""
     block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     if odd_start:  # half of a 64-bit output left buffered
         block.integers(0, 3)
@@ -743,7 +743,8 @@ def test_send_until_fits_on_a_lossy_link(class_models, n_sent, capacity_homes, p
     `capacity_homes` * w, on a link that lands commands as `pattern` says.
     It sends what the one-command-at-a-time reference sends, returns the
     units it sent, and leaves the channel where the reference leaves it:
-    the next uniform is the one after the last command's."""
+    its next 64 landings are those of the stream's values after the last
+    command's."""
     p = 0.5
     seed = seed_delivering(pattern, p)
     outcomes = []
@@ -755,13 +756,13 @@ def test_send_until_fits_on_a_lossy_link(class_models, n_sent, capacity_homes, p
         )
         units = send(state, np.arange(n_sent), PowerLevel.L1, np.arange(1, n_sent + 1))
         channel = state.channel
-        outcomes.append((units, fleet.level.tolist(), state.served_w, channel.sent, channel.lost, channel._uniform()))
+        outcomes.append((units, fleet.level.tolist(), state.served_w, channel.sent, channel.lost, channel.landing(64).tolist()))
     assert outcomes[1] == outcomes[0]
-    units, levels, served_w, sent, lost, next_uniform = outcomes[1]
+    units, levels, served_w, sent, lost, next_landing = outcomes[1]
     assert (units, sent, lost) == (len(pattern), len(pattern), pattern.count(False))
     assert served_w == 5 * w - (sent - lost) * w
     assert levels == [PowerLevel.L1 if landed else PowerLevel.L5 for landed in pattern] + [PowerLevel.L5] * (5 - sent)
-    assert next_uniform == np.random.default_rng(seed).random(sent + 1)[-1]
+    assert next_landing == (np.random.default_rng(seed).random(sent + 64)[sent:] < p).tolist()
 
 
 @st.composite
@@ -779,12 +780,13 @@ def unit_ends(draw, n: int):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_send_matches_reference_on_any_units(class_models, data):
-    """`_send` sends in certain-prefix runs what the reference sends one
+    """`_send` sends in one pass what the reference sends one
     command at a time, checking capacity after each unit, for any split of
     the commands into units, on a perfect link and on a 40-60 m lossy one.
     Both leave the same levels and served watts, return the same units
-    sent, count the same commands sent and lost, and leave the channel at
-    the same next uniform."""
+    sent, count the same commands sent and lost, and leave a lossy channel
+    where its next 64 landings are those of the stream's values after the
+    last command's."""
     n_homes, model = 40, class_models["C"]
     fleet = helpers.make_fleet(model, n_homes)
     setup = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -814,9 +816,15 @@ def test_send_matches_reference_on_any_units(class_models, data):
         channel = CommandChannel(delivery_p, np.random.default_rng(seed))
         state = round_state(fleet, capacity_w=capacity_w, channel=channel)
         units = send(state, homes, levels, ends)
-        outcomes.append((units, fleet.level.tolist(), state.served_w, channel.sent, channel.lost, channel._uniform()))
-    assert outcomes[1] == outcomes[0]
+        landing = channel.landing(64)
+        outcomes.append((units, fleet.level.tolist(), state.served_w, channel.sent, channel.lost, landing))
+    assert outcomes[1][:-1] == outcomes[0][:-1]
     assert state.served_w == served_demand(fleet)
+    if distance_m is None:
+        assert outcomes[1][-1] is outcomes[0][-1] is None
+    else:  # both leave the stream just past the last command's uniform
+        window = np.random.default_rng(seed).random(channel.sent + 64)[channel.sent :] < delivery_p
+        assert outcomes[1][-1].tolist() == outcomes[0][-1].tolist() == window.tolist()
 
 
 class TestResetHourly:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
 from stressgrid.homes import Home
@@ -160,6 +162,7 @@ class TestCommandChannel:
     def test_perfect_by_default(self, class_models):
         home = self.make_home(class_models)
         channel = CommandChannel(1.0, None)
+        assert channel.landing(3) is None
         assert channel.apply(home, PowerLevel.L3)
         assert home.current_level is PowerLevel.L3
         assert channel.sent == 1 and channel.lost == 0
@@ -206,3 +209,40 @@ class TestCommandChannel:
         assert outcomes == expected
         assert channel.sent == n
         assert channel.lost == expected.count(False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["peek", "apply"]),
+                st.sampled_from([0, 1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1]) | st.integers(0, 2 * DRAW_BLOCK + 1),
+            ),
+            max_size=6,
+        ),
+    )
+    @example(seed=19, ops=[("apply", DRAW_BLOCK), ("peek", 0), ("peek", 1), ("apply", 1)])
+    @example(seed=19, ops=[("apply", 1), ("peek", DRAW_BLOCK - 1), ("apply", DRAW_BLOCK - 2), ("peek", DRAW_BLOCK + 1)])
+    @example(seed=19, ops=[("peek", 2 * DRAW_BLOCK + 1), ("apply", DRAW_BLOCK - 1), ("peek", DRAW_BLOCK), ("apply", 2)])
+    def test_landing_tells_what_the_next_commands_do(self, class_models, seed, ops):
+        """Any mix of `landing(n)` peeks and runs of `apply` calls, with n
+        past DRAW_BLOCK and positions at block edges: each peek equals what
+        the commands after it do, a peek consumes nothing, and the outcomes
+        are one `rng.random()` per command against the delivery chance."""
+        home, p = self.make_home(class_models), LinkModel().delivery_probability(50.0)
+        channel = CommandChannel(p, np.random.default_rng(seed))
+        outcomes, peeks = [], []
+        for op, n in ops:
+            if op == "peek":
+                peek = channel.landing(n).tolist()
+                assert len(peek) == n
+                assert channel.landing(n).tolist() == peek
+                peeks.append((len(outcomes), peek))
+            else:
+                outcomes += [channel.apply(home, PowerLevel.L3) for _ in range(n)]
+        end = max([start + len(peek) for start, peek in peeks], default=0)
+        outcomes += [channel.apply(home, PowerLevel.L3) for _ in range(end - len(outcomes))]
+        for start, peek in peeks:
+            assert peek == outcomes[start : start + len(peek)]
+        assert outcomes == (np.random.default_rng(seed).random(len(outcomes)) < p).tolist()
+        assert (channel.sent, channel.lost) == (len(outcomes), outcomes.count(False))
