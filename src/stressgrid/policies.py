@@ -36,6 +36,13 @@ LATE_ROUNDS_PER_PASS = 5  # smart-home rounds after the first two
 
 _LOWER_CAPS = np.array([CAP_FRACTION[lv] for lv in PowerLevel][:-1])  # L1..L4, ascending
 
+# Most homes one chunk of the centralized pass holds; a larger group is a chunk alone.
+CHUNK_HOMES = 2048
+# A group's span of sort keys in `_shed_chunk`: above any home's draw, which
+# its meter rating caps, and a power of two, so that every key of draws in
+# multiples of QUANTUM_W is exact.
+_SPAN_W = 2.0**12
+
 
 @dataclass(frozen=True)
 class DistributionProfile:
@@ -95,7 +102,8 @@ def _send(state: RoundState, homes: np.ndarray, levels, ends=None) -> int:
     if not len(ends):
         return 0
     fleet, channel = state.fleet, state.channel
-    levels = np.broadcast_to(levels, homes.shape)
+    if not isinstance(levels, np.ndarray):  # one level for all: a zero-stride view
+        levels = np.broadcast_to(levels, homes.shape)
     shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
     landed = channel.landing(homes.size)
     cum = np.concatenate(([0.0], np.cumsum(shed_w if landed is None else shed_w * landed)))
@@ -183,7 +191,7 @@ def alg1_decisions(
     if sl < MIN_STRESS:
         eff = np.where(np.isnan(sl_init), MIN_STRESS, sl)
     else:
-        eff = np.broadcast_to(sl, len(homes))
+        eff = np.broadcast_to(sl, len(homes))  # a view: a full array would raise the round's peak memory
     backs = np.flatnonzero(fresh & (r < eff))
     r_b, eff_b = r[backs], eff[backs]
     pick = np.full(backs.size, PowerLevel.L2, dtype=np.int8)
@@ -261,42 +269,75 @@ def eligible_lower_runs(
     return top, top - lowest + 1
 
 
+def _shed_chunk(state: RoundState, chunk: list[np.ndarray]) -> int:
+    """Walk `chunk`, consecutive groups of `alg2_step`'s walk order, as one
+    `_send`; returns the groups reached: all of them unless served watts
+    fit within the chunk.
+
+    Each group sends its `_cuttable` homes as one unit, then each eligible
+    smart step-down as a unit of its own, by (-watts, id). One stable sort
+    on one float key orders them: the group's offset `group * _SPAN_W`, plus
+    `_SPAN_W - watts` for a step. One draw call gives every step its state.
+    If served watts fit within the chunk, the policy stream is set back to
+    where the group-at-a-time walk leaves it: past the steps of the groups
+    before the stopping group, and past that group's own unless its cut
+    unit fitted.
+    """
+    fleet, emergency, rng = state.fleet, state.emergency, state.rng
+    homes = np.concatenate(chunk)
+    group = np.repeat(np.arange(len(chunk)), [members.size for members in chunk])
+    watts = fleet.watts(homes)
+    top, count = eligible_lower_runs(fleet.level[homes], watts / fleet.rating_w[fleet.cls[homes]], emergency)
+    step = fleet.smart[homes] & _sheddable(fleet, homes, emergency) & (count > 0)
+    picked = np.flatnonzero(_cuttable(state, homes) | step)
+    key = group[picked] * _SPAN_W + np.where(step[picked], _SPAN_W - watts[picked], 0.0)
+    picked = picked[np.argsort(key, kind="stable")]
+    group, step = group[picked], step[picked]
+    counts = count[picked][step]
+    levels = np.full(picked.size, PowerLevel.L1, dtype=np.intp)
+    drawn = rng.bit_generator.state
+    levels[step] = top[picked][step] - rng.integers(0, counts)
+    steps = np.bincount(group[step], minlength=len(chunk))
+    firsts = np.arange(len(chunk) + 1) + np.concatenate(([0], np.cumsum(steps)))  # each group's cut unit
+    sizes = np.ones(firsts[-1], dtype=np.intp)
+    sizes[firsts[:-1]] = np.bincount(group[~step], minlength=len(chunk))
+    last = _send(state, homes[picked], levels, np.cumsum(sizes)) - 1
+    if state.served_w > state.capacity_w:
+        return len(chunk)
+    stop = int(np.searchsorted(firsts, last, side="right")) - 1
+    drew = stop + (last > firsts[stop])  # groups whose steps the walk draws
+    if firsts[drew] - drew < counts.size:
+        rng.bit_generator.state = drawn
+        rng.integers(0, counts[: firsts[drew] - drew])
+    return stop + 1
+
+
 def alg2_step(state: RoundState, k: int) -> None:
     """One centralized assignment pass while served_w exceeds capacity_w;
     every round k of the hour runs the same pass. A pass that leaves
     served demand above capacity raises the emergency flag.
 
-    Groups are visited round-robin. In each group every non-smart home is
-    shut off first; while served demand still exceeds capacity the group's
-    smart homes are stepped down in descending order of current consumption
-    (ties to the lower home id), each to a state drawn uniformly from its
-    eligible lower states: one draw call gives every eligible candidate its
-    step, then the commands go out in that order until served demand fits.
-    Homes shed last hour are skipped unless emergency. `next_group`
-    advances past every group visited.
+    Groups are visited round-robin from `next_group`, each at most once. In
+    each group every non-smart home is shut off first; while served demand
+    still exceeds capacity the group's smart homes are stepped down in
+    descending order of current consumption (ties to the lower home id),
+    each to a state drawn uniformly from its eligible lower states, until
+    served demand fits. Homes shed last hour are skipped unless emergency.
+    `next_group` advances past every group visited. The walk goes in chunks
+    of whole groups of at most CHUNK_HOMES homes (a larger group alone),
+    one `_send` and one draw call per chunk (`_shed_chunk`); its commands,
+    draws and policy stream are those of the group-at-a-time walk.
     """
-    fleet = state.fleet
-    emergency = state.emergency
-    groups = fleet.groups
-    visited = 0
-    while visited < len(groups) and state.served_w > state.capacity_w:
-        members = groups[(state.next_group + visited) % len(groups)]
-        visited += 1
-        _send(state, members[_cuttable(state, members)], PowerLevel.L1)
-        if state.served_w <= state.capacity_w:
-            break
-        candidates = members[fleet.smart[members] & _sheddable(fleet, members, emergency)]
-        watts = fleet.watts(candidates)
-        order = np.lexsort((candidates, -watts))
-        candidates, watts = candidates[order], watts[order]
-        top, count = eligible_lower_runs(
-            fleet.level[candidates], watts / fleet.rating_w[fleet.cls[candidates]], emergency
-        )
-        eligible = count > 0
-        if eligible.any():
-            new = top[eligible] - state.rng.integers(0, count[eligible])
-            _send(state, candidates[eligible], new, np.arange(1, new.size + 1))
-    state.next_group = (state.next_group + visited) % len(groups)
+    groups = state.fleet.groups
+    order = groups[state.next_group :] + groups[: state.next_group]
+    reached = 0
+    while reached < len(order) and state.served_w > state.capacity_w:
+        end, homes = reached + 1, order[reached].size
+        while end < len(order) and homes + order[end].size <= CHUNK_HOMES:
+            homes += order[end].size
+            end += 1
+        reached += _shed_chunk(state, order[reached:end])
+    state.next_group = (state.next_group + reached) % len(groups)
     if state.served_w > state.capacity_w:
         state.emergency = True
 

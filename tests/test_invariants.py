@@ -113,14 +113,15 @@ SHUT_OFF_EXAMPLES = [
 @example(config=SHUT_OFF_EXAMPLES[1], lossy_m=None)
 @example(config=SHUT_OFF_EXAMPLES[2], lossy_m=None)
 def test_batched_commands_equal_per_command_reference(config, lossy_m):
-    """The policies send commands in runs and walk the shut-off groups as
-    one batch; a run with the one-command-at-a-time `_send` and the
-    group-at-a-time walks of `helpers` gives the same hour records, the
-    same commands sent and lost, and so the same channel stream. Half the
-    examples move the link to `lossy_m` metres, where commands get lost.
-    Every command of the reference run must pass through a reference, so
-    that a step that reached the batched code by another name would fail
-    here rather than compare the engine with itself."""
+    """The policies send commands in runs, walk the shut-off groups as one
+    batch and the centralized pass in chunks of groups; a run with the
+    one-command-at-a-time `_send`, the group-at-a-time shut-off walks and
+    the home-by-home centralized pass of `helpers` gives the same hour
+    records, the same commands sent and lost, and so the same channel
+    stream. Half the examples move the link to `lossy_m` metres, where
+    commands get lost. Every command of the reference run must pass through
+    a reference, so that a step that reached the batched code by another
+    name would fail here rather than compare the engine with itself."""
     if lossy_m is not None:
         config = replace(config, protocol_emulation=True, protocol_distance_m=lossy_m)
     log = engine.run(config)
@@ -139,6 +140,7 @@ def test_batched_commands_equal_per_command_reference(config, lossy_m):
         mp.setattr(policies, "_send", counted(helpers.send_reference))
         mp.setattr(policies, "baseline_step", counted(helpers.baseline_step_reference))
         mp.setattr(policies, "cut_nonsmart_groups", counted(helpers.cut_nonsmart_groups_reference))
+        mp.setattr(policies, "alg2_step", counted(helpers.alg2_step_reference))
         reference = engine.run(config)
     assert sum(carried) == reference.commands_sent  # so no command went out uncounted
     assert helpers.hour_digest([log]) == helpers.hour_digest([reference])

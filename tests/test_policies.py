@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import helpers
 from helpers import ScalarHome, alg1_home_decision, decide, demand, eligible_lower_levels
+from stressgrid import policies
 from stressgrid.homes import Fleet, set_hour_draws
 from stressgrid.levels import PowerLevel
 from stressgrid.policies import (
@@ -631,22 +632,35 @@ class TestAlg2Step:
     ks=st.lists(st.integers(1, 4), min_size=1, max_size=60),
     seed=st.integers(0, 2**64 - 1),
     odd_start=st.booleans(),
+    m=st.integers(0, 60),
 )
-@example(ks=[1], seed=0, odd_start=False)
-@example(ks=[1, 1, 1], seed=0, odd_start=True)
-def test_array_bound_draw_equals_scalar_draws(ks, seed, odd_start):
-    """The batched step-down of alg2_step draws a group's steps with one
-    `rng.integers(0, k_array)`, where the scalar reference makes one
-    `rng.integers(0, k)` call per candidate; the two agree only while numpy
-    gives the same values and leaves the generator in the same state, k = 1
-    (which draws nothing) included. A numpy that breaks this fails here."""
+@example(ks=[1], seed=0, odd_start=False, m=0)
+@example(ks=[1, 1, 1], seed=0, odd_start=True, m=2)
+@example(ks=[3, 2, 4], seed=0, odd_start=True, m=1)
+def test_array_bound_draw_equals_scalar_draws(ks, seed, odd_start, m):
+    """The centralized pass draws the steps of a chunk of groups with one
+    `rng.integers(0, counts)`, where the scalar reference makes one
+    `rng.integers(0, k)` call per candidate. When the chunk's send ends
+    early, the pass restores the generator's state from before that call
+    and draws `rng.integers(0, counts[:m])`, the m draws the reference
+    made. Each agrees with the scalar draws only while numpy gives the same
+    values and leaves the generator in the same state, k = 1 (which draws
+    nothing) and m = 0 included. A numpy that breaks this fails here."""
     batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
     if odd_start:  # half of a 64-bit output left buffered
         batch.integers(0, 3)
         scalar.integers(0, 3)
-    got = batch.integers(0, np.array(ks, dtype=np.intp))
-    assert got.tolist() == [int(scalar.integers(0, k)) for k in ks]
-    assert batch.bit_generator.state == scalar.bit_generator.state
+    want, states = [], [scalar.bit_generator.state]
+    for k in ks:
+        want.append(int(scalar.integers(0, k)))
+        states.append(scalar.bit_generator.state)
+    counts, m = np.array(ks, dtype=np.intp), min(m, len(ks))
+    saved = batch.bit_generator.state
+    assert batch.integers(0, counts).tolist() == want
+    assert batch.bit_generator.state == states[-1]
+    batch.bit_generator.state = saved
+    assert batch.integers(0, counts[:m]).tolist() == want[:m]
+    assert batch.bit_generator.state == states[m]
 
 
 @settings(max_examples=200, deadline=None)
@@ -721,6 +735,93 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
         ))
     assert outcomes[1] == outcomes[0]
     assert state.served_w == served_demand(topo)
+
+
+def reference_commands(state: RoundState) -> tuple[list[int], list[float]]:
+    """The commands of the scalar reference's centralized pass on `state`,
+    with its capacity lowered so that nothing fits: each command's home and
+    the served watts after it. Leaves the fleet's levels as they were."""
+    level, channel = state.fleet.level.copy(), state.channel
+    state.capacity_w = -1.0
+    homes, served_before = [], []
+
+    def apply(home, new):
+        homes.append(home.id)
+        served_before.append(state.served_w)
+        return CommandChannel.apply(channel, home, new)
+
+    channel.apply = apply
+    helpers.alg2_step_reference(state, 1)
+    state.fleet.level[:] = level
+    return homes, served_before[1:] + [state.served_w]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_alg2_step_chunks_match_scalar_reference(class_models, data):
+    """alg2_step walks its groups in chunks of at most CHUNK_HOMES homes, one
+    send and one draw call per chunk. With the bound cut so that a pass
+    spans three to six chunks, it agrees with the scalar reference on
+    levels, served watts, emergency flag, next group, commands sent and
+    lost, and where it leaves both streams. The capacity makes the pass
+    stop in the first, a middle or the last chunk, at a non-smart cut or a
+    smart step-down, or nowhere, on any link: it sits at or just above the
+    served watts after one such command of the reference's whole pass."""
+    per_chunk, size = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 10))
+    bound = per_chunk * size + data.draw(st.integers(0, size - 1))
+    n_chunks = data.draw(st.integers(3, 6))
+    n_groups = per_chunk * (n_chunks - 1) + data.draw(st.integers(1, per_chunk))
+    n = n_groups * size
+    setup = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    smart = setup.random(n) < data.draw(st.sampled_from([0.3, 0.6, 0.9]))
+    groups = [np.sort(members) for members in np.split(setup.permutation(n), n_groups)]
+    fleet = Fleet(tuple(class_models[label] for label in "ABC"), setup.integers(0, 3, n), smart, groups)
+    for model, homes in zip(fleet.models, fleet.class_homes):
+        if homes.size:
+            set_hour_draws(fleet, homes, setup.uniform(0.0, 1.2, (homes.size, model.n_appliances)) * model.rated_draws)
+    fleet.level[:] = setup.integers(PowerLevel.L1, PowerLevel.L5 + 1, n)
+    fleet.ls_lh[:] = setup.random(n) < data.draw(st.sampled_from([0.0, 0.3]))
+    served = served_demand(fleet)
+    start = data.draw(st.integers(0, n_groups - 1))
+    link = data.draw(st.sampled_from(sorted(LINKS)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    emergency = data.draw(st.booleans())
+
+    def fresh_state():
+        rng, channel_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+        state = RoundState(
+            fleet, DP_THIRDS, 0.5, rng, LINKS[link](channel_rng), served_w=served,
+            emergency=emergency, next_group=start,
+        )
+        return state, channel_rng
+
+    homes, after = reference_commands(fresh_state()[0])
+    before = [served] + after[:-1]
+    walk_chunk = {int(i): (g - start) % n_groups // per_chunk for g, members in enumerate(groups) for i in members}
+    where = data.draw(st.sampled_from([0, n_chunks // 2, n_chunks - 1, None]))  # first, middle, last chunk
+    kind = data.draw(st.booleans())  # stop at a smart step-down, or at a non-smart cut
+    shedding = [j for j in range(len(homes)) if after[j] < before[j]]
+    stops = [j for j in shedding if walk_chunk[homes[j]] == where and smart[homes[j]] == kind]
+    capacity_w = -1.0
+    if shedding and where is not None:
+        j = data.draw(st.sampled_from(stops or shedding))
+        capacity_w = after[j] + data.draw(st.sampled_from([0.0, 0.5])) * (before[j] - after[j])
+    level = fleet.level.copy()
+
+    outcomes = []
+    for step in (helpers.alg2_step_reference, alg2_step):
+        fleet.level[:] = level
+        state, channel_rng = fresh_state()
+        state.capacity_w = capacity_w
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(policies, "CHUNK_HOMES", bound)
+            step(state, 1)
+        outcomes.append((
+            fleet.level.tolist(), state.served_w, state.emergency, state.next_group, state.channel.sent,
+            state.channel.lost, state.rng.bit_generator.state, channel_rng.bit_generator.state,
+        ))
+    assert outcomes[1] == outcomes[0]
+    assert state.served_w == served_demand(fleet)
 
 
 def seed_delivering(pattern, p: float) -> int:
