@@ -295,7 +295,7 @@ def _shed_chunk(state: RoundState, chunk: list[np.ndarray]) -> int:
     group, step = group[picked], step[picked]
     counts = count[picked][step]
     levels = np.full(picked.size, PowerLevel.L1, dtype=np.intp)
-    drawn = rng.bit_generator.state
+    saved = rng.bit_generator.state
     levels[step] = top[picked][step] - rng.integers(0, counts)
     steps = np.bincount(group[step], minlength=len(chunk))
     firsts = np.arange(len(chunk) + 1) + np.concatenate(([0], np.cumsum(steps)))  # each group's cut unit
@@ -306,9 +306,10 @@ def _shed_chunk(state: RoundState, chunk: list[np.ndarray]) -> int:
         return len(chunk)
     stop = int(np.searchsorted(firsts, last, side="right")) - 1
     drew = stop + (last > firsts[stop])  # groups whose steps the walk draws
-    if firsts[drew] - drew < counts.size:
-        rng.bit_generator.state = drawn
-        rng.integers(0, counts[: firsts[drew] - drew])
+    made = firsts[drew] - drew  # their steps, one draw each
+    if made < counts.size:
+        rng.bit_generator.state = saved
+        rng.integers(0, counts[:made])
     return stop + 1
 
 

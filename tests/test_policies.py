@@ -798,7 +798,7 @@ def test_alg2_step_chunks_match_scalar_reference(class_models, data):
     homes, after = reference_commands(fresh_state()[0])
     before = [served] + after[:-1]
     walk_chunk = {int(i): (g - start) % n_groups // per_chunk for g, members in enumerate(groups) for i in members}
-    where = data.draw(st.sampled_from([0, n_chunks // 2, n_chunks - 1, None]))  # first, middle, last chunk
+    where = data.draw(st.sampled_from([0, n_chunks // 2, n_chunks - 1, None]))  # the chunk to stop in, if any
     kind = data.draw(st.booleans())  # stop at a smart step-down, or at a non-smart cut
     shedding = [j for j in range(len(homes)) if after[j] < before[j]]
     stops = [j for j in shedding if walk_chunk[homes[j]] == where and smart[homes[j]] == kind]
