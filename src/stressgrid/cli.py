@@ -91,8 +91,8 @@ def _config_errors() -> Iterator[None]:
         raise ConfigError(str(exc)) from None
 
 
-def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
-    """Every run's config of `spec`; raises ConfigError if any is invalid."""
+def checked_configs(spec: ExperimentSpec) -> None:
+    """Build every run's config of `spec`; raises ConfigError if any is invalid."""
     if spec.runs < 1:
         raise ConfigError("runs must be at least 1")
     for key, values, token in (
@@ -126,7 +126,6 @@ def checked_configs(spec: ExperimentSpec) -> list[SimConfig]:
             raise ConfigError(
                 f"cells (gap, ap) {cells[j // spec.runs]} and {cells[k // spec.runs]} share every seed"
             )
-    return configs
 
 
 def _parser(convert, kind: str):

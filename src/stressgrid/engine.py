@@ -135,15 +135,16 @@ def _refresh_draws(fleet: Fleet, rng: np.random.Generator) -> None:
             set_hour_draws(fleet, block, sample_inverse(model.table, u, out=u))
 
 
-def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int, demand_w: float) -> None:
-    """Run the policy's rounds of the hour on `state`, whose homes are all at
-    L5 and whose `capacity_w` and `sl` are the hour's, and record the hour
-    in `log`."""
+def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int,
+               demand_w: float, capacity_w: float, sl: float) -> None:
+    """One run's hour, the only writer of its hour state: open the hour on
+    `state`, whose homes are all at L5, play the policy's rounds, record the
+    hour and the run's command counts so far in `log`, and close the hour
+    with `reset_hourly`, which leaves the homes at L5 for the next."""
     policy = POLICIES[config.policy]
-    capacity_w = state.capacity_w
+    state.sl, state.capacity_w, state.served_w, state.emergency = sl, capacity_w, demand_w, False
     rounds = 0
     max_rounds = policy.max_rounds(len(state.fleet.groups))
-    state.served_w = demand_w
     is_converged = demand_w <= capacity_w
     while not is_converged and rounds < max_rounds:
         rounds += 1
@@ -174,6 +175,8 @@ def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int,
             repeat_shed_homes=repeat_shed,
         )
     )
+    log.commands_sent, log.commands_lost = state.channel.sent, state.channel.lost
+    reset_hourly(fleet)
 
 
 def run(config: SimConfig) -> MetricsLog:
@@ -187,12 +190,12 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
 
     The seed spawns one random stream per purpose (topology, hourly redraw,
     policy, channel), so a draw for one purpose moves no value of another.
-    The topology and redraw streams never read the policy, so the cell
-    builds one grid and redraws it once an hour, and sums its demand and
-    sets its capacity and stress level once an hour. Each run then plays
-    the hour on its own fleet states, `RoundState`, policy stream and
-    channel stream. Raises ValueError for no configs or configs that differ
-    in more than the policy.
+    The topology and redraw streams never read the policy, so the cell does
+    the work its runs share: it builds one grid, and once an hour redraws
+    it, sums its demand and fixes the capacity and stress level. Each run
+    then plays the hour (`_play_hour`) on its own fleet states,
+    `RoundState`, policy stream and channel stream. Raises ValueError for
+    no configs or configs that differ in more than the policy.
     """
     if not configs:
         raise ValueError("run_cell needs at least one config")
@@ -238,17 +241,10 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
         runs.append((run_config, state, log))
 
     for hour in range(config.horizon_hours):
-        for _, state, _ in runs:
-            state.emergency = False
-            reset_hourly(state.fleet)
         _refresh_draws(grid, draws_rng)
         demand_w = served_demand(grid)  # everyone is at L5
         capacity_w = supply.capacity_for(demand_w)
         sl = stress_level(demand_w, capacity_w) if demand_w > 0 else 0.0
         for run_config, state, log in runs:
-            state.capacity_w, state.sl = capacity_w, sl
-            _play_hour(run_config, state, log, hour, demand_w)
-    for _, state, log in runs:
-        log.commands_sent = state.channel.sent
-        log.commands_lost = state.channel.lost
+            _play_hour(run_config, state, log, hour, demand_w, capacity_w, sl)
     return [log for _, _, log in runs]

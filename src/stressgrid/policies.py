@@ -64,13 +64,13 @@ class DistributionProfile:
 class RoundState:
     """What the policy rounds of one run read and write.
 
-    The engine sets `sl` and `capacity_w` at each hour boundary, clears
-    `emergency` each hour, and sets `served_w` to the served demand before
-    the hour's first round. Each round lowers `served_w` by the watts its
-    delivered commands shed, so it stays equal to a fresh sum of served
-    demand; both are exact, as draws are multiples of `homes.QUANTUM_W`.
-    `next_group` is the feeder group the next group walk starts from: the
-    rounds alone read and move it, and it carries over from hour to hour.
+    `engine._play_hour` opens each hour: it sets `sl`, `capacity_w` and
+    `served_w` to the hour's, and clears `emergency`. Each round lowers
+    `served_w` by the watts its delivered commands shed, so it stays equal
+    to a fresh sum of served demand; both are exact, as draws are multiples
+    of `homes.QUANTUM_W`. `next_group` is the feeder group the next group
+    walk starts from: each step moves it once, and it carries over from
+    hour to hour.
     """
 
     fleet: Fleet
@@ -128,16 +128,16 @@ def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
     return ~fleet.smart[homes] & (fleet.level[homes] != PowerLevel.L1) & _sheddable(fleet, homes, state.emergency)
 
 
-def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> None:
+def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> int:
     """Shut off homes group by group, round-robin from `next_group`, each
     group at most once, while `served_w` exceeds `capacity_w`: every member
     of a group, or with `nonsmart_only` its `_cuttable` members. One `_send`
     takes the groups concatenated in walk order, each group one unit (a
     group's cuts change no other group's homes, so all of them are known up
-    front), and `next_group` moves past every group it sent, empty ones
-    included."""
+    front). Returns the groups it sent, empty ones included; the caller
+    moves `next_group`."""
     if state.served_w <= state.capacity_w:
-        return
+        return 0
     fleet = state.fleet
     order = fleet.groups[state.next_group :] + fleet.groups[: state.next_group]
     homes = np.concatenate(order)
@@ -145,8 +145,7 @@ def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> None:
     if nonsmart_only:
         keep = _cuttable(state, homes)
         homes, ends = homes[keep], np.concatenate(([0], np.cumsum(keep)))[ends]
-    visited = _send(state, homes, PowerLevel.L1, ends)
-    state.next_group = (state.next_group + visited) % len(fleet.groups)
+    return _send(state, homes, PowerLevel.L1, ends)
 
 
 def baseline_step(state: RoundState, k: int) -> None:
@@ -154,9 +153,8 @@ def baseline_step(state: RoundState, k: int) -> None:
     served demand fits under capacity. The hour's first round (k == 1)
     moves `next_group` on by one and later rounds leave it, so the burden
     rotates by one group per hour."""
-    start = state.next_group
     _shut_off_groups(state, nonsmart_only=False)
-    state.next_group = (start + (k == 1)) % len(state.fleet.groups)
+    state.next_group = (state.next_group + (k == 1)) % len(state.fleet.groups)
 
 
 def alg1_decisions(
@@ -215,7 +213,8 @@ def cut_nonsmart_groups(state: RoundState) -> None:
     under capacity or every group has been tried. Homes shed last hour are
     skipped unless an emergency is in force. `next_group` moves past the
     groups tried."""
-    _shut_off_groups(state, nonsmart_only=True)
+    sent = _shut_off_groups(state, nonsmart_only=True)
+    state.next_group = (state.next_group + sent) % len(state.fleet.groups)
 
 
 def pass_rounds(n_groups: int) -> int:

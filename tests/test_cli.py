@@ -69,6 +69,11 @@ def _keep_header(path: Path) -> None:
     path.write_text(path.read_text().splitlines()[0] + "\n")
 
 
+def _set_header(path: Path, header: str) -> None:
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([header] + lines[1:]) + "\n")
+
+
 def write_config(tmp_path: Path, text: str | bytes) -> Path:
     p = tmp_path / "exp.ini"
     p.write_bytes(text.encode() if isinstance(text, str) else text)
@@ -193,6 +198,10 @@ class TestWorkerCount:
         monkeypatch.setenv("STRESSGRID_THREADS", "64")
         assert _worker_count(3) == 3
 
+    def test_non_integer_env_means_one_worker(self, monkeypatch):
+        monkeypatch.setenv("STRESSGRID_THREADS", "two")
+        assert _worker_count(8) == 1
+
 
 class TestMain:
     def test_validate_good_config(self, tmp_path, capsys):
@@ -238,6 +247,16 @@ class TestMain:
         ]
         matrices = sorted(q.name for q in out.glob("matrix_*.csv"))
         assert len(matrices) == 8  # 2 non-baseline policies x 4 metrics
+
+    def test_progress_ends_with_the_files_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("STRESSGRID_THREADS", "1")
+        p = write_config(tmp_path, TINY.replace("runs = 2", "runs = 1"))
+        out = tmp_path / "results"
+        assert main(["--config", str(p), "--out", str(out)]) == 0
+        files = [q for q in out.rglob("*") if q.is_file()]
+        assert len(files) == 3 + 3 + 2 * 4  # run CSVs, summaries, matrices
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["group 1/1 complete", f"wrote {len(files)} files under {out}"]
 
     def test_fixed_capacity_runs_share_their_cell(self, tmp_path):
         text = TINY.replace("gaps = 20", "mode = fixed_capacity\ncapacity_w = 5000")
@@ -307,6 +326,12 @@ class TestMain:
         pytest.param(corpus_ini(lambda d: _append(d / "manifest.txt", "refrigerator.txt\n")), [],
                      id="corpus-extra-appliance"),
         pytest.param(corpus_ini(shutil.rmtree), [], id="corpus-missing-class"),
+        pytest.param(corpus_ini(lambda d: _set_header(d / "refrigerator.txt", "appliance,")), [],
+                     id="corpus-empty-appliance-name"),
+        pytest.param(corpus_ini(lambda d: _set_header(d / "manifest.txt", "B")), [],
+                     id="corpus-manifest-without-class-header"),
+        pytest.param(TINY.replace("[topology]", "[topology]\nclass_mix = 0.5,0.5"), [],
+                     id="class-mix-two-fractions"),
         pytest.param(TINY, ["--runs", "abc"], id="runs-word"),
         pytest.param(TINY, ["--seed", "1.5"], id="seed-fraction"),
         pytest.param(TINY, ["--policy", "foo"], id="policy-unknown"),

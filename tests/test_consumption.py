@@ -118,6 +118,10 @@ class TestFitCdf:
         with pytest.raises(ValueError):
             fit_cdf(make([-1.0, 2.0]))
 
+    def test_empty_samples_rejected(self):
+        with pytest.raises(ValueError, match="no samples"):
+            fit_cdf(make([]))
+
     def test_silverman_positive_on_degenerate(self):
         assert silverman_bandwidth(np.array([5.0] * 10)) > 0
 

@@ -98,6 +98,10 @@ class TestBuildDm:
         with pytest.raises(ValueError, match="expects"):
             build_dm(HOME_CLASSES["A"], [100.0] * 3)
 
+    def test_negative_rating_rejected(self):
+        with pytest.raises(ValueError, match="negative appliance rating"):
+            build_dm(HOME_CLASSES["A"], [100.0] * 6 + [-1.0])
+
 
 def install(model, draws):
     """A fleet of one home per row of `draws`, with those draws installed;

@@ -179,6 +179,18 @@ class TestReportFiles:
         rows = list(csv.reader((tmp_path / "matrix_distributed_sci.csv").open()))
         assert rows[1][1] == "nan"
 
+    def test_matrix_nan_where_a_policy_lacks_a_cell(self, tmp_path):
+        """Centralized has the AP 0.9 cell alone, the other policies AP 0.6
+        too: each centralized matrix is nan at AP 0.6 and a value at 0.9."""
+        logs = self.sample_logs() + [make_log(policy="centralized")] + [
+            make_log(policy=policy, ap=0.6) for policy in ("baseline", "distributed")
+        ]
+        write_report(logs, tmp_path)
+        for metric in ("dec_l1", "dec_l5", "sci", "ulw_day_wh"):
+            rows = list(csv.reader((tmp_path / f"matrix_centralized_{metric}.csv").open()))
+            assert rows[0] == ["gap_percent", "60", "90"]
+            assert rows[1][1] == "nan" and not math.isnan(float(rows[1][2])), metric
+
     def test_deterministic_bytes(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         w1 = write_report(self.sample_logs(), d1)
