@@ -81,7 +81,9 @@ def fit_cdf(samples: ApplianceSamples) -> EmpiricalCdf:
 
     The grid spans [max(0, min - 3h), max + 3h]; any density mass that the
     kernels place below zero watts (or beyond the grid) is clipped and the
-    CDF renormalized, so negative draws are impossible.
+    CDF renormalized, so negative draws are impossible. Raises ValueError,
+    naming the appliance, if the readings are so large that the grid's
+    points are not all distinct doubles.
     """
     from scipy.special import ndtr  # imported here: only fitting needs scipy
 
@@ -94,9 +96,11 @@ def fit_cdf(samples: ApplianceSamples) -> EmpiricalCdf:
 
     lo = max(0.0, float(values.min()) - 3.0 * h)
     hi = float(values.max()) + 3.0 * h
-    if hi <= lo:
-        hi = lo + max(h, _DEGENERATE_BANDWIDTH)
     grid = np.linspace(lo, hi, GRID_POINTS)
+    if not (grid[1:] > grid[:-1]).all():
+        raise ValueError(
+            f"{samples.appliance_name}: readings too large for {GRID_POINTS} distinct grid points"
+        )
 
     # Exact CDF of the kernel mixture, evaluated columnwise to bound memory.
     raw = np.empty_like(grid)
@@ -122,7 +126,9 @@ class CdfTable:
     guide[j, b] is the index of the first point of CDF j whose F reaches
     b / GUIDE_BUCKETS, for b = 0 .. GUIDE_BUCKETS, stored in the smallest
     unsigned type that holds it. The first point with F >= u therefore
-    lies between the entries of u's bucket and of the next bucket.
+    lies between the entries of u's bucket and of the next bucket, which
+    are at most `width` points apart: width is the most grid points any
+    bucket of any CDF spans, max(diff(guide)).
 
     dx and df are each point's steps from the point before it in the
     flattened grids, x[i] - x[i - 1] and F[i] - F[i - 1], contiguous and
@@ -135,6 +141,7 @@ class CdfTable:
     grid_x: np.ndarray
     grid_f: np.ndarray
     guide: np.ndarray
+    width: int
     dx: np.ndarray
     df: np.ndarray
 
@@ -144,9 +151,10 @@ class CdfTable:
         grid_f = np.stack([c.grid_f for c in cdfs])
         edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
         guide = np.stack([np.searchsorted(f, edges, side="left") for f in grid_f])
+        width = int(np.diff(guide, axis=1).max())
         guide = guide.astype(np.min_scalar_type(grid_f.shape[1]))
         flat_x, flat_f = grid_x.ravel(), grid_f.ravel()
-        return cls(grid_x, grid_f, guide, flat_x - np.roll(flat_x, 1), flat_f - np.roll(flat_f, 1))
+        return cls(grid_x, grid_f, guide, width, flat_x - np.roll(flat_x, 1), flat_f - np.roll(flat_f, 1))
 
 
 def sample_inverse(cdf: EmpiricalCdf | CdfTable, u, out: np.ndarray | None = None):
@@ -175,10 +183,13 @@ def _invert(table: CdfTable, u: np.ndarray, out: np.ndarray | None = None) -> np
     given. The temporaries grow with the block, so callers bound its rows.
     All of u is read before `out` is written, so `out` may be `u`.
 
-    Each u starts at its bucket's guide entry, which is the answer for
+    Each u starts at its bucket's guide entry g, which is the answer for
     most draws, and steps once while F there is below u. The few draws
-    still short, in buckets holding two or more grid points, take one
-    `searchsorted` per CDF they fall in. The point i found is the first
+    still short, in buckets holding two or more grid points, count in
+    one pass the points below u among the `width` points from g on (the
+    window clipped at the CDF's last point, where F = 1): the first point
+    with F >= u lies at most `width` points past g, so g plus that count
+    is the index `searchsorted` would find. The point i found is the first
     with F >= u, and the result is (u - F[i-1]) / df[i] * dx[i] + x[i-1]:
     the same operations in the same order on the same doubles as
     x[i-1] + (u - F[i-1]) / (F[i] - F[i-1]) * (x[i] - x[i-1]), so the same
@@ -196,10 +207,10 @@ def _invert(table: CdfTable, u: np.ndarray, out: np.ndarray | None = None) -> np
     idx += flat_f.take(idx) < u
     lag = np.flatnonzero(flat_f.take(idx) < u)
     if lag.size:
-        cdf, u_lag = lag % n, u.ravel()[lag]
-        for j in np.unique(cdf):
-            of_j = cdf == j
-            idx.ravel()[lag[of_j]] = np.searchsorted(table.grid_f[j], u_lag[of_j], side="left") + starts[j]
+        first = idx.ravel()[lag] - 1  # the guide entry, stepped past above
+        last = (lag % n + 1) * points - 1
+        window = np.minimum(first[:, None] + np.arange(table.width), last[:, None])
+        idx.ravel()[lag] = first + (flat_f.take(window) < u.ravel()[lag, None]).sum(axis=1)
     # the point before a grid start is another CDF's; fixed below
     before = idx - 1
     if out is None:

@@ -153,8 +153,10 @@ def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int,
 
     fleet = state.fleet
     level = fleet.level
-    counts = np.bincount(level, minlength=6)[1:].tolist()
-    smart_counts = np.bincount(level[fleet.smart], minlength=6)[1:].tolist()
+    # row v: the non-smart and the smart homes at level v
+    by_level = np.bincount(2 * level + fleet.smart, minlength=12).reshape(6, 2)[1:]
+    counts = by_level.sum(axis=1).tolist()
+    smart_counts = by_level[:, 1].tolist()
     shed_again = fleet.ls_lh & (level < PowerLevel.L5)
     repeat_shed = 0 if state.emergency else int(np.count_nonzero(shed_again))
     log.hours.append(

@@ -193,18 +193,22 @@ def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
     Draws are clamped at each appliance's rated value (the rating is what
     the state caps are guaranteed against), scaled down in proportion if
     the total would exceed the meter rating, then floored to a multiple of
-    QUANTUM_W, which keeps both caps. A float64 `draws` array is changed in
-    place, so it must not be a view of state that is kept, such as a
-    model's rated draws. The watts at each state are the connected
+    QUANTUM_W, which keeps both caps. The totals are taken only for a
+    class whose rated draws sum above its meter rating: rounded addition is
+    monotone, so a clamped row, summed by the same reduction in the same
+    order, cannot sum above the rated draws. A float64 `draws` array is
+    changed in place, so it must not be a view of state that is kept, such
+    as a model's rated draws. The watts at each state are the connected
     appliances' draws summed, exactly.
     """
     model = fleet.models[fleet.cls[homes[0]]]
     draws = np.asarray(draws, dtype=float)
     np.minimum(draws, model.rated_draws, out=draws)
-    total = draws.sum(axis=1)
     rating = model.home_class.rating_w
-    over = total > rating
-    draws[over] *= (rating / total[over])[:, None]
+    if model.rated_draws[None].sum(axis=1)[0] > rating:
+        total = draws.sum(axis=1)
+        over = total > rating
+        draws[over] *= (rating / total[over])[:, None]
     draws /= QUANTUM_W
     np.floor(draws, out=draws)
     draws *= QUANTUM_W

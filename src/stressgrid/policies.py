@@ -178,7 +178,7 @@ def alg1_decisions(
     """
     if not fleet.smart[homes].all():
         raise ValueError("only smart homes run the backoff scheme")
-    if np.any((r < 1) | (r > 100)):
+    if r.min(initial=1) < 1 or r.max(initial=100) > 100:
         raise ValueError("r must lie in [1, 100]")
     level = fleet.level[homes]
     sl_init = fleet.sl_init[homes]
@@ -201,9 +201,9 @@ def alg1_decisions(
     steps = active & done & (level != PowerLevel.L1) & (emergency | (r < sl_init))
     if not emergency:
         steps &= level != PowerLevel.L2
-    target[steps] = level[steps] - 1
+    np.subtract(level, 1, out=target, where=steps)  # steps and backs are disjoint
 
-    fleet.sl_init[homes[fresh]] = eff[fresh]
+    fleet.sl_init[homes] = np.where(fresh, eff, sl_init)  # the rest get back what was read
     fleet.dlc_done[homes[backs]] = True
     return target
 

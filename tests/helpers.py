@@ -12,7 +12,7 @@ import numpy as np
 from stressgrid.consumption import filter_outliers, fit_cdf
 from stressgrid.corpus import synthetic_samples
 from stressgrid.engine import BUILTIN_CDFS
-from stressgrid.homes import HOME_CLASSES, Fleet, Home, set_hour_draws
+from stressgrid.homes import HOME_CLASSES, QUANTUM_W, Fleet, Home, set_hour_draws
 from stressgrid.levels import CAP_FRACTION, PowerLevel
 from stressgrid.policies import MIN_STRESS, DistributionProfile, RoundState, _cuttable, alg1_decisions
 from stressgrid.protocol import decode, encode
@@ -236,6 +236,21 @@ def alg2_step_reference(state: RoundState, k: int) -> None:
     state.next_group = (state.next_group + visited) % len(groups)
     if state.served_w > state.capacity_w:
         state.emergency = True
+
+
+def set_hour_draws_reference(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
+    """Reference of `homes.set_hour_draws` that takes every row's total and
+    scales the rows over the meter rating down, whatever the class's rated
+    draws sum to."""
+    model = fleet.models[fleet.cls[homes[0]]]
+    draws = np.minimum(np.asarray(draws, dtype=float), model.rated_draws)
+    total = draws.sum(axis=1)
+    rating = model.home_class.rating_w
+    over = total > rating
+    draws[over] *= (rating / total[over])[:, None]
+    draws = np.floor(draws / QUANTUM_W) * QUANTUM_W
+    fleet.level_watts[homes] = draws @ model.dm
+    return draws
 
 
 def sample_inverse_reference(cdf, u):

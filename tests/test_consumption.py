@@ -16,6 +16,7 @@ from scipy import stats
 
 import helpers
 from stressgrid.consumption import (
+    GRID_POINTS,
     GUIDE_BUCKETS,
     ApplianceSamples,
     CdfTable,
@@ -121,6 +122,11 @@ class TestFitCdf:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
             fit_cdf(make([]))
+
+    def test_collapsed_grid_rejected(self):
+        # 3h either side of 1e15 W is below half a double's spacing there
+        with pytest.raises(ValueError, match="huge: readings too large"):
+            fit_cdf(make([1e15] * 50, name="huge"))
 
     def test_silverman_positive_on_degenerate(self):
         assert silverman_bandwidth(np.array([5.0] * 10)) > 0
@@ -279,6 +285,35 @@ class TestCdfTable:
             searched.append(int(beyond_step.sum()))
         assert min(searched) > 0, searched
         assert (np.where(block == 0.0, got, table.grid_x[:, 0]) == table.grid_x[:, 0]).all()
+
+    def test_widest_bucket_window_matches_reference(self, class_models):
+        """A flat run of most of the grid inside one bucket makes `width`
+        near GRID_POINTS. A draw just below the next bucket's edge needs
+        the whole window, and in a CDF whose run sits in the top bucket
+        the window runs past the CDF's last point, so it is clipped there
+        rather than read from the next row."""
+        run = 2.0**-22 * np.arange(GRID_POINTS - 40)  # inside one bucket
+        middle = np.concatenate([np.linspace(0.0, 0.5, 20, endpoint=False), 0.5 + run, np.linspace(0.6, 1.0, 20)])
+        top = 1.0 - 1.0 / GUIDE_BUCKETS
+        end = np.concatenate([np.linspace(0.0, top, 111, endpoint=False), top + run[:400], [1.0]])
+        x = np.arange(GRID_POINTS, dtype=float)
+        cdfs = [EmpiricalCdf(x, middle, 1.0), EmpiricalCdf(x, end, 1.0), class_models["C"].cdfs[0]]
+        table = CdfTable.stack(cdfs)
+        assert table.width == np.diff(table.guide.astype(np.intp), axis=1).max() == GRID_POINTS - 40
+
+        rng = np.random.default_rng(16)
+        edges = np.array([0.5, top, 1.0])
+        u = np.concatenate([
+            [0.0, *edges[:2], *np.nextafter(edges, 0.0)],
+            *(cdf.grid_f[cdf.grid_f < 1.0] for cdf in cdfs),
+            0.5 + rng.random(300) / GUIDE_BUCKETS,  # the middle row's run
+            np.minimum(top + rng.random(300) / GUIDE_BUCKETS, np.nextafter(1.0, 0.0)),  # the end row's
+            rng.random(300),
+        ])
+        block = np.column_stack([rng.permutation(u) for _ in cdfs])
+        got = sample_inverse(table, block)
+        for j, cdf in enumerate(cdfs):
+            assert (bits(got[:, j]) == bits(helpers.sample_inverse_reference(cdf, block[:, j]))).all(), j
 
     def test_guide_entries_start_each_bucket(self, uniform_cdf):
         table = CdfTable.stack([uniform_cdf, uniform_cdf])

@@ -7,10 +7,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import demand, make_fleet
+from helpers import demand, make_fleet, set_hour_draws_reference
 from stressgrid.homes import (
     HOME_CLASSES,
     QUANTUM_W,
@@ -256,7 +256,49 @@ def test_installed_watts_are_exact(label, n_homes, overload, seed):
     assert served == sum(watts)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    label=st.sampled_from(sorted(HOME_CLASSES)),
+    n_homes=st.integers(1, 300),
+    fraction=st.floats(0.5, 1.0),
+    n_full=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(label="A", n_homes=20, fraction=1.0, n_full=20, seed=0)
+def test_meter_cap_pass_skipped_only_when_it_is_a_no_op(label, n_homes, fraction, n_full, seed):
+    """For a class whose rated draws sum to at most its meter rating, the
+    installed draws and level watts are those of the reference that takes
+    every row's total and rescales the rows over the rating. The rated
+    draws are multiples of QUANTUM_W that sum to `fraction` times the
+    rating, floored to QUANTUM_W; the first `n_full` rows ask for twice the
+    rated draws, so at fraction 1.0 they sum to the rating exactly once
+    clamped."""
+    home_class = HOME_CLASSES[label]
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, home_class.appliance_count)
+    target = math.floor(fraction * home_class.rating_w / QUANTUM_W)
+    units = np.floor(weights / weights.sum() * target)
+    units[-1] += target - units.sum()
+    rated = units * QUANTUM_W
+    assert rated[None].sum(axis=1)[0] <= home_class.rating_w
+    model = ClassModel(home_class, [], None, rated, build_dm(home_class, rated))
+    raw = rng.uniform(0.0, 1.5, (n_homes, home_class.appliance_count)) * rated
+    raw[:n_full] = 2.0 * rated
+
+    fleet, installed = install(model, raw)
+    reference = make_fleet(model, n_homes)
+    want = set_hour_draws_reference(reference, np.arange(n_homes), raw.copy())
+    assert (installed.view(np.uint64) == want.view(np.uint64)).all()
+    assert (fleet.level_watts.view(np.uint64) == reference.level_watts.view(np.uint64)).all()
+
+
 class TestClassModels:
+    def test_builtin_rated_draws_sum_below_rating(self, class_models):
+        """No builtin home's clamped draws can sum above its meter rating,
+        so the hourly redraw never takes the meter-cap pass."""
+        for model in class_models.values():
+            assert model.rated_draws[None].sum(axis=1)[0] < model.home_class.rating_w
+
     def test_counts_and_ratings(self, class_models):
         assert set(class_models) == {"A", "B", "C"}
         expected = {"A": (500.0, 7), "B": (750.0, 10), "C": (1000.0, 13)}
