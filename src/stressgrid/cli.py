@@ -27,9 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .consumption import load_corpus
-from .engine import SimConfig, run_cell
-from .homes import checked_home_class
+from .engine import SimConfig, load_models, run_cell
 from .levels import UtilityParams
 from .metrics import MetricsLog, ap_token, gap_token, write_report
 from .policies import DistributionProfile
@@ -92,7 +90,10 @@ def _config_errors() -> Iterator[None]:
 
 
 def checked_configs(spec: ExperimentSpec) -> None:
-    """Build every run's config of `spec`; raises ConfigError if any is invalid."""
+    """Build every run's config of `spec`; raises ConfigError if any is invalid.
+    A corpus `data_dir` is checked by fitting it with `engine.load_models`,
+    whose per-process cache the runs of this process and of its forked
+    workers then reuse. The builtin models need no check and stay unloaded."""
     if spec.runs < 1:
         raise ConfigError("runs must be at least 1")
     for key, values, token in (
@@ -109,10 +110,7 @@ def checked_configs(spec: ExperimentSpec) -> None:
     data_dir = spec.base.data_dir
     if data_dir != "builtin":
         try:
-            corpus = load_corpus(data_dir)  # reads every file, fits no model
-            for label, samples in corpus.items():
-                checked_home_class(label, len(samples))
-            check_classes(corpus, spec.base.n_homes, spec.base.class_mix)
+            check_classes(load_models(data_dir), spec.base.n_homes, spec.base.class_mix)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"data_dir {data_dir!r}: {exc}") from None
     with _config_errors():

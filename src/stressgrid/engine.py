@@ -91,7 +91,8 @@ BUILTIN_CDFS = Path(__file__).with_name("builtin_cdfs.npz")
 
 def load_models(data_dir: str) -> dict[str, ClassModel]:
     """Class models of a corpus directory, fitted from its files, or for
-    "builtin", built from the fitted CDFs in BUILTIN_CDFS."""
+    "builtin", built from the fitted CDFs in BUILTIN_CDFS; cached per process.
+    Raises OSError or ValueError for a corpus that cannot be read or fitted."""
     if data_dir not in _MODEL_CACHE:
         if data_dir == "builtin":
             cdfs = _builtin_cdfs()

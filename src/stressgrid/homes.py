@@ -85,22 +85,15 @@ class ClassModel:
         return self.home_class.appliance_count
 
 
-def checked_home_class(label: str, appliances: int) -> HomeClass:
-    """Home class `label`; raises ValueError unless its class has
-    `appliances` appliances."""
+def build_class_model(label: str, cdfs: list[EmpiricalCdf]) -> ClassModel:
+    """The class model of one home class from its appliances' fitted CDFs
+    (one per appliance, else ValueError): their guide table, rated draws and DM."""
     home_class = HOME_CLASSES[label]
-    if appliances != home_class.appliance_count:
+    if len(cdfs) != home_class.appliance_count:
         raise ValueError(
-            f"class {label} manifest lists {appliances} appliances, "
+            f"class {label} manifest lists {len(cdfs)} appliances, "
             f"expected {home_class.appliance_count}"
         )
-    return home_class
-
-
-def build_class_model(label: str, cdfs: list[EmpiricalCdf]) -> ClassModel:
-    """The class model of one home class from its appliances' fitted CDFs:
-    their guide table, rated draws and DM."""
-    home_class = checked_home_class(label, len(cdfs))
     table = CdfTable.stack(cdfs)
     rated = sample_inverse(table, np.full((1, len(cdfs)), RATED_QUANTILE))[0]
     return ClassModel(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from stressgrid import cli, engine
+from stressgrid import cli, consumption, engine
 from stressgrid.cli import (
     ConfigError,
     ExperimentSpec,
@@ -21,7 +21,7 @@ from stressgrid.cli import (
     parse_config,
     run_sweep,
 )
-from stressgrid.consumption import load_corpus
+from stressgrid.consumption import read_samples_file
 from stressgrid.corpus import write_synthetic_corpus
 from stressgrid.engine import SimConfig
 
@@ -326,6 +326,9 @@ class TestMain:
         pytest.param(corpus_ini(lambda d: _append(d / "manifest.txt", "refrigerator.txt\n")), [],
                      id="corpus-extra-appliance"),
         pytest.param(corpus_ini(shutil.rmtree), [], id="corpus-missing-class"),
+        pytest.param(corpus_ini(lambda d: (d / "refrigerator.txt").write_text(
+                         "appliance,refrigerator\n" + "1e15\n" * 50)), [],
+                     id="corpus-readings-too-large"),
         pytest.param(corpus_ini(lambda d: _set_header(d / "refrigerator.txt", "appliance,")), [],
                      id="corpus-empty-appliance-name"),
         pytest.param(corpus_ini(lambda d: _set_header(d / "manifest.txt", "B")), [],
@@ -438,29 +441,30 @@ class TestMain:
         out = tmp_path / "results"
         assert main(["--config", str(p), "--out", str(out), "--quiet", "--single", "--runs", "1"]) == 0
 
-    def test_corpus_data_dir_validates_without_fitting(self, tmp_path, capsys):
+    def test_corpus_data_dir_validates_by_fitting(self, tmp_path, capsys, monkeypatch):
         corpus = write_synthetic_corpus(tmp_path / "corpus")
         p = write_config(tmp_path, tiny_with_data_dir(corpus))
+        monkeypatch.setattr(engine, "_MODEL_CACHE", {})
         assert main(["--config", str(p), "--validate"]) == 0
         assert capsys.readouterr().out.startswith("config ok")
-        assert str(corpus) not in engine._MODEL_CACHE
+        assert str(corpus) in engine._MODEL_CACHE
 
-    def test_corpus_read_once_to_check_and_once_to_fit(self, tmp_path, monkeypatch):
+    def test_corpus_read_once_to_check_and_fit(self, tmp_path, monkeypatch):
+        """The check's fit reads each sample file once, and the run reuses it."""
         corpus = write_synthetic_corpus(tmp_path / "corpus")
         p = write_config(tmp_path, tiny_with_data_dir(corpus))
         reads = []
 
-        def counting_load_corpus(root):
-            reads.append(root)
-            return load_corpus(root)
+        def counting_read(path):
+            reads.append(path)
+            return read_samples_file(path)
 
-        monkeypatch.setattr(cli, "load_corpus", counting_load_corpus)
-        monkeypatch.setattr(engine, "load_corpus", counting_load_corpus)
+        monkeypatch.setattr(consumption, "read_samples_file", counting_read)
         monkeypatch.setattr(engine, "_MODEL_CACHE", {})
         monkeypatch.setenv("STRESSGRID_THREADS", "1")
         args = ["--config", str(p), "--out", str(tmp_path / "results"), "--quiet"]
         assert main([*args, "--single", "--runs", "1"]) == 0
-        assert len(reads) == 2
+        assert sorted(reads) == sorted(set(corpus.glob("*/*.txt")) - set(corpus.glob("*/manifest.txt")))
 
 
 class TestRunSweep:

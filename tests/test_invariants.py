@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from stressgrid import engine, policies
+from stressgrid import consumption, engine, policies, protocol
 from stressgrid.engine import SimConfig
 from stressgrid.policies import POLICIES, pass_rounds
 from stressgrid.topology import SupplyModel, served_demand
@@ -146,3 +146,40 @@ def test_batched_commands_equal_per_command_reference(config, lossy_m):
     assert helpers.hour_digest([log]) == helpers.hour_digest([reference])
     assert log.commands_sent == reference.commands_sent
     assert log.commands_lost == reference.commands_lost
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    config=small_configs(),
+    lossy_m=st.one_of(st.none(), st.floats(40.0, 60.0)),
+    chunk_homes=st.integers(1, 400),
+    block_rows=st.integers(1, 400),
+    draw_block=st.integers(1, 2048),
+    guide_buckets=st.integers(0, 16).map(lambda e: 2**e),
+)
+# a centralized walk that stops inside a chunk of several groups, then
+# draws again an hour later: the chunk must give back the draws it skipped
+@example(
+    config=SimConfig(horizon_hours=2, n_homes=3, n_feeders=2, group_size=1, homes_per_transformer=1,
+                     ap=1.0, supply=SupplyModel(gap_fraction=0.5), policy="centralized", seed=0),
+    lossy_m=None, chunk_homes=1, block_rows=1, draw_block=1, guide_buckets=1,
+)
+@example(config=SHUT_OFF_EXAMPLES[2], lossy_m=None, chunk_homes=7, block_rows=3, draw_block=2, guide_buckets=2)
+def test_tuning_constants_change_no_result(config, lossy_m, chunk_homes, block_rows, draw_block, guide_buckets):
+    """`policies.CHUNK_HOMES`, `engine.BLOCK_ROWS`, `protocol.DRAW_BLOCK` and
+    `consumption.GUIDE_BUCKETS` set only how the work is cut up: a run
+    with any of their values gives the hour records and command counts of
+    a run at the defaults. Half the examples move the link to `lossy_m`
+    metres, where commands get lost. The guide tables are built when the
+    models load, so the patched run loads them afresh."""
+    if lossy_m is not None:
+        config = replace(config, protocol_emulation=True, protocol_distance_m=lossy_m)
+    log = engine.run(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policies, "CHUNK_HOMES", chunk_homes)
+        mp.setattr(engine, "BLOCK_ROWS", block_rows)
+        mp.setattr(protocol, "DRAW_BLOCK", draw_block)
+        mp.setattr(consumption, "GUIDE_BUCKETS", guide_buckets)
+        mp.setattr(engine, "_MODEL_CACHE", {})
+        tuned = engine.run(config)
+    assert helpers.hour_digest([tuned]) == helpers.hour_digest([log])
