@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .consumption import EmpiricalCdf, filter_outliers, fit_cdf, load_corpus, sample_inverse
-from .homes import HOME_CLASSES, ClassModel, Fleet, build_class_model, set_hour_draws
+from .homes import HOME_CLASSES, ClassModel, Fleet, build_class_model, check_appliance_count, set_hour_draws
 from .levels import PowerLevel, UtilityParams, utility
 from .metrics import HourRecord, MetricsLog, ulw
-from .policies import POLICIES, DistributionProfile, RoundState, reset_hourly
+from .policies import POLICIES, _L5, DistributionProfile, RoundState, reset_hourly
 from .protocol import CommandChannel, LinkModel
 from .topology import STRESS_DECIMALS, SupplyModel, build_topology, served_demand, stress_level
 
@@ -92,14 +92,18 @@ BUILTIN_CDFS = Path(__file__).with_name("builtin_cdfs.npz")
 def load_models(data_dir: str) -> dict[str, ClassModel]:
     """Class models of a corpus directory, fitted from its files, or for
     "builtin", built from the fitted CDFs in BUILTIN_CDFS; cached per process.
-    Raises OSError or ValueError for a corpus that cannot be read or fitted."""
+    Raises OSError or ValueError for a corpus that cannot be read or fitted;
+    a class with the wrong number of appliances is rejected before any fit."""
     if data_dir not in _MODEL_CACHE:
         if data_dir == "builtin":
             cdfs = _builtin_cdfs()
         else:
+            corpus = load_corpus(data_dir)
+            for label, samples in corpus.items():
+                check_appliance_count(label, len(samples))
             cdfs = {
                 label: [fit_cdf(filter_outliers(s)) for s in samples]
-                for label, samples in load_corpus(data_dir).items()
+                for label, samples in corpus.items()
             }
         _MODEL_CACHE[data_dir] = {
             label: build_class_model(label, cdfs[label]) for label in sorted(cdfs)
@@ -158,7 +162,7 @@ def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int,
     by_level = np.bincount(2 * level + fleet.smart, minlength=12).reshape(6, 2)[1:]
     counts = by_level.sum(axis=1).tolist()
     smart_counts = by_level[:, 1].tolist()
-    shed_again = fleet.ls_lh & (level < PowerLevel.L5)
+    shed_again = fleet.ls_lh & (level < _L5)
     repeat_shed = 0 if state.emergency else int(np.count_nonzero(shed_again))
     log.hours.append(
         HourRecord(

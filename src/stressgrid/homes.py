@@ -85,15 +85,18 @@ class ClassModel:
         return self.home_class.appliance_count
 
 
+def check_appliance_count(label: str, count: int) -> None:
+    """Raise ValueError unless home class `label` has `count` appliances."""
+    expected = HOME_CLASSES[label].appliance_count
+    if count != expected:
+        raise ValueError(f"class {label} manifest lists {count} appliances, expected {expected}")
+
+
 def build_class_model(label: str, cdfs: list[EmpiricalCdf]) -> ClassModel:
     """The class model of one home class from its appliances' fitted CDFs
     (one per appliance, else ValueError): their guide table, rated draws and DM."""
+    check_appliance_count(label, len(cdfs))
     home_class = HOME_CLASSES[label]
-    if len(cdfs) != home_class.appliance_count:
-        raise ValueError(
-            f"class {label} manifest lists {len(cdfs)} appliances, "
-            f"expected {home_class.appliance_count}"
-        )
     table = CdfTable.stack(cdfs)
     rated = sample_inverse(table, np.full((1, len(cdfs)), RATED_QUANTILE))[0]
     return ClassModel(

@@ -3,6 +3,11 @@
 Every home is always in exactly one of five states, L1 through L5. L5 is
 unrestricted consumption and L1 is a full disconnect; the intermediate
 states admit 75/50/25 percent of the home's rated capacity.
+
+`PowerLevel` is the public type of a level. Code that runs every policy
+round takes the levels as plain ints in its NumPy calls: NumPy converts an
+operand of an int subclass such as an `IntEnum` member by its slow scalar
+path, which costs about five times a plain int's on a round's arrays.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,9 @@ MIN_STRESS = 5.0
 LATE_ROUNDS_PER_PASS = 5  # smart-home rounds after the first two
 
 _LOWER_CAPS = np.array([CAP_FRACTION[lv] for lv in PowerLevel][:-1])  # L1..L4, ascending
+
+# The levels as plain ints for NumPy calls: an IntEnum operand takes NumPy's slow scalar path.
+_L1, _L2, _L3, _L4, _L5 = map(int, PowerLevel)
 
 # Most homes one chunk of the centralized pass holds; a larger group is a chunk alone.
 CHUNK_HOMES = 2048
@@ -86,12 +90,12 @@ class RoundState:
 
 
 def _send(state: RoundState, homes: np.ndarray, levels, ends=None) -> int:
-    """Command homes[j] to levels[j] (or every home to one level), in
-    order, one `apply` call each, and lower `served_w` by the watts the
-    delivered commands shed. The commands form consecutive units, possibly
-    empty, that end at `ends`, ascending (None: one unit of all). The send
-    ends after the first unit that leaves `served_w` at or under
-    `capacity_w`; returns the number of units sent.
+    """Command homes[j] to levels[j] (or every home to one level, which
+    stays a scalar), in order, one `apply` call each, and lower `served_w`
+    by the watts the delivered commands shed. The commands form consecutive
+    units, possibly empty, that end at `ends`, ascending (None: one unit of
+    all). The send ends after the first unit that leaves `served_w` at or
+    under `capacity_w`; returns the number of units sent.
 
     The channel tells ahead which commands land, so one pass finds the
     units to send; the commands then go out through one `Home` handle,
@@ -102,15 +106,15 @@ def _send(state: RoundState, homes: np.ndarray, levels, ends=None) -> int:
     if not len(ends):
         return 0
     fleet, channel = state.fleet, state.channel
-    if not isinstance(levels, np.ndarray):  # one level for all: a zero-stride view
-        levels = np.broadcast_to(levels, homes.shape)
     shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
     landed = channel.landing(homes.size)
-    cum = np.concatenate(([0.0], np.cumsum(shed_w if landed is None else shed_w * landed)))
-    fits = np.flatnonzero(state.served_w - cum[ends] <= state.capacity_w)
+    cum = np.zeros(homes.size + 1)
+    np.cumsum(shed_w if landed is None else shed_w * landed, out=cum[1:])
+    fits = (state.served_w - cum[ends] <= state.capacity_w).nonzero()[0]
     last = int(fits[0]) if fits.size else len(ends) - 1
     stop, home, apply = ends[last], Home(fleet, 0), channel.apply
-    for home.id, level in zip(homes[:stop].tolist(), levels[:stop].tolist()):
+    each = levels[:stop].tolist() if isinstance(levels, np.ndarray) else repeat(int(levels), stop)
+    for home.id, level in zip(homes[:stop].tolist(), each):
         apply(home, level)
     state.served_w -= float(cum[stop])
     return last + 1
@@ -125,7 +129,7 @@ def _sheddable(fleet: Fleet, homes: np.ndarray, emergency: bool) -> np.ndarray:
 def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
     """Mask of `homes` that are non-smart, not yet off and sheddable."""
     fleet = state.fleet
-    return ~fleet.smart[homes] & (fleet.level[homes] != PowerLevel.L1) & _sheddable(fleet, homes, state.emergency)
+    return ~fleet.smart[homes] & (fleet.level[homes] != _L1) & _sheddable(fleet, homes, state.emergency)
 
 
 def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> int:
@@ -145,7 +149,7 @@ def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> int:
     if nonsmart_only:
         keep = _cuttable(state, homes)
         homes, ends = homes[keep], np.concatenate(([0], np.cumsum(keep)))[ends]
-    return _send(state, homes, PowerLevel.L1, ends)
+    return _send(state, homes, _L1, ends)
 
 
 def baseline_step(state: RoundState, k: int) -> None:
@@ -189,18 +193,19 @@ def alg1_decisions(
     if sl < MIN_STRESS:
         eff = np.where(np.isnan(sl_init), MIN_STRESS, sl)
     else:
-        eff = np.broadcast_to(sl, len(homes))  # a view: a full array would raise the round's peak memory
-    backs = np.flatnonzero(fresh & (r < eff))
-    r_b, eff_b = r[backs], eff[backs]
-    pick = np.full(backs.size, PowerLevel.L2, dtype=np.int8)
-    pick[(dp.alpha_l2 * eff_b < r_b) & (r_b < (dp.alpha_l3 + dp.alpha_l2) * eff_b)] = PowerLevel.L3
-    pick[r_b > (1.0 - dp.alpha_l4) * eff_b] = PowerLevel.L4
+        eff = sl  # one stress for all stays a scalar
+    backs = (fresh & (r < eff)).nonzero()[0]
+    r_b = r[backs]
+    eff_b = eff[backs] if isinstance(eff, np.ndarray) else eff
+    pick = np.full(backs.size, _L2, dtype=np.int8)
+    pick[(dp.alpha_l2 * eff_b < r_b) & (r_b < (dp.alpha_l3 + dp.alpha_l2) * eff_b)] = _L3
+    pick[r_b > (1.0 - dp.alpha_l4) * eff_b] = _L4
     target = np.zeros(len(homes), dtype=np.int8)
     target[backs] = pick
 
-    steps = active & done & (level != PowerLevel.L1) & (emergency | (r < sl_init))
+    steps = active & done & (level != _L1) & (emergency | (r < sl_init))
     if not emergency:
-        steps &= level != PowerLevel.L2
+        steps &= level != _L2
     np.subtract(level, 1, out=target, where=steps)  # steps and backs are disjoint
 
     fleet.sl_init[homes] = np.where(fresh, eff, sl_init)  # the rest get back what was read
@@ -251,7 +256,7 @@ def alg1_round(state: RoundState, k: int) -> None:
     if round_index >= 3:
         sl = state.reduction_factor * sl  # backed-off homes use their sl_init
     target = alg1_decisions(fleet, smart, sl, state.dp, state.emergency, r)
-    moving = np.flatnonzero(target)
+    moving = target.nonzero()[0]
     _send(state, smart[moving], target[moving])
 
 
@@ -264,7 +269,7 @@ def eligible_lower_runs(
     form the run top, top - 1, ..., top - count + 1; returns (top, count),
     with count <= 0 when no state is eligible."""
     top = np.minimum(level - 1, np.searchsorted(_LOWER_CAPS, consumption_fraction, side="left"))
-    lowest = PowerLevel.L1 if emergency else PowerLevel.L2
+    lowest = _L1 if emergency else _L2
     return top, top - lowest + 1
 
 
@@ -288,12 +293,12 @@ def _shed_chunk(state: RoundState, chunk: list[np.ndarray]) -> int:
     watts = fleet.watts(homes)
     top, count = eligible_lower_runs(fleet.level[homes], watts / fleet.rating_w[fleet.cls[homes]], emergency)
     step = fleet.smart[homes] & _sheddable(fleet, homes, emergency) & (count > 0)
-    picked = np.flatnonzero(_cuttable(state, homes) | step)
+    picked = (_cuttable(state, homes) | step).nonzero()[0]
     key = group[picked] * _SPAN_W + np.where(step[picked], _SPAN_W - watts[picked], 0.0)
     picked = picked[np.argsort(key, kind="stable")]
     group, step = group[picked], step[picked]
     counts = count[picked][step]
-    levels = np.full(picked.size, PowerLevel.L1, dtype=np.intp)
+    levels = np.full(picked.size, _L1, dtype=np.intp)
     saved = rng.bit_generator.state
     levels[step] = top[picked][step] - rng.integers(0, counts)
     steps = np.bincount(group[step], minlength=len(chunk))
@@ -345,8 +350,8 @@ def alg2_step(state: RoundState, k: int) -> None:
 def reset_hourly(fleet: Fleet) -> None:
     """Hour boundary: remember who was shed, restore everyone to L5 and
     clear the backoff state."""
-    fleet.ls_lh[:] = fleet.level < PowerLevel.L5
-    fleet.level[:] = PowerLevel.L5
+    fleet.ls_lh[:] = fleet.level < _L5
+    fleet.level[:] = _L5
     fleet.dlc_done[:] = False
     fleet.sl_init[:] = np.nan
 

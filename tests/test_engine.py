@@ -17,7 +17,8 @@ import helpers
 import stressgrid
 from stressgrid import engine
 from stressgrid.cli import ExperimentSpec, cell_config
-from stressgrid.consumption import sample_inverse
+from stressgrid.consumption import fit_cdf, sample_inverse
+from stressgrid.corpus import write_synthetic_corpus
 from stressgrid.engine import BLOCK_ROWS, BUILTIN_CDFS, SimConfig, load_models, run, run_cell
 from stressgrid.homes import build_class_model, set_hour_draws
 from stressgrid.levels import PowerLevel
@@ -87,6 +88,20 @@ class TestBuiltinModels:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+
+def test_wrong_appliance_count_rejected_before_any_fit(tmp_path, monkeypatch):
+    """A manifest that lists one file too many is rejected on its count,
+    before `load_models` fits a single appliance of any class."""
+    corpus = write_synthetic_corpus(tmp_path / "corpus")
+    manifest = corpus / "class_b" / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "refrigerator.txt\n")
+    fits = []
+    monkeypatch.setattr(engine, "fit_cdf", lambda samples: fits.append(samples) or fit_cdf(samples))
+    monkeypatch.setattr(engine, "_MODEL_CACHE", {})
+    with pytest.raises(ValueError, match="class B manifest lists 11 appliances, expected 10"):
+        load_models(str(corpus))
+    assert fits == []
 
 
 class TestDeterminism:

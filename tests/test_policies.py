@@ -929,6 +929,44 @@ def test_send_matches_reference_on_any_units(class_models, data):
         assert outcomes[1][-1] == window.tolist()
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_send_one_level_as_enum_or_plain_int(class_models, data):
+    """One level for all may be `PowerLevel.L1` or the plain int 1: `_send`
+    keeps it a scalar either way, and both leave the same levels and served
+    watts, return the same units sent, count the same commands sent and
+    lost, and leave the same next 64 landings, on a perfect link and on a
+    40-60 m lossy one."""
+    n_homes, model = 40, class_models["B"]
+    fleet = helpers.make_fleet(model, n_homes)
+    setup = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    draws = setup.uniform(0.0, 1.2, (n_homes, model.n_appliances)) * model.rated_draws
+    set_hour_draws(fleet, np.arange(n_homes), draws)
+    fleet.level[:] = setup.integers(PowerLevel.L1, PowerLevel.L5 + 1, n_homes)
+    homes = setup.permutation(n_homes)[: data.draw(st.integers(0, n_homes))]
+    ends = data.draw(unit_ends(homes.size))
+    served = served_demand(fleet)
+    capacity_w = (1.0 - data.draw(st.floats(-0.1, 1.2))) * served
+    distance_m = data.draw(st.one_of(st.none(), st.floats(40.0, 60.0)))
+    delivery_p = 1.0 if distance_m is None else LinkModel().delivery_probability(distance_m)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    level = fleet.level.copy()
+
+    outcomes = []
+    for one_level in (PowerLevel.L1, 1):
+        fleet.level[:] = level
+        channel = CommandChannel(delivery_p, np.random.default_rng(seed))
+        state = round_state(fleet, capacity_w=capacity_w, channel=channel)
+        units = _send(state, homes, one_level, ends)
+        landing = channel.landing(64)  # None on a perfect link
+        outcomes.append((
+            units, fleet.level.tolist(), state.served_w, channel.sent, channel.lost,
+            None if landing is None else landing.tolist(),
+        ))
+    assert outcomes[1] == outcomes[0]
+    assert state.served_w == served_demand(fleet)
+
+
 class TestResetHourly:
     def test_restores_and_marks(self, class_models):
         fleet = fresh_home(class_models["A"], n=2)  # home 0 shed, home 1 untouched
