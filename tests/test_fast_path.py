@@ -48,11 +48,12 @@ def slow_path_uses(fn) -> set[str]:
 def test_round_path_stays_on_numpy_fast_path(fn):
     """A round at 1000 homes works on arrays of about 900 elements, so its
     cost is the fixed cost of its NumPy calls. One ufunc call on a
-    900-element int8 array took 3.9 us with a `PowerLevel` (IntEnum) member
+    900-element int8 array took 4.0 us with a `PowerLevel` (IntEnum) member
     as an operand and 0.8 us with a plain int (NumPy 2.4.6, Python 3.11.7,
-    x86-64): NumPy converts an int subclass by its slow scalar path. Each
-    `np.broadcast_to` added 3.2 us. The round path takes its levels as the
-    plain ints `policies._L1` .. `_L5` and keeps one level for all a scalar."""
+    2-vCPU x86-64): NumPy converts an int subclass by its slow scalar path.
+    Each `np.broadcast_to` took 3.4 us. The round path takes its levels as
+    the plain ints `policies._L1` .. `_L5` and keeps one level for all a
+    scalar."""
     assert slow_path_uses(fn) == set()
 
 
