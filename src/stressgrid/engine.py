@@ -26,9 +26,9 @@ import numpy as np
 
 from .consumption import EmpiricalCdf, filter_outliers, fit_cdf, load_corpus, sample_inverse
 from .homes import HOME_CLASSES, ClassModel, Fleet, build_class_model, check_appliance_count, set_hour_draws
-from .levels import PowerLevel, UtilityParams, utility
+from .levels import _L5, PowerLevel, UtilityParams, utility
 from .metrics import HourRecord, MetricsLog, ulw
-from .policies import POLICIES, _L5, DistributionProfile, RoundState, reset_hourly
+from .policies import POLICIES, DistributionProfile, RoundState, reset_hourly
 from .protocol import CommandChannel, LinkModel
 from .topology import STRESS_DECIMALS, SupplyModel, build_topology, served_demand, stress_level
 

@@ -24,6 +24,10 @@ class PowerLevel(IntEnum):
     L5 = 5
 
 
+# The levels as plain ints for NumPy calls on the round path.
+_L1, _L2, _L3, _L4, _L5 = map(int, PowerLevel)
+
+
 # Admissible fraction of rated capacity per state.
 CAP_FRACTION = {
     PowerLevel.L1: 0.0,

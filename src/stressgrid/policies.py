@@ -29,16 +29,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .homes import Fleet, Home
-from .levels import CAP_FRACTION, PowerLevel
+from .levels import _L1, _L2, _L3, _L4, _L5, CAP_FRACTION, PowerLevel
 from .protocol import CommandChannel
 
 MIN_STRESS = 5.0
 LATE_ROUNDS_PER_PASS = 5  # smart-home rounds after the first two
 
 _LOWER_CAPS = np.array([CAP_FRACTION[lv] for lv in PowerLevel][:-1])  # L1..L4, ascending
-
-# The levels as plain ints for NumPy calls: an IntEnum operand takes NumPy's slow scalar path.
-_L1, _L2, _L3, _L4, _L5 = map(int, PowerLevel)
 
 # Most homes one chunk of the centralized pass holds; a larger group is a chunk alone.
 CHUNK_HOMES = 2048
@@ -206,7 +203,7 @@ def alg1_decisions(
     steps = active & done & (level != _L1) & (emergency | (r < sl_init))
     if not emergency:
         steps &= level != _L2
-    np.subtract(level, 1, out=target, where=steps)  # steps and backs are disjoint
+    target += (level - 1) * steps  # exact: steps and backs are disjoint, target is 0 off backs
 
     fleet.sl_init[homes] = np.where(fresh, eff, sl_init)  # the rest get back what was read
     fleet.dlc_done[homes[backs]] = True

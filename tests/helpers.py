@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 
-from stressgrid.consumption import filter_outliers, fit_cdf
+from stressgrid.consumption import GRID_POINTS, filter_outliers, fit_cdf, silverman_bandwidth
 from stressgrid.corpus import synthetic_samples
 from stressgrid.engine import BUILTIN_CDFS
 from stressgrid.homes import HOME_CLASSES, QUANTUM_W, Fleet, Home, set_hour_draws
@@ -45,6 +45,20 @@ def write_builtin_cdfs(path=BUILTIN_CDFS) -> None:
         PYTHONPATH=src:tests python -c "import helpers; helpers.write_builtin_cdfs()"
     """
     np.savez_compressed(path, **builtin_cdf_arrays(fit_builtin_cdfs()))
+
+
+def fit_cdf_one_block_reference(samples) -> tuple[np.ndarray, np.ndarray]:
+    """`consumption.fit_cdf`'s grid and CDF, with the kernel CDF evaluated
+    over the whole samples x grid block at once."""
+    from scipy.special import ndtr
+
+    values = samples.samples
+    h = silverman_bandwidth(values)
+    grid = np.linspace(max(0.0, float(values.min()) - 3.0 * h), float(values.max()) + 3.0 * h, GRID_POINTS)
+    raw = ndtr((grid[None, :] - values[:, None]) / h).mean(axis=0)
+    f = np.maximum.accumulate(np.clip((raw - raw[0]) / (raw[-1] - raw[0]), 0.0, 1.0))
+    f[0], f[-1] = 0.0, 1.0
+    return grid, f
 
 
 def hour_digest(logs) -> str:

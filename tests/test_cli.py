@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -485,6 +488,24 @@ class TestRunSweep:
         groups = 2 * spec.runs  # one per gap and run; the policies share it
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"group {i}/{groups} complete" for i in range(1, groups + 1)]
+
+    def test_runs_without_a_pool_load_no_pool_modules(self, tmp_path):
+        """`--validate` and a one-worker sweep, in a fresh interpreter, never
+        import the process-pool stack, which costs about 2 MB of peak memory
+        and 12 ms. The pool path runs in the test above, with 2 threads."""
+        p = write_config(tmp_path, TINY)
+        script = (
+            "import sys\n"
+            "from stressgrid import cli\n"
+            f"assert cli.main(['--config', {str(p)!r}, '--validate']) == 0\n"
+            f"assert len(cli.run_sweep(cli.parse_config({str(p)!r}), quiet=True)) == 6\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "STRESSGRID_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == ["config ok: 3 cells x 2 runs", "[]"]
 
     def test_seed_override_changes_runs(self, tmp_path):
         spec = parse_config(write_config(tmp_path, TINY))

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import helpers
+from stressgrid import consumption
 from stressgrid.consumption import (
+    FIT_BLOCK,
     GRID_POINTS,
     GUIDE_BUCKETS,
     ApplianceSamples,
@@ -130,6 +132,29 @@ class TestFitCdf:
 
     def test_silverman_positive_on_degenerate(self):
         assert silverman_bandwidth(np.array([5.0] * 10)) > 0
+
+    # 513 and 3550 samples split the grid into FIT_BLOCK-bounded blocks of
+    # 511 and 73 columns, and 7820 into the old 4,000,000-element bound's
+    # 511: each such split leaves a lone last column.
+    FIT_SIZES = [5, 130, 513, 3000, 3550, 7820]
+
+    @pytest.mark.parametrize("bound", [FIT_BLOCK, 1], ids=["default", "two-column"])
+    def test_blocks_keep_one_block_bits(self, monkeypatch, bound):
+        """Any split of the fit into blocks at least 2 columns wide gives the
+        bits of one block over the whole grid: NumPy sums a one-column
+        block pairwise, not sample by sample. A lone last column changes
+        the bits only when many kernels fall short of 1 at the grid's top,
+        so the samples include sets with a sharp upper edge."""
+        assert any(GRID_POINTS % (FIT_BLOCK // n) == 1 for n in self.FIT_SIZES)
+        monkeypatch.setattr(consumption, "FIT_BLOCK", bound)
+        rng = np.random.default_rng(17)
+        for n in self.FIT_SIZES:
+            for values in (rng.uniform(100, 200, n), np.abs(rng.normal(80, 10, n))):
+                samples = make(values)
+                cdf = fit_cdf(samples)
+                grid, f = helpers.fit_cdf_one_block_reference(samples)
+                assert (bits(cdf.grid_x) == bits(grid)).all(), n
+                assert (bits(cdf.grid_f) == bits(f)).all(), n
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +346,20 @@ class TestCdfTable:
         assert table.guide.shape == (2, GUIDE_BUCKETS + 1)
         assert (table.guide == np.searchsorted(uniform_cdf.grid_f, edges)).all()
         assert table.guide.dtype == np.uint16  # 512 grid points
+
+    def test_small_grid_gets_byte_guide(self):
+        """Fewer than 256 points give a uint8 guide, with the entries and
+        `width` of a guide built as intp and narrowed afterwards."""
+        points = 200
+        x = np.arange(points, dtype=float)
+        ragged = np.concatenate([[0.0, 0.0], np.sort(np.random.default_rng(18).random(points - 5)), [0.5, 0.5, 1.0]])
+        cdfs = [EmpiricalCdf(x, ragged, 1.0), EmpiricalCdf(x, np.linspace(0.0, 1.0, points), 1.0)]
+        table = CdfTable.stack(cdfs)
+        edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+        want = np.stack([np.searchsorted(c.grid_f, edges, side="left") for c in cdfs])
+        assert table.guide.dtype == np.uint8
+        assert (table.guide == want).all()
+        assert table.width == int(np.diff(want, axis=1).max())
 
     def test_bad_blocks_rejected(self, class_models):
         model = class_models["A"]

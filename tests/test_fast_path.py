@@ -52,7 +52,7 @@ def test_round_path_stays_on_numpy_fast_path(fn):
     as an operand and 0.8 us with a plain int (NumPy 2.4.6, Python 3.11.7,
     2-vCPU x86-64): NumPy converts an int subclass by its slow scalar path.
     Each `np.broadcast_to` took 3.4 us. The round path takes its levels as
-    the plain ints `policies._L1` .. `_L5` and keeps one level for all a
+    the plain ints `levels._L1` .. `_L5` and keeps one level for all a
     scalar."""
     assert slow_path_uses(fn) == set()
 
