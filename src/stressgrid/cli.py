@@ -274,14 +274,19 @@ def cell_config(spec: ExperimentSpec, policy: str, gap_percent: float, ap: float
 
 
 def _worker_count(n_jobs: int) -> int:
+    """Pool workers for `n_jobs` jobs: at most `STRESSGRID_THREADS` (1 if
+    it is not an integer), else at most the CPUs this process may run on."""
     env = os.environ.get("STRESSGRID_THREADS")
     if env:
         try:
             cap = max(1, int(env))
         except ValueError:
             cap = 1
-        return min(cap, n_jobs)
-    return min(os.cpu_count() or 1, n_jobs)
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
+    return min(cap, n_jobs)
 
 
 def run_sweep(spec: ExperimentSpec, quiet: bool = False) -> list[MetricsLog]:

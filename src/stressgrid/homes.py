@@ -114,8 +114,10 @@ class Fleet:
     home ids of each feeder group (`groups`, each ascending).
 
     `models[cls[i]]` is home i's class model (None for a class no home
-    has). `smart` marks homes equipped with the in-home multi-level
-    controller; the rest can only be switched off wholesale at the meter.
+    has); `build_topology` passes its cached, read-only `uint8` class
+    stream as `cls`, one byte per home. `smart` marks homes equipped with
+    the in-home multi-level controller; the rest can only be switched off
+    wholesale at the meter.
     `level` is a home's current power state and `level_watts[i, k]` what it
     draws this hour at state L(k+1) (NaN until the hour's draws are set).
     ls_lh, dlc_done and sl_init (NaN for unset) belong to the distributed

@@ -21,7 +21,7 @@ of one run share is in the one `RoundState`.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
@@ -37,7 +37,8 @@ LATE_ROUNDS_PER_PASS = 5  # smart-home rounds after the first two
 
 _LOWER_CAPS = np.array([CAP_FRACTION[lv] for lv in PowerLevel][:-1])  # L1..L4, ascending
 
-# Most homes one chunk of the centralized pass holds; a larger group is a chunk alone.
+# Most homes one chunk of a group walk holds (`_walk_chunks`); a larger group
+# is a chunk alone. It bounds a walk's temporaries, not its results.
 CHUNK_HOMES = 2048
 # A group's span of sort keys in `_shed_chunk`: above any home's draw, which
 # its meter rating caps, and a power of two, so that every key of draws in
@@ -129,24 +130,40 @@ def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
     return ~fleet.smart[homes] & (fleet.level[homes] != _L1) & _sheddable(fleet, homes, state.emergency)
 
 
+def _walk_chunks(state: RoundState) -> Iterator[list[np.ndarray]]:
+    """The feeder groups in walk order, round-robin from `next_group`, each
+    at most once, as chunks (lists) of consecutive whole groups of at most
+    CHUNK_HOMES homes, a larger group a chunk alone. Yields the next chunk
+    only while `served_w` exceeds `capacity_w`."""
+    groups = state.fleet.groups
+    order = groups[state.next_group :] + groups[: state.next_group]
+    first = 0
+    while first < len(order) and state.served_w > state.capacity_w:
+        end, homes = first + 1, order[first].size
+        while end < len(order) and homes + order[end].size <= CHUNK_HOMES:
+            homes += order[end].size
+            end += 1
+        yield order[first:end]
+        first = end
+
+
 def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> int:
     """Shut off homes group by group, round-robin from `next_group`, each
     group at most once, while `served_w` exceeds `capacity_w`: every member
-    of a group, or with `nonsmart_only` its `_cuttable` members. One `_send`
-    takes the groups concatenated in walk order, each group one unit (a
-    group's cuts change no other group's homes, so all of them are known up
-    front). Returns the groups it sent, empty ones included; the caller
-    moves `next_group`."""
-    if state.served_w <= state.capacity_w:
-        return 0
-    fleet = state.fleet
-    order = fleet.groups[state.next_group :] + fleet.groups[: state.next_group]
-    homes = np.concatenate(order)
-    ends = np.cumsum([members.size for members in order])
-    if nonsmart_only:
-        keep = _cuttable(state, homes)
-        homes, ends = homes[keep], np.concatenate(([0], np.cumsum(keep)))[ends]
-    return _send(state, homes, _L1, ends)
+    of a group, or with `nonsmart_only` its `_cuttable` members. Each chunk
+    of `_walk_chunks` is one `_send`, each group one unit (a group's cuts
+    change no other group's homes, so a chunk's are known up front).
+    Returns the groups sent, summed over chunks, empty ones included; the
+    caller moves `next_group`."""
+    sent = 0
+    for chunk in _walk_chunks(state):
+        homes = np.concatenate(chunk)
+        ends = np.cumsum([members.size for members in chunk])
+        if nonsmart_only:
+            keep = _cuttable(state, homes)
+            homes, ends = homes[keep], np.concatenate(([0], np.cumsum(keep)))[ends]
+        sent += _send(state, homes, _L1, ends)
+    return sent
 
 
 def baseline_step(state: RoundState, k: int) -> None:
@@ -175,7 +192,8 @@ def alg1_decisions(
     (sl_init), which later rounds reuse as the step-down threshold. Once
     backed off, the home steps down one state per successful draw, never
     below L2; an emergency voids the last-hour exemption, forces the step
-    and allows L2 -> L1.
+    and allows L2 -> L1. The stored stresses are written into the gathered
+    copy of the homes' sl_init, which is then scattered back whole.
     """
     if not fleet.smart[homes].all():
         raise ValueError("only smart homes run the backoff scheme")
@@ -205,7 +223,8 @@ def alg1_decisions(
         steps &= level != _L2
     target += (level - 1) * steps  # exact: steps and backs are disjoint, target is 0 off backs
 
-    fleet.sl_init[homes] = np.where(fresh, eff, sl_init)  # the rest get back what was read
+    np.copyto(sl_init, eff, where=fresh)  # the gathered copy: the rest get back what was read
+    fleet.sl_init[homes] = sl_init
     fleet.dlc_done[homes[backs]] = True
     return target
 
@@ -325,21 +344,13 @@ def alg2_step(state: RoundState, k: int) -> None:
     descending order of current consumption (ties to the lower home id),
     each to a state drawn uniformly from its eligible lower states, until
     served demand fits. Homes shed last hour are skipped unless emergency.
-    `next_group` advances past every group visited. The walk goes in chunks
-    of whole groups of at most CHUNK_HOMES homes (a larger group alone),
-    one `_send` and one draw call per chunk (`_shed_chunk`); its commands,
-    draws and policy stream are those of the group-at-a-time walk.
+    `next_group` advances past every group visited. The walk goes in the
+    chunks of `_walk_chunks`, one `_send` and one draw call per chunk
+    (`_shed_chunk`); its commands, draws and policy stream are those of
+    the group-at-a-time walk.
     """
-    groups = state.fleet.groups
-    order = groups[state.next_group :] + groups[: state.next_group]
-    reached = 0
-    while reached < len(order) and state.served_w > state.capacity_w:
-        end, homes = reached + 1, order[reached].size
-        while end < len(order) and homes + order[end].size <= CHUNK_HOMES:
-            homes += order[end].size
-            end += 1
-        reached += _shed_chunk(state, order[reached:end])
-    state.next_group = (state.next_group + reached) % len(groups)
+    reached = sum(_shed_chunk(state, chunk) for chunk in _walk_chunks(state))
+    state.next_group = (state.next_group + reached) % len(state.fleet.groups)
     if state.served_w > state.capacity_w:
         state.emergency = True
 

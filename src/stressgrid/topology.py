@@ -99,7 +99,7 @@ def build_topology(
     n_transformers = math.ceil(n_homes / homes_per_transformer)
 
     labels = sorted(HOME_CLASSES)
-    cls = _class_stream(n_homes, tuple(class_mix)).astype(np.intp)
+    cls = _class_stream(n_homes, tuple(class_mix))  # the cached uint8 array, shared read-only
     check_classes(class_models, n_homes, class_mix)
     smart = np.zeros(n_homes, dtype=bool)
     smart[rng.permutation(n_homes)[: round(ap * n_homes)]] = True

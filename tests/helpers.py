@@ -13,7 +13,7 @@ from stressgrid.consumption import GRID_POINTS, filter_outliers, fit_cdf, silver
 from stressgrid.corpus import synthetic_samples
 from stressgrid.engine import BUILTIN_CDFS
 from stressgrid.homes import HOME_CLASSES, QUANTUM_W, Fleet, Home, set_hour_draws
-from stressgrid.levels import CAP_FRACTION, PowerLevel
+from stressgrid.levels import CAP_FRACTION, PowerLevel, UtilityParams, utility
 from stressgrid.policies import MIN_STRESS, DistributionProfile, RoundState, _cuttable, alg1_decisions
 from stressgrid.protocol import decode, encode
 from stressgrid.topology import served_demand
@@ -250,6 +250,57 @@ def alg2_step_reference(state: RoundState, k: int) -> None:
     state.next_group = (state.next_group + visited) % len(groups)
     if state.served_w > state.capacity_w:
         state.emergency = True
+
+
+def utility_ceiling(fleet: Fleet, capacity_w: float, params: UtilityParams) -> float:
+    """An upper bound on the mean utility of any assignment of levels to
+    `fleet`'s homes, at this hour's draws, whose served watts fit under
+    `capacity_w`: every home at one level, any of L1-L5 if smart, L1 or L5
+    if not. The last-hour exemption is a policy rule, not a limit of the
+    grid, so the bound leaves it out.
+
+    This is the LP relaxation of that multiple-choice knapsack, solved
+    greedily (Sinha & Zoltners 1979): each home's points (watts, utility)
+    at its levels are cut to their upper concave hull, walked from L1, and
+    the hull segments of all homes are bought by falling utility per watt
+    until the capacity is spent, the last one in part. The connected
+    appliances of the levels nest, so a home's watts do not fall with its
+    level. Raises ValueError if the homes cannot all fit even at L1."""
+    watts = fleet.level_watts
+    n = len(watts)
+    if (np.diff(watts, axis=1) < 0).any():
+        raise ValueError("a home draws less at a higher level")
+    gains = np.array([utility(lv, params) for lv in PowerLevel])
+    points = np.broadcast_to(gains, watts.shape).copy()
+    points[~fleet.smart, 1:4] = -np.inf  # a non-smart home is on or off
+    rows, columns = np.arange(n), np.arange(len(PowerLevel))
+    at = np.zeros(n, dtype=np.intp)  # each home's hull point so far, from L1
+    dws, dus = [], []
+    for _ in range(len(PowerLevel) - 1):  # gift wrapping over each home's points
+        dw = watts - watts[rows, at][:, None]
+        du = points - points[rows, at][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(dw > 0, du / dw, np.where(du > 0, np.inf, -np.inf))
+        slope[columns <= at[:, None]] = -np.inf
+        best = slope.max(axis=1)
+        on = best > 0  # a hull segment that gains utility
+        nxt = len(PowerLevel) - 1 - np.argmax((slope == best[:, None])[:, ::-1], axis=1)  # farthest of ties
+        dws.append(dw[rows, nxt][on])
+        dus.append(du[rows, nxt][on])
+        at = np.where(on, nxt, at)
+    dw, du = np.concatenate(dws), np.concatenate(dus)
+    with np.errstate(divide="ignore"):
+        order = np.argsort(-np.where(dw > 0, du / dw, np.inf), kind="stable")
+    dw, du = dw[order], du[order]
+    budget = capacity_w - float(watts[:, 0].sum())
+    if budget < 0:
+        raise ValueError("the homes draw more than the capacity even at L1")
+    spent = np.cumsum(dw)
+    full = int(np.searchsorted(spent, budget, side="right"))  # segments bought whole
+    total = n * gains[0] + float(du[:full].sum())
+    if full < dw.size:
+        total += (budget - (spent[full - 1] if full else 0.0)) / dw[full] * du[full]
+    return total / n
 
 
 def set_hour_draws_reference(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:

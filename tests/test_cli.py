@@ -205,6 +205,21 @@ class TestWorkerCount:
         monkeypatch.setenv("STRESSGRID_THREADS", "two")
         assert _worker_count(8) == 1
 
+    def test_default_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("STRESSGRID_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _worker_count(8) == 3
+        assert _worker_count(2) == 2
+
+    def test_default_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("STRESSGRID_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(8) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(8) == 4
+
 
 class TestMain:
     def test_validate_good_config(self, tmp_path, capsys):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import product
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 import helpers
 from stressgrid import consumption, engine, policies, protocol
 from stressgrid.engine import SimConfig
+from stressgrid.homes import Fleet, set_hour_draws
+from stressgrid.levels import PowerLevel, UtilityParams, utility
 from stressgrid.policies import POLICIES, pass_rounds
 from stressgrid.topology import SupplyModel, served_demand
 
@@ -166,7 +171,9 @@ def test_batched_commands_equal_per_command_reference(config, lossy_m):
 )
 @example(config=SHUT_OFF_EXAMPLES[2], lossy_m=None, chunk_homes=7, block_rows=3, draw_block=2, guide_buckets=2)
 def test_tuning_constants_change_no_result(config, lossy_m, chunk_homes, block_rows, draw_block, guide_buckets):
-    """`policies.CHUNK_HOMES`, `engine.BLOCK_ROWS`, `protocol.DRAW_BLOCK` and
+    """`policies.CHUNK_HOMES` (the chunks of every feeder-group walk: the
+    baseline and non-smart shut-off walks and the centralized pass),
+    `engine.BLOCK_ROWS`, `protocol.DRAW_BLOCK` and
     `consumption.GUIDE_BUCKETS` set only how the work is cut up: a run
     with any of their values gives the hour records and command counts of
     a run at the defaults. Half the examples move the link to `lossy_m`
@@ -183,3 +190,84 @@ def test_tuning_constants_change_no_result(config, lossy_m, chunk_homes, block_r
         mp.setattr(engine, "_MODEL_CACHE", {})
         tuned = engine.run(config)
     assert helpers.hour_digest([tuned]) == helpers.hour_digest([log])
+
+
+def utility_optima(fleet: Fleet, capacity_w: float, params: UtilityParams) -> tuple[float, float]:
+    """The best total utility of `fleet` under `capacity_w` by enumeration:
+    over every assignment of levels (L1-L5 to a smart home, L1 or L5 to a
+    non-smart one), and over the LP relaxation's vertices, where every home
+    but one sits at one level and that one mixes two of its levels, as far
+    as the capacity allows. Returns (integral optimum, LP optimum)."""
+    watts = fleet.level_watts
+    choices = [range(1, 6) if smart else (1, 5) for smart in fleet.smart]
+    gains = np.array([0.0] + [utility(lv, params) for lv in PowerLevel])
+    assign = np.array(list(product(*choices)))
+    rows = np.arange(len(choices))
+    used = watts[rows, assign - 1].sum(axis=1)
+    total = gains[assign].sum(axis=1)
+    room = capacity_w - used
+    integral = total[room >= 0].max(initial=-np.inf)
+    lp = integral
+    for i, levels in enumerate(choices):
+        for b in levels:
+            a = assign[:, i]
+            mix = (a < b) & (room >= 0)
+            extra = watts[i, b - 1] - watts[i, a - 1]
+            share = np.where(extra <= room, 1.0, room / np.where(extra > 0, extra, 1.0))
+            lp = max(lp, (total + share * (gains[b] - gains[a]))[mix].max(initial=-np.inf))
+    return float(integral), float(lp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    smart=st.lists(st.booleans(), min_size=1, max_size=6),
+    classes=st.lists(st.integers(0, 2), min_size=6, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    off_share=st.sampled_from([0.0, 0.5]),
+    fraction=st.floats(0.0, 1.1),
+    params=st.sampled_from([UtilityParams(), UtilityParams(1.0, 1.0, 0.0), UtilityParams(2.0, 0.3, 0.3)]),
+)
+def test_utility_ceiling_is_the_lp_optimum(class_models, smart, classes, seed, off_share, fraction, params):
+    """`helpers.utility_ceiling` on a fleet of at most 6 homes equals the LP
+    optimum found by enumerating the relaxation's vertices, and so bounds
+    the best assignment of whole levels. Some appliances draw nothing, so
+    that a home may gain utility at no cost in watts; the capacity is
+    `fraction` of the fleet's draw at L5."""
+    n = len(smart)
+    fleet = Fleet(tuple(class_models[label] for label in "ABC"), np.array(classes[:n]), np.array(smart), [np.arange(n)])
+    setup = np.random.default_rng(seed)
+    for model, homes in zip(fleet.models, fleet.class_homes):
+        if homes.size:
+            draws = setup.uniform(0.0, 1.2, (homes.size, model.n_appliances)) * model.rated_draws
+            draws[setup.random(draws.shape) < off_share] = 0.0
+            set_hour_draws(fleet, homes, draws)
+    capacity_w = fraction * float(fleet.level_watts[:, -1].sum())
+    integral, lp = utility_optima(fleet, capacity_w, params)
+    ceiling = helpers.utility_ceiling(fleet, capacity_w, params)
+    assert ceiling * n == pytest.approx(lp, rel=1e-12, abs=1e-12)
+    assert integral <= lp
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs(), lossy_m=st.one_of(st.none(), st.floats(40.0, 60.0)))
+def test_converged_hours_stay_under_the_utility_ceiling(config, lossy_m):
+    """No policy beats the LP bound: every converged hour's `mean_utility`,
+    under each of the three policies run as one cell, is at most
+    `helpers.utility_ceiling` of that hour's draws and capacity (up to
+    rounding, 1e-9). Half the examples move the link to `lossy_m` metres."""
+    if lossy_m is not None:
+        config = replace(config, protocol_emulation=True, protocol_distance_m=lossy_m)
+    ceilings = {}
+    play_hour = engine._play_hour
+
+    def play(run_config, state, log, hour, demand_w, capacity_w, sl):
+        ceilings[run_config.policy, hour] = helpers.utility_ceiling(state.fleet, capacity_w, run_config.utility)
+        play_hour(run_config, state, log, hour, demand_w, capacity_w, sl)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_play_hour", play)
+        logs = engine.run_cell([replace(config, policy=policy) for policy in sorted(POLICIES)])
+    for log in logs:
+        for rec in log.hours:
+            if rec.converged:
+                assert rec.mean_utility <= ceilings[log.policy, rec.hour] + 1e-9, (log.policy, rec.hour)

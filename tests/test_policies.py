@@ -6,6 +6,8 @@ forced over the small construction, as noted inline.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -737,10 +739,11 @@ def test_alg2_step_matches_scalar_reference(class_models, data):
     assert state.served_w == served_demand(topo)
 
 
-def reference_commands(state: RoundState) -> tuple[list[int], list[float]]:
-    """The commands of the scalar reference's centralized pass on `state`,
-    with its capacity lowered so that nothing fits: each command's home and
-    the served watts after it. Leaves the fleet's levels as they were."""
+def reference_commands(state: RoundState, step=helpers.alg2_step_reference) -> tuple[list[int], list[float]]:
+    """The commands of a scalar reference's walk on `state` (by default the
+    centralized pass), with its capacity lowered so that nothing fits: each
+    command's home and the served watts after it. Leaves the fleet's levels
+    as they were."""
     level, channel = state.fleet.level.copy(), state.channel
     state.capacity_w = -1.0
     homes, served_before = [], []
@@ -751,7 +754,7 @@ def reference_commands(state: RoundState) -> tuple[list[int], list[float]]:
         return CommandChannel.apply(channel, home, new)
 
     channel.apply = apply
-    helpers.alg2_step_reference(state, 1)
+    step(state, 1)
     state.fleet.level[:] = level
     return homes, served_before[1:] + [state.served_w]
 
@@ -822,6 +825,127 @@ def test_alg2_step_chunks_match_scalar_reference(class_models, data):
         ))
     assert outcomes[1] == outcomes[0]
     assert state.served_w == served_demand(fleet)
+
+
+SHUT_OFF_WALKS = {  # the shut-off walk and its group-at-a-time reference, as steps of round k
+    "baseline": (baseline_step, helpers.baseline_step_reference),
+    "nonsmart": (lambda state, k: cut_nonsmart_groups(state), lambda state, k: helpers.cut_nonsmart_groups_reference(state)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_shut_off_walks_chunk_edges_match_scalar_reference(class_models, data):
+    """The baseline rotation and the non-smart cut walk their groups in the
+    chunks of `_walk_chunks`, one send per chunk. With CHUNK_HOMES cut to
+    hold one to three non-empty groups of unequal sizes, empty groups among
+    them, and one group larger than a chunk, each agrees with its
+    group-at-a-time reference on levels, served watts, next group, commands
+    sent and lost, and the channel's next 64 landings. The capacity makes
+    the walk stop in the first, a middle or the last chunk, or nowhere, on
+    any link: it sits at or just above the served watts after one command
+    of the reference's whole walk."""
+    walk, reference = SHUT_OFF_WALKS[data.draw(st.sampled_from(sorted(SHUT_OFF_WALKS)))]
+    bound = data.draw(st.integers(3, 12))
+    sizes = data.draw(st.lists(st.sampled_from([0, bound // 3, bound // 2, bound]), min_size=3, max_size=9))
+    sizes.insert(data.draw(st.integers(0, len(sizes))), bound + data.draw(st.integers(1, 5)))
+    n, n_groups = sum(sizes), len(sizes)
+    setup = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    smart = setup.random(n) < data.draw(st.sampled_from([0.0, 0.3, 0.6]))
+    groups = [np.sort(members) for members in np.split(setup.permutation(n), np.cumsum(sizes)[:-1])]
+    fleet = Fleet(tuple(class_models[label] for label in "ABC"), setup.integers(0, 3, n), smart, groups)
+    for model, homes in zip(fleet.models, fleet.class_homes):
+        if homes.size:
+            set_hour_draws(fleet, homes, setup.uniform(0.0, 1.2, (homes.size, model.n_appliances)) * model.rated_draws)
+    fleet.level[:] = setup.integers(PowerLevel.L1, PowerLevel.L5 + 1, n)
+    fleet.ls_lh[:] = setup.random(n) < data.draw(st.sampled_from([0.0, 0.3]))
+    served = served_demand(fleet)
+    start = data.draw(st.integers(0, n_groups - 1))
+    link = data.draw(st.sampled_from(sorted(LINKS)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    emergency = data.draw(st.booleans())
+
+    def fresh_state():
+        channel_rng = np.random.default_rng(seed)
+        return RoundState(
+            fleet, DP_THIRDS, 0.5, np.random.default_rng(0), LINKS[link](channel_rng), served_w=served,
+            emergency=emergency, next_group=start,
+        )
+
+    walk_chunk, chunk, held = {}, 0, 0  # each home's chunk of the walk, by the chunk rule
+    for g in range(n_groups):
+        members = groups[(start + g) % n_groups]
+        if held and held + members.size > bound:
+            chunk, held = chunk + 1, 0
+        held += members.size
+        walk_chunk.update(dict.fromkeys(members.tolist(), chunk))
+    homes, after = reference_commands(fresh_state(), reference)
+    before = [served] + after[:-1]
+    where = data.draw(st.sampled_from([0, chunk // 2, chunk, None]))  # the chunk to stop in, if any
+    shedding = [j for j in range(len(homes)) if after[j] < before[j]]
+    stops = [j for j in shedding if walk_chunk[homes[j]] == where]
+    capacity_w = -1.0
+    if shedding and where is not None:
+        j = data.draw(st.sampled_from(stops or shedding))
+        capacity_w = after[j] + data.draw(st.sampled_from([0.0, 0.5])) * (before[j] - after[j])
+    level = fleet.level.copy()
+
+    outcomes = []
+    for step in (reference, walk):
+        fleet.level[:] = level
+        state = fresh_state()
+        state.capacity_w = capacity_w
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(policies, "CHUNK_HOMES", bound)
+            step(state, 1)
+        landing = state.channel.landing(64)  # None on a link that always delivers
+        outcomes.append((
+            fleet.level.tolist(), state.served_w, state.next_group, state.channel.sent, state.channel.lost,
+            None if landing is None else landing.tolist(),
+        ))
+    assert outcomes[1] == outcomes[0]
+    assert state.served_w == served_demand(fleet)
+
+
+@pytest.fixture(scope="module")
+def city_fleet(class_models):
+    """60k homes in 300 groups of 200, 90 % smart, drawing 80 % of rated."""
+    fleet = build_topology(
+        class_models, n_homes=60_000, n_feeders=3000, ap=0.9, rng=np.random.default_rng(5),
+        homes_per_transformer=10, group_size=10, class_mix=(1 / 3, 1 / 3, 1 / 3),
+    )
+    helpers.fill_draws(fleet, 0.8)
+    return fleet
+
+
+@pytest.mark.parametrize("distance_m", [None, 50.0])
+@pytest.mark.parametrize("walk", ["baseline", "nonsmart", "centralized"])
+def test_group_walks_allocate_under_one_float_per_home(city_fleet, walk, distance_m):
+    """A group walk's temporaries are bounded by its chunk, not the fleet:
+    at a 20 % gap, the peak that `baseline_step`, `cut_nonsmart_groups` and
+    `alg2_step` each allocate above what was held before the call
+    (`tracemalloc`, to which NumPy reports its buffers) stays under one
+    float64 per home, on a lossless link and on a 50 m one. A walk batched
+    over every group builds fleet-sized arrays, and on the 50 m link also
+    grows the channel's buffer to one Python float per home."""
+    fleet = city_fleet
+    fleet.level[:] = PowerLevel.L5
+    served = served_demand(fleet)
+    delivery_p = 1.0 if distance_m is None else LinkModel().delivery_probability(distance_m)
+    state = round_state(
+        fleet, capacity_w=0.8 * served, channel=CommandChannel(delivery_p, np.random.default_rng(1))
+    )
+    step = {"baseline": baseline_step, "nonsmart": lambda state, k: cut_nonsmart_groups(state),
+            "centralized": alg2_step}[walk]
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        step(state, 1)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert state.channel.sent > 0
+    assert peak < 8 * len(fleet), peak
 
 
 def seed_delivering(pattern, p: float) -> int:
