@@ -935,8 +935,7 @@ def test_group_walks_allocate_under_one_float_per_home(city_fleet, walk, distanc
     state = round_state(
         fleet, capacity_w=0.8 * served, channel=CommandChannel(delivery_p, np.random.default_rng(1))
     )
-    step = {"baseline": baseline_step, "nonsmart": lambda state, k: cut_nonsmart_groups(state),
-            "centralized": alg2_step}[walk]
+    step = alg2_step if walk == "centralized" else SHUT_OFF_WALKS[walk][0]
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
