@@ -60,6 +60,21 @@ class ExperimentSpec:
     runs: int = 10
     out_dir: str = "results"
 
+    def __post_init__(self) -> None:
+        if self.runs < 1:
+            raise ValueError("runs must be at least 1")
+        for key, values, token in (
+            ("policies", self.policies, str),
+            ("gaps", self.gaps_percent, gap_token),
+            ("aps", self.aps, ap_token),
+        ):
+            if not values:
+                raise ValueError(f"{key} must list at least one value")
+            tokens = [token(v) for v in values]  # a cell's name in the report files
+            twice = [t for t in tokens if tokens.count(t) > 1]
+            if twice:
+                raise ValueError(f"{key} lists two values that the report names {twice[0]!r}")
+
     def cells(self) -> list[tuple[str, float, float]]:
         return [
             (policy, gap, ap)
@@ -80,8 +95,8 @@ class ExperimentSpec:
 @contextmanager
 def _config_errors() -> Iterator[None]:
     """Report a value type's ValueError as a ConfigError. The value types
-    (`SimConfig`, `SupplyModel`, `DistributionProfile`, `UtilityParams`)
-    are the one place where a range is checked."""
+    (`SimConfig`, `SupplyModel`, `DistributionProfile`, `UtilityParams`,
+    `ExperimentSpec`) are the one place where a range is checked."""
     try:
         yield
     except ValueError as exc:
@@ -93,19 +108,6 @@ def checked_configs(spec: ExperimentSpec) -> None:
     A corpus `data_dir` is checked by fitting it with `engine.load_models`,
     whose per-process cache the runs of this process and of its forked
     workers then reuse. The builtin models need no check and stay unloaded."""
-    if spec.runs < 1:
-        raise ConfigError("runs must be at least 1")
-    for key, values, token in (
-        ("policies", spec.policies, str),
-        ("gaps", spec.gaps_percent, gap_token),
-        ("aps", spec.aps, ap_token),
-    ):
-        if not values:
-            raise ConfigError(f"{key} must list at least one value")
-        tokens = [token(v) for v in values]  # a cell's name in the report files
-        twice = [t for t in tokens if tokens.count(t) > 1]
-        if twice:
-            raise ConfigError(f"{key} lists two values that the report names {twice[0]!r}")
     data_dir = spec.base.data_dir
     if data_dir != "builtin":
         try:
@@ -242,8 +244,7 @@ def _read_spec(values: dict[str, dict[str, str]]) -> ExperimentSpec:
             protocol_distance_m=get("protocol", "distance_m", base.protocol_distance_m, _parse_float),
             seed=get("simulation", "seed", base.seed, _parse_int),
         )
-    spec = replace(
-        spec,
+    fields = dict(
         base=base,
         policies=get("policy", "policies", spec.policies, _parse_names),
         gaps_percent=gaps,
@@ -258,7 +259,8 @@ def _read_spec(values: dict[str, dict[str, str]]) -> ExperimentSpec:
         for key in keys:
             if (section, key) not in read:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-    return spec
+    with _config_errors():
+        return replace(spec, **fields)
 
 
 def cell_config(spec: ExperimentSpec, policy: str, gap_percent: float, ap: float, run_index: int) -> SimConfig:

@@ -130,48 +130,33 @@ def _cuttable(state: RoundState, homes: np.ndarray) -> np.ndarray:
     return ~fleet.smart[homes] & (fleet.level[homes] != _L1) & _sheddable(fleet, homes, state.emergency)
 
 
-def _walk_chunks(state: RoundState) -> Iterator[list[np.ndarray]]:
+def _walk_chunks(state: RoundState) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The feeder groups in walk order, round-robin from `next_group`, each
-    at most once, as chunks (lists) of consecutive whole groups of at most
-    CHUNK_HOMES homes, a larger group a chunk alone. Yields the next chunk
-    only while `served_w` exceeds `capacity_w`."""
+    at most once, in chunks of consecutive whole groups of at most
+    CHUNK_HOMES homes, a larger group a chunk alone. Yields each chunk as
+    (homes, ends): its homes in walk order and where each of its groups,
+    empty ones included, ends among them. Yields the next chunk only while
+    `served_w` exceeds `capacity_w`."""
     groups = state.fleet.groups
     order = groups[state.next_group :] + groups[: state.next_group]
     first = 0
     while first < len(order) and state.served_w > state.capacity_w:
-        end, homes = first + 1, order[first].size
-        while end < len(order) and homes + order[end].size <= CHUNK_HOMES:
-            homes += order[end].size
+        end, ends = first + 1, [order[first].size]
+        while end < len(order) and ends[-1] + order[end].size <= CHUNK_HOMES:
+            ends.append(ends[-1] + order[end].size)
             end += 1
-        yield order[first:end]
+        yield np.concatenate(order[first:end]), np.array(ends)
         first = end
-
-
-def _shut_off_groups(state: RoundState, nonsmart_only: bool) -> int:
-    """Shut off homes group by group, round-robin from `next_group`, each
-    group at most once, while `served_w` exceeds `capacity_w`: every member
-    of a group, or with `nonsmart_only` its `_cuttable` members. Each chunk
-    of `_walk_chunks` is one `_send`, each group one unit (a group's cuts
-    change no other group's homes, so a chunk's are known up front).
-    Returns the groups sent, summed over chunks, empty ones included; the
-    caller moves `next_group`."""
-    sent = 0
-    for chunk in _walk_chunks(state):
-        homes = np.concatenate(chunk)
-        ends = np.cumsum([members.size for members in chunk])
-        if nonsmart_only:
-            keep = _cuttable(state, homes)
-            homes, ends = homes[keep], np.concatenate(([0], np.cumsum(keep)))[ends]
-        sent += _send(state, homes, _L1, ends)
-    return sent
 
 
 def baseline_step(state: RoundState, k: int) -> None:
     """Cyclic blackout: cut whole groups, starting at `next_group`, until
-    served demand fits under capacity. The hour's first round (k == 1)
+    served demand fits under capacity, each chunk of `_walk_chunks` one
+    `_send` with each group one unit. The hour's first round (k == 1)
     moves `next_group` on by one and later rounds leave it, so the burden
     rotates by one group per hour."""
-    _shut_off_groups(state, nonsmart_only=False)
+    for homes, ends in _walk_chunks(state):
+        _send(state, homes, _L1, ends)
     state.next_group = (state.next_group + (k == 1)) % len(state.fleet.groups)
 
 
@@ -232,9 +217,14 @@ def alg1_decisions(
 def cut_nonsmart_groups(state: RoundState) -> None:
     """Shut off non-smart homes group by group until served demand fits
     under capacity or every group has been tried. Homes shed last hour are
-    skipped unless an emergency is in force. `next_group` moves past the
-    groups tried."""
-    sent = _shut_off_groups(state, nonsmart_only=True)
+    skipped unless an emergency is in force. Each chunk of `_walk_chunks`
+    is one `_send` of its `_cuttable` homes, each group one unit (a group's
+    cuts change no other group's homes, so a chunk's are known up front).
+    `next_group` moves past the groups tried, empty ones included."""
+    sent = 0
+    for homes, ends in _walk_chunks(state):
+        keep = _cuttable(state, homes)
+        sent += _send(state, homes[keep], _L1, np.concatenate(([0], np.cumsum(keep)))[ends])
     state.next_group = (state.next_group + sent) % len(state.fleet.groups)
 
 
@@ -289,10 +279,10 @@ def eligible_lower_runs(
     return top, top - lowest + 1
 
 
-def _shed_chunk(state: RoundState, chunk: list[np.ndarray]) -> int:
-    """Walk `chunk`, consecutive groups of `alg2_step`'s walk order, as one
-    `_send`; returns the groups reached: all of them unless served watts
-    fit within the chunk.
+def _shed_chunk(state: RoundState, homes: np.ndarray, ends: np.ndarray) -> int:
+    """Walk one chunk of `_walk_chunks`, its groups ending at `ends` among
+    `homes`, as one `_send`; returns the groups reached: all of them unless
+    served watts fit within the chunk.
 
     Each group sends its `_cuttable` homes as one unit, then each eligible
     smart step-down as a unit of its own, by (-watts, id). One stable sort
@@ -304,8 +294,7 @@ def _shed_chunk(state: RoundState, chunk: list[np.ndarray]) -> int:
     unit fitted.
     """
     fleet, emergency, rng = state.fleet, state.emergency, state.rng
-    homes = np.concatenate(chunk)
-    group = np.repeat(np.arange(len(chunk)), [members.size for members in chunk])
+    group = np.repeat(np.arange(ends.size), ends - np.concatenate(([0], ends[:-1])))
     watts = fleet.watts(homes)
     top, count = eligible_lower_runs(fleet.level[homes], watts / fleet.rating_w[fleet.cls[homes]], emergency)
     step = fleet.smart[homes] & _sheddable(fleet, homes, emergency) & (count > 0)
@@ -317,13 +306,13 @@ def _shed_chunk(state: RoundState, chunk: list[np.ndarray]) -> int:
     levels = np.full(picked.size, _L1, dtype=np.intp)
     saved = rng.bit_generator.state
     levels[step] = top[picked][step] - rng.integers(0, counts)
-    steps = np.bincount(group[step], minlength=len(chunk))
-    firsts = np.arange(len(chunk) + 1) + np.concatenate(([0], np.cumsum(steps)))  # each group's cut unit
+    steps = np.bincount(group[step], minlength=ends.size)
+    firsts = np.arange(ends.size + 1) + np.concatenate(([0], np.cumsum(steps)))  # each group's cut unit
     sizes = np.ones(firsts[-1], dtype=np.intp)
-    sizes[firsts[:-1]] = np.bincount(group[~step], minlength=len(chunk))
+    sizes[firsts[:-1]] = np.bincount(group[~step], minlength=ends.size)
     last = _send(state, homes[picked], levels, np.cumsum(sizes)) - 1
     if state.served_w > state.capacity_w:
-        return len(chunk)
+        return ends.size
     stop = int(np.searchsorted(firsts, last, side="right")) - 1
     drew = stop + (last > firsts[stop])  # groups whose steps the walk draws
     made = firsts[drew] - drew  # their steps, one draw each
@@ -349,7 +338,7 @@ def alg2_step(state: RoundState, k: int) -> None:
     (`_shed_chunk`); its commands, draws and policy stream are those of
     the group-at-a-time walk.
     """
-    reached = sum(_shed_chunk(state, chunk) for chunk in _walk_chunks(state))
+    reached = sum(_shed_chunk(state, homes, ends) for homes, ends in _walk_chunks(state))
     state.next_group = (state.next_group + reached) % len(state.fleet.groups)
     if state.served_w > state.capacity_w:
         state.emergency = True

@@ -534,3 +534,20 @@ def test_spec_cells_order():
     spec = ExperimentSpec(base=parse_config(None).base, policies=["a", "b"],
                           gaps_percent=[10.0], aps=[0.5], runs=1)
     assert spec.cells() == [("a", 10.0, 0.5), ("b", 10.0, 0.5)]
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param({"runs": 0}, id="runs-zero"),
+    pytest.param({"policies": []}, id="policies-empty"),
+    pytest.param({"gaps_percent": []}, id="gaps-empty"),
+    pytest.param({"aps": []}, id="aps-empty"),
+    pytest.param({"policies": ["baseline", "baseline"]}, id="policies-duplicate"),
+    pytest.param({"gaps_percent": [20.0, 20.0000001]}, id="gaps-one-report-name"),
+    pytest.param({"aps": [0.9, 0.9000001]}, id="aps-one-report-name"),
+])
+def test_spec_rejects_sweeps_without_runs_or_cell_names(fields):
+    """An ExperimentSpec checks its own ranges: a sweep of no runs, or of an
+    empty list of policies, gaps or APs, has no run to make, and two values
+    that the report names alike would write one cell's files."""
+    with pytest.raises(ValueError):
+        ExperimentSpec(base=SimConfig(), **fields)

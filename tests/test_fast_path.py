@@ -17,7 +17,7 @@ ROUND_PATH = [
     policies._send,
     policies._sheddable,
     policies._cuttable,
-    policies._shut_off_groups,
+    policies._walk_chunks,
     policies.baseline_step,
     policies.alg1_decisions,
     policies.cut_nonsmart_groups,

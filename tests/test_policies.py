@@ -6,7 +6,9 @@ forced over the small construction, as noted inline.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import helpers
 from helpers import ScalarHome, alg1_home_decision, decide, demand, eligible_lower_levels
 from stressgrid import policies
-from stressgrid.homes import Fleet, set_hour_draws
+from stressgrid.homes import HOME_CLASSES, Fleet, set_hour_draws
 from stressgrid.levels import PowerLevel
 from stressgrid.policies import (
     LATE_ROUNDS_PER_PASS,
@@ -905,6 +907,55 @@ def test_shut_off_walks_chunk_edges_match_scalar_reference(class_models, data):
         ))
     assert outcomes[1] == outcomes[0]
     assert state.served_w == served_demand(fleet)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_walk_chunks_tile_the_walk_order(data):
+    """`_walk_chunks` yields the groups rotated from `next_group` in order,
+    each chunk's homes with the ends of its groups among them, empty groups
+    included. A chunk holds at most CHUNK_HOMES homes unless it is one group
+    alone, and could not also take the next group. Once served watts fit
+    under capacity, no further chunk comes."""
+    bound = data.draw(st.integers(1, 4))
+    sizes = data.draw(st.lists(st.integers(0, 3 * bound), min_size=1, max_size=12))
+    groups = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+    start = data.draw(st.integers(0, len(sizes) - 1))
+    fit_after = data.draw(st.integers(0, len(sizes) + 1))  # chunks walked before served watts fit
+    state = SimpleNamespace(
+        fleet=SimpleNamespace(groups=groups), next_group=start, served_w=float(fit_after > 0), capacity_w=0.0
+    )
+    order = sizes[start:] + sizes[:start]
+    chunks = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(policies, "CHUNK_HOMES", bound)
+        for homes, ends in policies._walk_chunks(state):
+            chunks.append((homes, ends))
+            if len(chunks) == fit_after:
+                state.served_w = 0.0
+    assert len(chunks) <= fit_after
+    first = 0
+    for homes, ends in chunks:
+        end = first + len(ends)
+        assert ends.tolist() == np.cumsum(order[first:end]).tolist()
+        assert homes.size == sum(order[first:end])
+        assert homes.size <= bound or len(ends) == 1
+        assert end == len(order) or homes.size + order[end] > bound
+        first = end
+    walked = [homes for homes, _ in chunks]
+    rotated = (groups[start:] + groups[:start])[:first]
+    assert np.concatenate(walked or [[]]).tolist() == np.concatenate(rotated or [[]]).tolist()
+    assert len(chunks) == fit_after or first == len(order)
+
+
+def test_span_w_bounds_every_rating():
+    """`_shed_chunk` sorts on `group * _SPAN_W + (_SPAN_W - watts)`. With
+    `_SPAN_W` a power of two above every meter rating, which caps a home's
+    draw, each key of draws in multiples of QUANTUM_W is exact, and no
+    step key reaches the next group's offset."""
+    mantissa, _ = math.frexp(policies._SPAN_W)
+    assert mantissa == 0.5
+    assert max(home_class.rating_w for home_class in HOME_CLASSES.values()) < policies._SPAN_W
 
 
 @pytest.fixture(scope="module")
