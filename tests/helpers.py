@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 
-from stressgrid.consumption import GRID_POINTS, filter_outliers, fit_cdf, silverman_bandwidth
+from stressgrid.consumption import GRID_POINTS, EmpiricalCdf, filter_outliers, fit_cdf, silverman_bandwidth
 from stressgrid.corpus import synthetic_samples
 from stressgrid.engine import BUILTIN_CDFS
 from stressgrid.homes import HOME_CLASSES, QUANTUM_W, Fleet, Home, set_hour_draws
@@ -47,9 +47,11 @@ def write_builtin_cdfs(path=BUILTIN_CDFS) -> None:
     np.savez_compressed(path, **builtin_cdf_arrays(fit_builtin_cdfs()))
 
 
-def fit_cdf_one_block_reference(samples) -> tuple[np.ndarray, np.ndarray]:
-    """`consumption.fit_cdf`'s grid and CDF, with the kernel CDF evaluated
-    over the whole samples x grid block at once."""
+def fit_cdf_exact_reference(samples) -> EmpiricalCdf:
+    """The exact Gaussian-KDE CDF on `consumption.fit_cdf`'s grid, with its
+    bandwidth: every sample's kernel CDF evaluated at every grid point with
+    scipy's `ndtr`, then clipped and renormalized as `fit_cdf` does. The
+    binned fit is checked against it."""
     from scipy.special import ndtr
 
     values = samples.samples
@@ -58,7 +60,7 @@ def fit_cdf_one_block_reference(samples) -> tuple[np.ndarray, np.ndarray]:
     raw = ndtr((grid[None, :] - values[:, None]) / h).mean(axis=0)
     f = np.maximum.accumulate(np.clip((raw - raw[0]) / (raw[-1] - raw[0]), 0.0, 1.0))
     f[0], f[-1] = 0.0, 1.0
-    return grid, f
+    return EmpiricalCdf(grid, f, h)
 
 
 def hour_digest(logs) -> str:

@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import helpers
-from stressgrid import consumption
 from stressgrid.consumption import (
-    FIT_BLOCK,
     GRID_POINTS,
     GUIDE_BUCKETS,
     ApplianceSamples,
@@ -31,7 +29,7 @@ from stressgrid.consumption import (
     sample_inverse,
     silverman_bandwidth,
 )
-from stressgrid.corpus import write_synthetic_corpus
+from stressgrid.corpus import synthetic_samples, write_synthetic_corpus
 from stressgrid.engine import BLOCK_ROWS
 
 
@@ -133,28 +131,48 @@ class TestFitCdf:
     def test_silverman_positive_on_degenerate(self):
         assert silverman_bandwidth(np.array([5.0] * 10)) > 0
 
-    # 513 and 3550 samples split the grid into FIT_BLOCK-bounded blocks of
-    # 511 and 73 columns, and 7820 into the old 4,000,000-element bound's
-    # 511: each such split leaves a lone last column.
-    FIT_SIZES = [5, 130, 513, 3000, 3550, 7820]
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reading_rejected(self, bad):
+        with pytest.raises(ValueError, match="fan: non-finite reading"):
+            fit_cdf(make([1.0, bad, 3.0], name="fan"))
 
-    @pytest.mark.parametrize("bound", [FIT_BLOCK, 1], ids=["default", "two-column"])
-    def test_blocks_keep_one_block_bits(self, monkeypatch, bound):
-        """Any split of the fit into blocks at least 2 columns wide gives the
-        bits of one block over the whole grid: NumPy sums a one-column
-        block pairwise, not sample by sample. A lone last column changes
-        the bits only when many kernels fall short of 1 at the grid's top,
-        so the samples include sets with a sharp upper edge."""
-        assert any(GRID_POINTS % (FIT_BLOCK // n) == 1 for n in self.FIT_SIZES)
-        monkeypatch.setattr(consumption, "FIT_BLOCK", bound)
+    def test_close_to_the_exact_fit(self):
+        """The binned fit has the exact fit's grid and bandwidth bits. Its
+        CDF is within 1e-4 of the exact one on the bundled corpus and on
+        skewed sets whose grid step dx is at most h / 10. On heavy tails,
+        where dx nears h, it stays within the linear-binning bound: each
+        binned kernel CDF is off by at most (dx/h)^2 max|phi'| / 8, and
+        the renormalization over a span of at least 1/2 at most
+        quadruples that, which is below (dx/h)^2 / 3 for dx <= h."""
         rng = np.random.default_rng(17)
-        for n in self.FIT_SIZES:
-            for values in (rng.uniform(100, 200, n), np.abs(rng.normal(80, 10, n))):
-                samples = make(values)
-                cdf = fit_cdf(samples)
-                grid, f = helpers.fit_cdf_one_block_reference(samples)
-                assert (bits(cdf.grid_x) == bits(grid)).all(), n
-                assert (bits(cdf.grid_f) == bits(f)).all(), n
+        bimodal = np.concatenate([np.abs(rng.normal(10, 1, 500)), rng.normal(500, 5, 500)])
+        fine = [filter_outliers(s) for group in synthetic_samples().values() for s in group] + [
+            make(rng.gamma(2.0, 100.0, 3000), "gamma 2"),
+            make(rng.lognormal(3.0, 0.5, 2000), "lognormal 0.5"),
+            make(bimodal, "bimodal"),
+            make(rng.uniform(0, 100, 5), "5 uniform"),
+        ]
+        heavy = [
+            make(rng.exponential(100.0, 2000), "exponential"),
+            make(rng.gamma(0.5, 100.0, 3000), "gamma 0.5"),
+            make(rng.lognormal(3.0, 1.2, 2000), "lognormal 1.2"),
+            make(100.0 * rng.pareto(3.0, 2000), "pareto 3"),
+        ]
+
+        def step_and_error(samples):
+            cdf, exact = fit_cdf(samples), helpers.fit_cdf_exact_reference(samples)
+            assert (bits(cdf.grid_x) == bits(exact.grid_x)).all()
+            assert bits(cdf.bandwidth) == bits(exact.bandwidth)
+            dx = (cdf.grid_x[-1] - cdf.grid_x[0]) / (GRID_POINTS - 1)
+            return dx / cdf.bandwidth, np.abs(cdf.grid_f - exact.grid_f).max()
+
+        for samples in fine:
+            dx_h, error = step_and_error(samples)
+            assert dx_h <= 0.1 and error <= 1e-4, samples.appliance_name
+        for samples in heavy:
+            dx_h, error = step_and_error(samples)
+            assert dx_h <= 1.0 and error <= dx_h**2 / 3, samples.appliance_name
 
 
 @pytest.fixture(scope="module")

@@ -65,7 +65,9 @@ class TestBuiltinModels:
             ):
                 assert a.dtype == b.dtype and np.array_equal(a, b), f"{label} {name}: {self.STALE}"
 
-    def test_builtin_models_import_no_scipy(self):
+    def test_builtin_models_import_no_scipy(self, tmp_path):
+        """The builtin models load without importing scipy, and a corpus
+        fits and runs with scipy made unimportable."""
         src = str(Path(stressgrid.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = (
@@ -77,6 +79,19 @@ class TestBuiltinModels:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+        corpus = write_synthetic_corpus(tmp_path / "corpus")
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from stressgrid.engine import SimConfig, load_models, run\n"
+            f"load_models({str(corpus)!r})\n"
+            f"log = run(SimConfig(horizon_hours=1, n_homes=100, n_feeders=10, data_dir={str(corpus)!r}))\n"
+            "print(len(log.hours))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "1"
 
     def test_package_root_imports_no_submodule(self):
         src = str(Path(stressgrid.__file__).parents[1])
