@@ -142,9 +142,9 @@ class TestFitCdf:
         CDF is within 1e-4 of the exact one on the bundled corpus and on
         skewed sets whose grid step dx is at most h / 10. On heavy tails,
         where dx nears h, it stays within the linear-binning bound: each
-        binned kernel CDF is off by at most (dx/h)^2 max|phi'| / 8, and
-        the renormalization over a span of at least 1/2 at most
-        quadruples that, which is below (dx/h)^2 / 3 for dx <= h."""
+        binned kernel CDF is off by at most e = (dx/h)^2 max|phi'| / 8,
+        and the renormalization over a span s >= Phi(3) - 1/2 turns that
+        into at most 4e / (s - 2e), below (dx/h)^2 / 3 for dx <= h."""
         rng = np.random.default_rng(17)
         bimodal = np.concatenate([np.abs(rng.normal(10, 1, 500)), rng.normal(500, 5, 500)])
         fine = [filter_outliers(s) for group in synthetic_samples().values() for s in group] + [
