@@ -1,3 +1,3 @@
 """Deterministic simulator of direct load control on a stressed grid."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -8,9 +8,10 @@ Each value flag of `main` (`FLAGS`) writes its string over the raw value
 of one key before the one reader parses it, so a flag and its key give the
 same runs and the same errors. The sweep is the cross product of policies,
 supply gaps and smart-home penetrations, with a fixed number of runs per
-cell. Per-run seeds come from the base seed, gap, AP and run index alone,
-not the policy, so re-running any single cell reproduces the exact files of
-the full sweep and the policies of a cell share theirs.
+cell. Per-run seeds come from the base seed, AP and run index alone, not
+the policy or the gap, so re-running any single cell reproduces the exact
+files of the full sweep, and every policy and gap of one (AP, run) shares
+its seed: one grid and one demand path, run once for all of them.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ class ConfigError(Exception):
     pass
 
 
-def derive_seed(base_seed: int, gap_percent: float, ap: float, run_index: int) -> int:
-    """Stable per-run seed from the base seed and the cell's gap, AP and run
-    index; not the policy, so the policies of a cell share random numbers.
+def derive_seed(base_seed: int, ap: float, run_index: int) -> int:
+    """Stable per-run seed from the base seed, AP and run index; not the
+    policy or the gap, so the runs of one (AP, run) share random numbers.
 
-    entropy = (base, gap in hundredths of a percent, ap in hundredths of a
-    percent, run index), hashed by numpy's SeedSequence.
+    entropy = (base, ap in hundredths of a percent, run index), hashed by
+    numpy's SeedSequence.
     """
-    entropy = (base_seed, int(round(gap_percent * 100)), int(round(ap * 10000)), run_index)
+    entropy = (base_seed, int(round(ap * 10000)), run_index)
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
@@ -74,6 +75,8 @@ class ExperimentSpec:
             twice = [t for t in tokens if tokens.count(t) > 1]
             if twice:
                 raise ValueError(f"{key} lists two values that the report names {twice[0]!r}")
+            if len(set(values)) < len(values):  # -0 and 0: two names, one run
+                raise ValueError(f"{key} lists two equal values")
 
     def cells(self) -> list[tuple[str, float, float]]:
         return [
@@ -116,14 +119,14 @@ def checked_configs(spec: ExperimentSpec) -> None:
             raise ConfigError(f"data_dir {data_dir!r}: {exc}") from None
     with _config_errors():
         configs = spec.configs()
-    # One policy's block, by position: -0 and 0 are equal but name two cells.
-    cells = [(gap, ap) for gap in spec.gaps_percent for ap in spec.aps]
+    # The (AP, run) block of the first policy and gap, whose seeds every
+    # other block repeats.
     first: dict[int, int] = {}
-    for k, config in enumerate(configs[: len(cells) * spec.runs]):
+    for k, config in enumerate(configs[: len(spec.aps) * spec.runs]):
         j = first.setdefault(config.seed, k)
         if j != k:
             raise ConfigError(
-                f"cells (gap, ap) {cells[j // spec.runs]} and {cells[k // spec.runs]} share every seed"
+                f"aps {spec.aps[j // spec.runs]} and {spec.aps[k // spec.runs]} share every seed"
             )
 
 
@@ -269,10 +272,9 @@ def cell_config(spec: ExperimentSpec, policy: str, gap_percent: float, ap: float
         supply = SupplyModel(mode="fractional_gap", gap_fraction=gap_percent / 100.0)
     else:
         supply = spec.base.supply
-        gap_percent = 0.0  # fixed-capacity runs key their seeds on gap 0
     # checked before the seed is derived, which needs a finite ap
     config = replace(spec.base, policy=policy, ap=ap, supply=supply)
-    return replace(config, seed=derive_seed(spec.base.seed, gap_percent, ap, run_index))
+    return replace(config, seed=derive_seed(spec.base.seed, ap, run_index))
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -294,13 +296,14 @@ def _worker_count(n_jobs: int) -> int:
 def run_sweep(spec: ExperimentSpec, quiet: bool = False) -> list[MetricsLog]:
     """Run every run of the sweep; deterministic, whatever the worker count.
 
-    `spec.configs()` lists each policy's block of (gap, AP, run) coordinates
-    in the same order, so with n coordinates `configs[k::n]` are the runs
-    that differ in policy alone: a group that `engine.run_cell` runs on one
-    grid. The logs come back in `spec.configs()` order.
+    `spec.configs()` lists each (policy, gap)'s block of (AP, run)
+    coordinates in the same order, so with n coordinates `configs[k::n]`
+    are the runs that differ in policy and gap alone: a group that
+    `engine.run_cell` runs on one grid and one demand path. The logs come
+    back in `spec.configs()` order.
     """
     configs = spec.configs()
-    n = spec.runs * len(spec.gaps_percent) * len(spec.aps)
+    n = spec.runs * len(spec.aps)
     jobs = [configs[k::n] for k in range(n)]
     workers = _worker_count(n)
     results = []
@@ -313,7 +316,7 @@ def run_sweep(spec: ExperimentSpec, quiet: bool = False) -> list[MetricsLog]:
             results.append(group_logs)
             if not quiet:
                 print(f"group {len(results)}/{n} complete")
-    return [logs[p] for p in range(len(spec.policies)) for logs in results]
+    return [logs[i] for i in range(len(configs) // n) for logs in results]
 
 
 # Each value flag of `main` and the key whose raw value it replaces.

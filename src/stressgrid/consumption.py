@@ -55,12 +55,16 @@ def filter_outliers(samples: ApplianceSamples) -> ApplianceSamples:
 
     Only the upper tail is filtered: transient spikes inflate the corpus but
     low readings are legitimate idle states. Mean and deviation are computed
-    on the raw input. The result keeps the original ordering and, for finite
-    readings, is never empty (the minimum can never exceed mean + 3 sigma).
+    on the raw input. The result keeps the original ordering and is never
+    empty (the minimum can never exceed mean + 3 sigma). Raises ValueError,
+    naming the appliance, for no readings or a non-finite one, whose NaN
+    mean would drop every reading.
     """
     values = samples.samples
     if values.size == 0:
-        raise ValueError("no samples")
+        raise ValueError(f"{samples.appliance_name}: no samples")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{samples.appliance_name}: non-finite reading")
     threshold = values.mean() + 3.0 * values.std()
     return ApplianceSamples(samples.appliance_name, values[values <= threshold])
 
@@ -83,8 +87,8 @@ def fit_cdf(samples: ApplianceSamples) -> EmpiricalCdf:
     The grid spans [max(0, min - 3h), max + 3h]; any density mass that the
     kernels place below zero watts (or beyond the grid) is clipped and the
     CDF renormalized, so negative draws are impossible. Raises ValueError,
-    naming the appliance, for a non-finite reading, or if the readings are
-    so large that the grid's points are not all distinct doubles.
+    naming the appliance, for no readings, a non-finite or negative one, or
+    readings so large that the grid's points are not all distinct doubles.
 
     The estimate is binned (Silverman 1982, AS 176; Wand 1994): each
     reading's weight is split linearly between its two neighbouring grid
@@ -94,11 +98,11 @@ def fit_cdf(samples: ApplianceSamples) -> EmpiricalCdf:
     """
     values = np.asarray(samples.samples, dtype=float)
     if values.size == 0:
-        raise ValueError("no samples")
+        raise ValueError(f"{samples.appliance_name}: no samples")
     if not np.isfinite(values).all():
         raise ValueError(f"{samples.appliance_name}: non-finite reading")
     if np.any(values < 0):
-        raise ValueError("negative sample")
+        raise ValueError(f"{samples.appliance_name}: negative sample")
     h = silverman_bandwidth(values)
 
     lo = max(0.0, float(values.min()) - 3.0 * h)

@@ -7,9 +7,9 @@ demand exceeds capacity the active policy's round function runs once per
 second, k = 1, 2, ... within the hour; the engine sums served demand once,
 at the hour's start, and each round lowers it by the watts it sheds. Once
 the hour converges no state changes until the next boundary, so the engine
-skips ahead. A run is a pure function of (config, seed). The runs of one
-cell, whose configs differ in policy alone, share one grid and one
-redraw per hour (`run_cell`).
+skips ahead. A run is a pure function of (config, seed). Runs whose
+configs differ in policy and supply alone share one grid, one redraw and
+one served-demand sum per hour (`run_cell`).
 
 Under-load wastage and all level statistics are recorded at the converged
 state of each hour. A policy that exhausts its round budget leaves the
@@ -193,22 +193,23 @@ def run(config: SimConfig) -> MetricsLog:
 
 def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
     """Execute the runs of `configs`, which must be equal but for their
-    policies (a policy may repeat); log i is the log of configs[i] run alone.
+    policies and supplies (a config may repeat); log i is the log of
+    configs[i] run alone.
 
     The seed spawns one random stream per purpose (topology, hourly redraw,
     policy, channel), so a draw for one purpose moves no value of another.
-    The topology and redraw streams never read the policy, so the cell does
-    the work its runs share: it builds one grid, and once an hour redraws
-    it, sums its demand and fixes the capacity and stress level. Each run
-    then plays the hour (`_play_hour`) on its own fleet states,
-    `RoundState`, policy stream and channel stream. Raises ValueError for
-    no configs or configs that differ in more than the policy.
+    The topology and redraw streams read neither the policy nor the supply,
+    so the runs share their work: one grid, and once an hour one redraw and
+    one sum of its demand. Each run then fixes its own capacity and stress
+    level from that demand and plays the hour (`_play_hour`) on its own
+    fleet states, `RoundState`, policy stream and channel stream. Raises
+    ValueError for no configs or configs that differ in anything else.
     """
     if not configs:
         raise ValueError("run_cell needs at least one config")
     config = configs[0]
-    if any(replace(other, policy=config.policy) != config for other in configs[1:]):
-        raise ValueError("the configs of a cell may differ in policy only")
+    if any(replace(other, policy=config.policy, supply=config.supply) != config for other in configs[1:]):
+        raise ValueError("the configs of a cell may differ in policy and supply only")
     models = load_models(config.data_dir)
     streams = np.random.SeedSequence(config.seed).spawn(4)
     topology_rng, draws_rng = (np.random.default_rng(s) for s in streams[:2])
@@ -226,11 +227,6 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
         LinkModel().delivery_probability(config.protocol_distance_m)
         if config.protocol_emulation else 1.0
     )
-    supply = config.supply
-    gap_pct = (
-        round(100.0 * supply.gap_fraction, STRESS_DECIMALS)  # as stress_level rounds
-        if supply.mode == "fractional_gap" else float("nan")
-    )
     runs = []
     for i, run_config in enumerate(configs):
         policy_rng, channel_rng = (np.random.default_rng(s) for s in streams[2:])
@@ -238,10 +234,14 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
             grid if i == 0 else grid.sibling(), config.dp, config.reduction_factor,
             policy_rng, CommandChannel(delivery_p, channel_rng),
         )
+        supply = run_config.supply
         log = MetricsLog(
             policy=run_config.policy,
             seed=config.seed,
-            gap_percent=gap_pct,
+            gap_percent=(
+                round(100.0 * supply.gap_fraction, STRESS_DECIMALS)  # as stress_level rounds
+                if supply.mode == "fractional_gap" else float("nan")
+            ),
             ap=config.ap,
             config_hash=run_config.config_hash(),
         )
@@ -250,8 +250,8 @@ def run_cell(configs: list[SimConfig]) -> list[MetricsLog]:
     for hour in range(config.horizon_hours):
         _refresh_draws(grid, draws_rng)
         demand_w = served_demand(grid)  # everyone is at L5
-        capacity_w = supply.capacity_for(demand_w)
-        sl = stress_level(demand_w, capacity_w) if demand_w > 0 else 0.0
         for run_config, state, log in runs:
+            capacity_w = run_config.supply.capacity_for(demand_w)
+            sl = stress_level(demand_w, capacity_w) if demand_w > 0 else 0.0
             _play_hour(run_config, state, log, hour, demand_w, capacity_w, sl)
     return [log for _, _, log in runs]

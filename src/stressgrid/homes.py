@@ -157,7 +157,7 @@ class Fleet:
         return len(self.cls)
 
     def sibling(self) -> Fleet:
-        """Another policy's fleet on the same grid: every array shared, this
+        """Another run's fleet on the same grid: every array shared, this
         hour's draws too, but its own states at L5 and backoff state unset."""
         other = copy.copy(self)
         other._reset_states()

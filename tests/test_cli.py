@@ -164,14 +164,14 @@ class TestParseConfig:
 class TestSeedDerivation:
     def test_frozen_values(self):
         # stable across releases; these anchor the derivation formula
-        assert derive_seed(42, 20.0, 0.9, 0) == 9059623782722770134
-        assert derive_seed(42, 20.0, 0.9, 1) == 9050937106073144497
-        assert derive_seed(42, 30.0, 0.9, 0) == 10713788727521964757
-        assert derive_seed(0, 0.0, 0.0, 0) == 15793235383387715774
+        assert derive_seed(42, 0.9, 0) == 6529959253061596705
+        assert derive_seed(42, 0.9, 1) == 9496334644172244187
+        assert derive_seed(42, 0.6, 0) == 1648260645494005857
+        assert derive_seed(7, 0.3, 4) == 13570474210570006706
 
     def test_cells_and_runs_distinct(self):
-        """Distinct across gap, AP and run index; equal across the policies
-        of one cell, which run on common random numbers."""
+        """Distinct across AP and run index; equal across the policies and
+        gaps of one (AP, run), which run on common random numbers."""
         spec = parse_config(None)
         seeds = {}
         for policy in ("baseline", "distributed", "centralized"):
@@ -179,9 +179,9 @@ class TestSeedDerivation:
                 for ap in (0.3, 0.9):
                     for run in range(5):
                         seed = cell_config(spec, policy, gap, ap, run).seed
-                        seeds.setdefault((gap, ap, run), set()).add(seed)
-        assert all(len(per_policy) == 1 for per_policy in seeds.values())
-        assert len(set.union(*seeds.values())) == 2 * 2 * 5
+                        seeds.setdefault((ap, run), set()).add(seed)
+        assert all(len(per_policy_and_gap) == 1 for per_policy_and_gap in seeds.values())
+        assert len(set.union(*seeds.values())) == 2 * 5
 
     def test_cell_config_carries_cell_parameters(self):
         spec = parse_config(None)
@@ -189,7 +189,7 @@ class TestSeedDerivation:
         assert c.policy == "centralized"
         assert c.ap == 0.6
         assert c.supply.gap_fraction == pytest.approx(0.3)
-        assert c.seed == derive_seed(42, 30.0, 0.6, 4)
+        assert c.seed == derive_seed(42, 0.6, 4)
 
 
 class TestWorkerCount:
@@ -255,7 +255,7 @@ class TestMain:
         assert code == 0
         runs = sorted(q.name for q in (out / "runs").glob("*.csv"))
         assert len(runs) == 3 * 2  # three policies, two seeds
-        s0 = derive_seed(42, 20.0, 0.9, 0)
+        s0 = derive_seed(42, 0.9, 0)
         assert f"run_baseline_20_90_s{s0}.csv" in runs
         summaries = sorted(q.name for q in out.glob("summary_*.csv"))
         assert summaries == [
@@ -303,7 +303,7 @@ class TestMain:
             "--single", "--policy", "distributed", "--gap", "20", "--ap", "0.9",
         ]) == 0
         for j in range(2):
-            name = f"run_distributed_20_90_s{derive_seed(42, 20.0, 0.9, j)}.csv"
+            name = f"run_distributed_20_90_s{derive_seed(42, 0.9, j)}.csv"
             a = (full / "runs" / name).read_bytes()
             b = (single / "runs" / name).read_bytes()
             assert a == b
@@ -360,7 +360,6 @@ class TestMain:
         pytest.param(TINY, ["--gap", "150", "--ap", "7"], id="bad-cell-flags-without-single"),
         pytest.param(TINY.replace("gaps = 20", "gaps = 20, 20"), [], id="gaps-duplicate"),
         pytest.param(TINY.replace("aps = 0.9", "aps = 0.9, 0.9000001"), [], id="aps-near-duplicate"),
-        pytest.param(TINY.replace("gaps = 20", "gaps = 7.001, 7.002"), [], id="gaps-one-seed"),
         pytest.param(TINY.replace("aps = 0.9", "aps = 0.30001, 0.30002"), [], id="aps-one-seed"),
         pytest.param(TINY.replace("gaps = 20", "gaps = 0, -0"), [], id="gaps-signed-zero"),
         pytest.param(TINY + "\n[policy]\npolicies = baseline, centralized, baseline\n", [],
@@ -376,6 +375,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
+
+    def test_gaps_a_thousandth_apart_are_two_cells(self, tmp_path):
+        """A seed does not key on the gap, so gaps a thousandth of a percent
+        apart are two cells on one grid, not a config error."""
+        p = write_config(tmp_path, TINY.replace("gaps = 20", "gaps = 7.001, 7.002"))
+        out = tmp_path / "results"
+        assert main(["--config", str(p), "--out", str(out), "--quiet"]) == 0
+        assert sorted(q.name for q in out.glob("summary_baseline_*.csv")) == [
+            "summary_baseline_7.001_90.csv",
+            "summary_baseline_7.002_90.csv",
+        ]
 
     @pytest.mark.parametrize("args, key_before, key_after", [
         pytest.param(["--seed", "7"], "seed = 42", "seed = 7", id="seed"),
@@ -500,7 +510,7 @@ class TestRunSweep:
         logs = run_sweep(spec)
         solo = [engine.run(config) for config in spec.configs()]
         assert [repr(log) for log in logs] == [repr(log) for log in solo]
-        groups = 2 * spec.runs  # one per gap and run; the policies share it
+        groups = spec.runs  # one per (AP, run); its policies and gaps share it
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"group {i}/{groups} complete" for i in range(1, groups + 1)]
 

@@ -46,6 +46,14 @@ class TestFilterOutliers:
         with pytest.raises(ValueError, match="no samples"):
             filter_outliers(make([]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reading_rejected_by_name(self, bad):
+        """A NaN mean or deviation would drop every reading, so that the fit
+        failed later with a "no samples" that named nothing."""
+        with pytest.raises(ValueError, match="fan: non-finite reading"):
+            filter_outliers(make([1.0, bad, 3.0], name="fan"))
+
     def test_single_spike_removed(self):
         # Oracle in plain Python: mean and population stdev of the
         # 101-sample list, computed without numpy.
@@ -122,6 +130,11 @@ class TestFitCdf:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError, match="no samples"):
             fit_cdf(make([]))
+
+    @pytest.mark.parametrize("values, error", [([], "no samples"), ([-1.0, 2.0], "negative sample")])
+    def test_rejections_name_the_appliance(self, values, error):
+        with pytest.raises(ValueError, match=f"fan: {error}"):
+            fit_cdf(make(values, name="fan"))
 
     def test_collapsed_grid_rejected(self):
         # 3h either side of 1e15 W is below half a double's spacing there

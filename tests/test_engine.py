@@ -365,11 +365,11 @@ class TestRunCell:
         assert repr(logs[0]) == repr(logs[2]) == repr(run(configs[0]))
         assert repr(logs[1]) == repr(run(configs[1]))
 
-    def test_configs_must_differ_in_policy_only(self):
+    def test_configs_must_differ_in_policy_and_supply_only(self):
         configs = self.cell(self.SUPPLIES["gap40"], None, 5, ("baseline", "centralized"))
         for other in (replace(configs[1], seed=6), replace(configs[1], ap=0.5),
-                      replace(configs[1], supply=self.SUPPLIES["gap10"])):
-            with pytest.raises(ValueError, match="policy only"):
+                      replace(configs[1], horizon_hours=3)):
+            with pytest.raises(ValueError, match="policy and supply only"):
                 run_cell([configs[0], other])
         with pytest.raises(ValueError, match="at least one"):
             run_cell([])

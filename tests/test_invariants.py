@@ -271,3 +271,28 @@ def test_converged_hours_stay_under_the_utility_ceiling(config, lossy_m):
         for rec in log.hours:
             if rec.converged:
                 assert rec.mean_utility <= ceilings[log.policy, rec.hour] + 1e-9, (log.policy, rec.hour)
+
+
+supplies = st.one_of(
+    st.floats(0.0, 0.9).map(lambda gap: SupplyModel(gap_fraction=gap)),
+    st.floats(0.0, 1e5).map(lambda watts: SupplyModel(mode="fixed_capacity", capacity_w=watts)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=small_configs(),
+    lossy_m=st.one_of(st.none(), st.floats(40.0, 100.0)),
+    cell=st.lists(st.tuples(st.sampled_from(sorted(POLICIES)), supplies), min_size=1, max_size=6),
+)
+def test_grouping_of_policies_and_gaps_changes_no_run(config, lossy_m, cell):
+    """The runs of one (AP, run), in any mix and order of policies and
+    supplies, share one grid and one hourly redraw; each still logs exactly
+    what it logs alone, and every one of them sees the same demand each
+    hour. Half the examples move the link to `lossy_m` metres."""
+    if lossy_m is not None:
+        config = replace(config, protocol_emulation=True, protocol_distance_m=lossy_m)
+    configs = [replace(config, policy=policy, supply=supply) for policy, supply in cell]
+    logs = engine.run_cell(configs)
+    assert [repr(log) for log in logs] == [repr(engine.run(c)) for c in configs]
+    assert len({tuple(rec.demand_w for rec in log.hours) for log in logs}) == 1
