@@ -124,17 +124,12 @@ class TestFitCdf:
         assert np.interp(0.0, cdf.grid_x, cdf.grid_f) == 0.0
 
     def test_negative_samples_rejected(self):
-        with pytest.raises(ValueError):
-            fit_cdf(make([-1.0, 2.0]))
+        with pytest.raises(ValueError, match="fan: negative sample"):
+            fit_cdf(make([-1.0, 2.0], name="fan"))
 
     def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError, match="no samples"):
-            fit_cdf(make([]))
-
-    @pytest.mark.parametrize("values, error", [([], "no samples"), ([-1.0, 2.0], "negative sample")])
-    def test_rejections_name_the_appliance(self, values, error):
-        with pytest.raises(ValueError, match=f"fan: {error}"):
-            fit_cdf(make(values, name="fan"))
+        with pytest.raises(ValueError, match="fan: no samples"):
+            fit_cdf(make([], name="fan"))
 
     def test_collapsed_grid_rejected(self):
         # 3h either side of 1e15 W is below half a double's spacing there
