@@ -376,12 +376,17 @@ class TestMain:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
 
-    def test_gaps_a_thousandth_apart_are_two_cells(self, tmp_path):
+    @pytest.mark.parametrize("validate", [[], ["--validate"]], ids=["run", "validate"])
+    def test_gaps_a_thousandth_apart_are_two_cells(self, tmp_path, capsys, validate):
         """A seed does not key on the gap, so gaps a thousandth of a percent
         apart are two cells on one grid, not a config error."""
         p = write_config(tmp_path, TINY.replace("gaps = 20", "gaps = 7.001, 7.002"))
         out = tmp_path / "results"
-        assert main(["--config", str(p), "--out", str(out), "--quiet"]) == 0
+        assert main(["--config", str(p), "--out", str(out), "--quiet", *validate]) == 0
+        if validate:
+            assert "config ok: 6 cells x 2 runs" in capsys.readouterr().out
+            assert not out.exists()
+            return
         assert sorted(q.name for q in out.glob("summary_baseline_*.csv")) == [
             "summary_baseline_7.001_90.csv",
             "summary_baseline_7.002_90.csv",
