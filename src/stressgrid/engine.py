@@ -26,7 +26,7 @@ import numpy as np
 
 from .consumption import EmpiricalCdf, filter_outliers, fit_cdf, load_corpus, sample_inverse
 from .homes import HOME_CLASSES, ClassModel, Fleet, build_class_model, check_appliance_count, set_hour_draws
-from .levels import _L5, PowerLevel, UtilityParams, utility
+from .levels import _L5, UtilityParams
 from .metrics import HourRecord, MetricsLog, ulw
 from .policies import POLICIES, DistributionProfile, RoundState, reset_hourly
 from .protocol import CommandChannel, LinkModel
@@ -173,9 +173,7 @@ def _play_hour(config: SimConfig, state: RoundState, log: MetricsLog, hour: int,
             ulw_w=ulw(capacity_w, state.served_w) if is_converged else 0.0,
             level_counts=tuple(counts),
             smart_level_counts=tuple(smart_counts),
-            mean_utility=sum(
-                utility(lv, config.utility) * counts[lv - 1] for lv in PowerLevel
-            ) / len(level),
+            mean_utility=sum(u * n for u, n in zip(config.utility.by_level, counts)) / len(level),
             convergence_seconds=rounds,
             converged=is_converged,
             emergency=state.emergency,

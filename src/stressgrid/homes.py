@@ -21,6 +21,9 @@ RATED_QUANTILE = 0.95
 
 # Installed draws are whole multiples of this many watts, so every sum of
 # them below 2**43 W is exact in float64, whatever the order of summation.
+# A home's level watts, at most its meter rating (HOME_CLASSES, at most
+# 1000 W), are at most 2**20 quanta, so float32 holds each one exactly;
+# sums of them are taken in float64.
 QUANTUM_W = 2.0**-10
 
 
@@ -119,7 +122,10 @@ class Fleet:
     the in-home multi-level controller; the rest can only be switched off
     wholesale at the meter.
     `level` is a home's current power state and `level_watts[i, k]` what it
-    draws this hour at state L(k+1) (NaN until the hour's draws are set).
+    draws this hour at state L(k+1) (NaN until the hour's draws are set),
+    as float32: each entry is a multiple of QUANTUM_W no larger than the
+    home's meter rating, so float32 holds it exactly, and a difference of
+    two entries too. Sum them in float64, as `served_demand` does.
     ls_lh, dlc_done and sl_init (NaN for unset) belong to the distributed
     backoff scheme. Derived once: `smart_homes` and `class_homes[c]` (the
     ids of the smart homes and of class c's homes, ascending) and
@@ -140,7 +146,7 @@ class Fleet:
     sl_init: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.level_watts = np.full((len(self.cls), len(PowerLevel)), np.nan)
+        self.level_watts = np.full((len(self.cls), len(PowerLevel)), np.nan, dtype=np.float32)
         self.smart_homes = np.flatnonzero(self.smart)
         self.class_homes = [np.flatnonzero(self.cls == c) for c in range(len(self.models))]
         self.rating_w = np.array([np.nan if m is None else m.home_class.rating_w for m in self.models])
@@ -197,7 +203,8 @@ def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
     order, cannot sum above the rated draws. A float64 `draws` array is
     changed in place, so it must not be a view of state that is kept, such
     as a model's rated draws. The watts at each state are the connected
-    appliances' draws summed, exactly.
+    appliances' draws summed, exactly, in float64, and stored as float32,
+    which holds them exactly (QUANTUM_W).
     """
     model = fleet.models[fleet.cls[homes[0]]]
     draws = np.asarray(draws, dtype=float)

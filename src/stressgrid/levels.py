@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 
 class PowerLevel(IntEnum):
@@ -54,8 +55,12 @@ class UtilityParams:
         if not (self.u_max >= self.th_u >= self.th_l >= 0.0):
             raise ValueError("utility params must satisfy u_max >= th_u >= th_l >= 0")
 
+    @cached_property
+    def by_level(self) -> tuple[float, ...]:
+        """The utilities of L1..L5, in that order; computed once per params."""
+        return (0.0, self.th_l, (self.th_u + self.th_l) / 2.0, self.th_u, self.u_max)
+
 
 def utility(level: int, params: UtilityParams) -> float:
     """Utility of one home held at `level` (any integer 1..5) for the hour."""
-    th_u, th_l = params.th_u, params.th_l
-    return (0.0, th_l, (th_u + th_l) / 2.0, th_u, params.u_max)[PowerLevel(level) - 1]
+    return params.by_level[PowerLevel(level) - 1]

@@ -114,8 +114,10 @@ def build_topology(
 
 
 def served_demand(fleet: Fleet) -> float:
-    """Served demand at the homes' current states; raises while draws are unset."""
-    total = float(fleet.watts(np.arange(len(fleet))).sum())
+    """Served demand at the homes' current states, summed in float64 (the
+    float32 `level_watts` entries are exact, their sum need not be);
+    raises while draws are unset."""
+    total = float(fleet.watts(np.arange(len(fleet))).sum(dtype=np.float64))
     if math.isnan(total):
         raise RuntimeError("hour draws not set")
     return total

@@ -90,7 +90,7 @@ def fill_draws(fleet: Fleet, scale: float) -> None:
 def demand(fleet) -> tuple[float, float]:
     """(unconstrained demand, served demand) in watts: what all homes would
     draw at L5, and what they draw at their current states."""
-    unconstrained = fleet.level_watts[:, PowerLevel.L5 - 1].sum()
+    unconstrained = fleet.level_watts[:, PowerLevel.L5 - 1].sum(dtype=np.float64)
     return float(unconstrained), served_demand(fleet)
 
 
@@ -268,7 +268,7 @@ def utility_ceiling(fleet: Fleet, capacity_w: float, params: UtilityParams) -> f
     until the capacity is spent, the last one in part. The connected
     appliances of the levels nest, so a home's watts do not fall with its
     level. Raises ValueError if the homes cannot all fit even at L1."""
-    watts = fleet.level_watts
+    watts = fleet.level_watts.astype(np.float64)  # exact; the sums below are not in float32
     n = len(watts)
     if (np.diff(watts, axis=1) < 0).any():
         raise ValueError("a home draws less at a higher level")

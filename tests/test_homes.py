@@ -289,7 +289,52 @@ def test_meter_cap_pass_skipped_only_when_it_is_a_no_op(label, n_homes, fraction
     reference = make_fleet(model, n_homes)
     want = set_hour_draws_reference(reference, np.arange(n_homes), raw.copy())
     assert (installed.view(np.uint64) == want.view(np.uint64)).all()
-    assert (fleet.level_watts.view(np.uint64) == reference.level_watts.view(np.uint64)).all()
+    assert (fleet.level_watts.view(np.uint32) == reference.level_watts.view(np.uint32)).all()
+
+
+def test_every_rating_is_below_float32_exactness():
+    """A home's level watts are multiples of QUANTUM_W no larger than its
+    meter rating; below 2**24 quanta (16384 W) float32 holds each exactly."""
+    for home_class in HOME_CLASSES.values():
+        assert home_class.rating_w < 2**24 * QUANTUM_W
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    label=st.sampled_from(sorted(HOME_CLASSES)),
+    n_homes=st.integers(1, 300),
+    overload=st.floats(0.5, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(label="C", n_homes=50, overload=3.0, seed=0)
+def test_stored_level_watts_are_the_float64_level_sums(label, n_homes, overload, seed):
+    """The float32 level watts, upcast, are bit for bit the float64
+    `draws @ dm` of the reference's installed draws. Raw draws reach 1.5
+    times the rated ones, row 0 twice; the rated draws sum to `overload`
+    times the meter rating, so above 1 the meter-cap pass runs."""
+    home_class = HOME_CLASSES[label]
+    rng = np.random.default_rng(seed)
+    rated = rng.uniform(0.1, 1.0, home_class.appliance_count)
+    rated *= overload * home_class.rating_w / rated.sum()
+    model = ClassModel(home_class, [], None, rated, build_dm(home_class, rated))
+    raw = rng.uniform(0.0, 1.5, (n_homes, home_class.appliance_count)) * rated
+    raw[0] = 2.0 * rated
+    fleet, _ = install(model, raw)
+    want = set_hour_draws_reference(make_fleet(model, n_homes), np.arange(n_homes), raw.copy()) @ model.dm
+    assert fleet.level_watts.dtype == np.float32
+    assert (fleet.level_watts.astype(np.float64).view(np.uint64) == want.view(np.uint64)).all()
+
+
+def test_served_demand_sums_in_float64(class_models):
+    """Served demand of an odd number of quanta above 2**24 of them, which
+    no float32 holds, is the exact sum of the float32 level watts."""
+    model = class_models["C"]
+    draws = np.tile(np.floor(0.9 * model.rated_draws / QUANTUM_W) * QUANTUM_W, (40, 1))
+    draws[0, 0] -= QUANTUM_W * (1 - draws.sum() / QUANTUM_W % 2)
+    fleet, _ = install(model, draws)
+    total = math.fsum(fleet.watts(np.arange(len(fleet))).astype(np.float64).tolist())
+    assert total > 2**24 * QUANTUM_W and total / QUANTUM_W % 2 == 1
+    assert served_demand(fleet) == total
 
 
 class TestClassModels:

@@ -198,7 +198,7 @@ def utility_optima(fleet: Fleet, capacity_w: float, params: UtilityParams) -> tu
     non-smart one), and over the LP relaxation's vertices, where every home
     but one sits at one level and that one mixes two of its levels, as far
     as the capacity allows. Returns (integral optimum, LP optimum)."""
-    watts = fleet.level_watts
+    watts = fleet.level_watts.astype(np.float64)
     choices = [range(1, 6) if smart else (1, 5) for smart in fleet.smart]
     gains = np.array([0.0] + [utility(lv, params) for lv in PowerLevel])
     assign = np.array(list(product(*choices)))
@@ -241,7 +241,7 @@ def test_utility_ceiling_is_the_lp_optimum(class_models, smart, classes, seed, o
             draws = setup.uniform(0.0, 1.2, (homes.size, model.n_appliances)) * model.rated_draws
             draws[setup.random(draws.shape) < off_share] = 0.0
             set_hour_draws(fleet, homes, draws)
-    capacity_w = fraction * float(fleet.level_watts[:, -1].sum())
+    capacity_w = fraction * float(fleet.level_watts[:, -1].sum(dtype=np.float64))
     integral, lp = utility_optima(fleet, capacity_w, params)
     ceiling = helpers.utility_ceiling(fleet, capacity_w, params)
     assert ceiling * n == pytest.approx(lp, rel=1e-12, abs=1e-12)
