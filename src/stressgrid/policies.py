@@ -42,7 +42,8 @@ _LOWER_CAPS = np.array([CAP_FRACTION[lv] for lv in PowerLevel][:-1])  # L1..L4, 
 CHUNK_HOMES = 2048
 # A group's span of sort keys in `_shed_chunk`: above any home's draw, which
 # its meter rating caps, and a power of two, so that every key of draws in
-# multiples of QUANTUM_W is exact.
+# multiples of QUANTUM_W is exact; `_SPAN_W - watts`, at most 2**22 quanta,
+# is exact in the float32 of `Fleet.level_watts` too.
 _SPAN_W = 2.0**12
 
 
@@ -106,7 +107,7 @@ def _send(state: RoundState, homes: np.ndarray, levels, ends=None) -> int:
     fleet, channel = state.fleet, state.channel
     shed_w = fleet.watts(homes) - fleet.level_watts[homes, levels - 1]
     landed = channel.landing(homes.size)
-    cum = np.zeros(homes.size + 1)
+    cum = np.zeros(homes.size + 1)  # the float32 shed watts accumulate in its float64
     np.cumsum(shed_w if landed is None else shed_w * landed, out=cum[1:])
     fits = (state.served_w - cum[ends] <= state.capacity_w).nonzero()[0]
     last = int(fits[0]) if fits.size else len(ends) - 1
