@@ -203,7 +203,7 @@ def set_hour_draws(fleet: Fleet, homes: np.ndarray, draws) -> np.ndarray:
     order, cannot sum above the rated draws. A float64 `draws` array is
     changed in place, so it must not be a view of state that is kept, such
     as a model's rated draws. The watts at each state are the connected
-    appliances' draws summed, exactly, in float64, and stored as float32,
+    appliances' draws summed exactly in float64, then stored as float32,
     which holds them exactly (QUANTUM_W).
     """
     model = fleet.models[fleet.cls[homes[0]]]

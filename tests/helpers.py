@@ -268,7 +268,7 @@ def utility_ceiling(fleet: Fleet, capacity_w: float, params: UtilityParams) -> f
     until the capacity is spent, the last one in part. The connected
     appliances of the levels nest, so a home's watts do not fall with its
     level. Raises ValueError if the homes cannot all fit even at L1."""
-    watts = fleet.level_watts.astype(np.float64)  # exact; the sums below are not in float32
+    watts = fleet.level_watts.astype(np.float64)  # its slopes and sums need float64
     n = len(watts)
     if (np.diff(watts, axis=1) < 0).any():
         raise ValueError("a home draws less at a higher level")

@@ -82,19 +82,10 @@ class TestFormulas:
         for u, counts in hourly("baseline", SupplyModel(mode="fractional_gap", gap_fraction=0.3)):
             assert 0 < counts[0] < 40
             assert u == pytest.approx(counts[4] / 40)
+        # bit for bit: the same products, summed from L1 up
         for u, counts in hourly("distributed", SupplyModel(mode="fractional_gap", gap_fraction=0.3)):
             weighted = sum(utility(lv, p) * counts[lv - 1] for lv in PowerLevel)
-            assert u == pytest.approx(weighted / 40)
-
-    def test_mean_utility_bits_are_the_level_order_sum(self):
-        # the products of each level's utility and count, summed from L1 up
-        p = UtilityParams(1.0, 0.7, 0.1)
-        for policy in ("distributed", "centralized"):
-            config = SimConfig(horizon_hours=3, n_homes=60, n_feeders=6, group_size=2, utility=p, policy=policy,
-                               supply=SupplyModel(gap_fraction=0.35), seed=5)
-            for rec in run(config).hours:
-                weighted = sum(utility(lv, p) * rec.level_counts[lv - 1] for lv in PowerLevel)
-                assert rec.mean_utility == weighted / 60
+            assert u == weighted / 40
 
     def test_fractional_decrease(self):
         assert fractional_decrease(0.2, 0.03) == pytest.approx(85.0)
